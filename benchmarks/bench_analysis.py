@@ -64,7 +64,7 @@ SPEEDUP_FLOOR = 1.15
 #: Scheduler quantum for the payoff microbench (see module docstring).
 SPEEDUP_QUANTUM = 4
 
-DIVERGENCE_ENGINES = ("resolved", "compiled")
+DIVERGENCE_ENGINES = ("compiled", "codegen")
 DIVERGENCE_QUANTA = (1, 16, 4096)
 
 FIB = (

@@ -1,6 +1,6 @@
 #!/usr/bin/env python
 """Codegen engine benchmark: speedup floor, emit overhead and the
-zero-divergence gate for engine #4.
+zero-divergence gate for the codegen engine.
 
     PYTHONPATH=src python benchmarks/bench_codegen.py           # full run
     PYTHONPATH=src python benchmarks/bench_codegen.py --smoke   # CI mode
@@ -10,18 +10,19 @@ Three measurements:
 
 * **Speedup** — the point of the engine: fib, tak and a mutual
   recursion (best-of-N CPU time, interleaved samples) under
-  ``engine="codegen"`` vs the batched ``engine="compiled"`` baseline.
+  ``engine="codegen"`` vs the ``engine="compiled"`` baseline.
   The gate is a geometric mean of at least ``SPEEDUP_FLOOR``; the mean
   gates the mechanism rather than one workload's step-shape ceiling.
 * **Emit overhead** — first-emit cost (``codegen.emit_us``: walk the
   IR, build the source, ``compile()``, ``exec``) must stay under
   ``EMIT_OVERHEAD_CEILING`` of the end-to-end E1 suite wall time; the
   ir-hash code cache makes every later session in the process hit.
-* **Divergence** — the acceptance gate: every engine × analysis
-  {on, off} × quantum {1, 16, 4096} run of every workload must print
-  the same output and agree with the other two analysis/quantum cells
-  of its engine on values; analysis on vs off must additionally match
-  on total step count and machine stats.  Any spread fails the run.
+* **Divergence** — the acceptance gate: every engine (compiled,
+  codegen) × analysis {on, off} × quantum {1, 16, 4096} run of every
+  workload must print the same output and agree with the other
+  analysis/quantum cells of its engine on values; analysis on vs off
+  must additionally match on total step count and machine stats.  Any
+  spread fails the run.
 
 ``--smoke`` (CI) gates divergence and emit overhead and reports the
 speedup ratios without gating them (shared runners drift too much for
@@ -44,19 +45,15 @@ if os.path.isdir(os.path.join(_ROOT, "src")):
 
 from repro.host import Session  # noqa: E402
 
-#: The codegen engine must beat the batched compiled engine by at
-#: least this much (geometric mean over the three workloads).
+#: The codegen engine must beat the compiled engine by at least this
+#: much (geometric mean over the three workloads).
 SPEEDUP_FLOOR = 2.0
 #: First-emit cost may be at most this fraction of the end-to-end E1
 #: suite run (prelude + example + evaluations, cold cache).
 EMIT_OVERHEAD_CEILING = 0.10
 
-DIVERGENCE_ENGINES = ("dict", "resolved", "compiled", "codegen")
+DIVERGENCE_ENGINES = ("compiled", "codegen")
 DIVERGENCE_QUANTA = (1, 16, 4096)
-#: Engines that run the analysis phase (the dict engine has no
-#: resolved IR to annotate, so its on/off cells are identical by
-#: construction but still probed).
-ANALYSIS_STEP_GATED = ("resolved", "compiled", "codegen")
 
 FIB = (
     "(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))"
@@ -112,7 +109,7 @@ def bench_speedup(repeats: int, smoke: bool) -> dict[str, object]:
         timings = {"compiled": float("inf"), "codegen": float("inf")}
         for _ in range(max(repeats, 5) if not smoke else repeats):
             for engine in ("compiled", "codegen"):  # interleaved samples
-                session = Session(engine=engine, batched=True)
+                session = Session(engine=engine)
                 t0 = time.process_time()
                 session.run(source)
                 timings[engine] = min(timings[engine], time.process_time() - t0)

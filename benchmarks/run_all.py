@@ -7,31 +7,22 @@
     PYTHONPATH=src python benchmarks/run_all.py --out x.json
 
 Runs the E1–E10 experiment suite (shape assertions, timed), then the
-four-way engine A/B: each workload under ``engine="dict"`` (the
-original dict-chain interpreter), ``engine="resolved"`` (lexical
-addressing, slot ribs, interned global cells) and ``engine="compiled"``
-(resolved IR closure-compiled to code thunks) — all three driven by
-the unbatched per-step loop for cost fidelity to the pre-batching
-engines — plus ``batched`` (the compiled pipeline under the
-quantum-batched register run loop, the default engine), best-of-N
-CPU time each, plus the speedup ratios.  Every A/B workload and a
-set of control-operator probes are also cross-checked for divergence
-across engines × scheduler policies × batch quanta: every
-configuration must produce identical values.  Everything lands
-machine-readable in ``BENCH_results.json`` at the repo root, stamped
-with the engine list and the git SHA.
+engine A/B: each workload under ``engine="compiled"`` (resolved IR
+closure-compiled to code thunks, the reference engine) and
+``engine="codegen"`` (resolved IR emitted as Python source, the fast
+path), best-of-N CPU time each, plus the codegen-over-compiled ratio.
+Every A/B workload and a set of control-operator probes are also
+cross-checked for divergence across engines × scheduler policies ×
+batch quanta: every configuration must produce identical values.
+Everything lands machine-readable in ``BENCH_results.json`` at the repo
+root, stamped with the engine list and the git SHA.
 
-Exit status is non-zero when an experiment shape assertion fails, any
-configuration diverges on any probe, a gated speedup ratio
-(resolved-over-dict and compiled-over-resolved on the variable-heavy
-E1/E9 workloads) falls below the 1.3× acceptance floor, or the
-run-loop ratio (batched-over-compiled on the call-heavy loop
-workloads) falls below its 1.25× floor.
+Exit status is non-zero when an experiment shape assertion fails or
+any configuration diverges on any probe.  The g/c ratio is reported,
+not gated here: ``bench_codegen.py`` owns codegen's speedup floor.
 
 ``--smoke`` is the CI mode: best-of-3, no experiment suite, and the
-exit status reflects divergence plus the run-loop floor (timing is CPU
-time, so the batched-over-compiled ratio is stable even on shared
-runners; the cross-engine r/d and c/r ratios are reported ungated).
+exit status reflects divergence only.
 """
 
 from __future__ import annotations
@@ -52,17 +43,6 @@ from repro import experiments  # noqa: E402
 from repro.api import Interpreter  # noqa: E402
 from repro.machine.scheduler import ENGINES  # noqa: E402
 
-RATIO_FLOOR = 1.3
-
-#: The run-loop A/B (PR 3): the quantum-batched register loop vs the
-#: unbatched per-step driver, same compiled pipeline.  Gated on the
-#: call-heavy loop workloads; the capture-heavy pair must not regress
-#: (batched within 5% of unbatched).
-BATCH_RATIO_FLOOR = 1.25
-BATCH_GATED = ("fib-18", "tak-12-8-4", "mutual-recursion")
-BATCH_NO_REGRESS = ("e1-product", "e9-deep-capture")
-BATCH_REGRESS_FLOOR = 0.95
-
 #: Divergence-check matrix: batching must be unobservable at every
 #: batch size.
 DIVERGENCE_QUANTA = (1, 16, 4096)
@@ -76,8 +56,6 @@ def _product_list() -> str:
 
 
 #: A/B workloads: name -> (setup-source | "@example:<name>", timed expression).
-#: ``e1-product`` and ``e9-deep-capture`` are the acceptance-gated
-#: variable-heavy pair; the rest are context.
 AB_WORKLOADS: dict[str, tuple[str, str]] = {
     "e1-product": ("@example:product-callcc", f"(product '{_product_list()})"),
     "e9-deep-capture": (
@@ -117,11 +95,8 @@ AB_WORKLOADS: dict[str, tuple[str, str]] = {
     ),
 }
 
-#: Workloads whose ratios are gated by the acceptance floor.
-GATED = ("e1-product", "e9-deep-capture")
-
 #: Control-operator probes for the engine-divergence check (values must
-#: be identical under all three engines; these exercise capture,
+#: be identical under both engines; these exercise capture,
 #: reinstatement, forks, delimited control and futures — the paths a
 #: compiler bug would most plausibly corrupt).
 DIVERGENCE_PROBES: dict[str, tuple[str, str]] = {
@@ -172,15 +147,12 @@ def _fresh(
     name: str,
     workloads: dict[str, tuple[str, str]],
     *,
-    batched: bool = True,
     policy: str = "serial",
     quantum: int = 16,
     seed: int | None = None,
 ) -> Interpreter:
     setup, _ = workloads[name]
-    interp = Interpreter(
-        policy=policy, engine=engine, batched=batched, quantum=quantum, seed=seed
-    )
+    interp = Interpreter(policy=policy, engine=engine, quantum=quantum, seed=seed)
     if setup.startswith("@example:"):
         interp.load_paper_example(setup[len("@example:") :])
     elif setup:
@@ -188,7 +160,7 @@ def _fresh(
     return interp
 
 
-def _time_workload(name: str, engine: str, repeats: int, batched: bool) -> float:
+def _time_workload(name: str, engine: str, repeats: int) -> float:
     # CPU time, not wall clock: the workloads are single-threaded and
     # allocation-bound, and on a shared box wall-clock best-of-N still
     # swings by 30-40% run to run, which is far larger than the effects
@@ -196,7 +168,7 @@ def _time_workload(name: str, engine: str, repeats: int, batched: bool) -> float
     _, expr = AB_WORKLOADS[name]
     best = float("inf")
     for _ in range(repeats):
-        interp = _fresh(engine, name, AB_WORKLOADS, batched=batched)
+        interp = _fresh(engine, name, AB_WORKLOADS)
         start = time.process_time()
         interp.eval(expr)
         best = min(best, time.process_time() - start)
@@ -204,105 +176,51 @@ def _time_workload(name: str, engine: str, repeats: int, batched: bool) -> float
 
 
 def run_ab(repeats: int) -> dict[str, dict[str, float]]:
-    """The engine A/B.
-
-    The ``dict``/``resolved``/``compiled`` columns run the unbatched
-    per-step driver (``batched=False``), keeping them cost-faithful to
-    the pre-batching engines so the resolver and compiler ratios stay
-    comparable across PRs; the ``batched`` column is the default
-    quantum-batched register loop on the compiled pipeline (PR 3's
-    run-loop A/B is ``batched`` vs ``compiled``).  The ``codegen``
-    column is engine #4 — emitted Python source through the ir-hash
-    code cache — on the same batched loop, reported as g/b against the
-    batched baseline (its gated floor lives in ``bench_codegen.py``).
-    """
-    print(
-        "\n=== A/B  dict chains vs resolved (slot ribs) vs compiled (code "
-        "thunks) vs batched (register run loop) vs codegen (emitted "
-        "Python) ==="
-    )
+    """The engine A/B: compiled (code thunks) vs codegen (emitted
+    Python), both on the one batched run loop."""
+    print("\n=== A/B  compiled (code thunks) vs codegen (emitted Python) ===")
     results: dict[str, dict[str, float]] = {}
     for name in AB_WORKLOADS:
-        times = {
-            engine: _time_workload(name, engine, repeats, batched=False)
-            for engine in ENGINES
-            if engine != "codegen"  # codegen's column is the batched loop
-        }
-        times["batched"] = _time_workload(name, "compiled", repeats, batched=True)
-        times["codegen"] = _time_workload(name, "codegen", repeats, batched=True)
-        resolved_vs_dict = (
-            times["dict"] / times["resolved"] if times["resolved"] else float("inf")
+        times = {engine: _time_workload(name, engine, repeats) for engine in ENGINES}
+        codegen_vs_compiled = (
+            times["compiled"] / times["codegen"] if times["codegen"] else float("inf")
         )
-        compiled_vs_resolved = (
-            times["resolved"] / times["compiled"] if times["compiled"] else float("inf")
-        )
-        batched_vs_compiled = (
-            times["compiled"] / times["batched"] if times["batched"] else float("inf")
-        )
-        codegen_vs_batched = (
-            times["batched"] / times["codegen"] if times["codegen"] else float("inf")
-        )
-        gate = "  [gated ≥%.1fx]" % RATIO_FLOOR if name in GATED else ""
-        if name in BATCH_GATED:
-            gate += "  [b/c gated ≥%.2fx]" % BATCH_RATIO_FLOOR
         print(
-            f"  {name:18s} dict={times['dict'] * 1e3:8.2f}ms  "
-            f"resolved={times['resolved'] * 1e3:8.2f}ms  "
-            f"compiled={times['compiled'] * 1e3:8.2f}ms  "
-            f"batched={times['batched'] * 1e3:8.2f}ms  "
+            f"  {name:18s} compiled={times['compiled'] * 1e3:8.2f}ms  "
             f"codegen={times['codegen'] * 1e3:8.2f}ms  "
-            f"r/d={resolved_vs_dict:5.2f}x  c/r={compiled_vs_resolved:5.2f}x  "
-            f"b/c={batched_vs_compiled:5.2f}x  "
-            f"g/b={codegen_vs_batched:5.2f}x{gate}"
+            f"g/c={codegen_vs_compiled:5.2f}x"
         )
         results[name] = {
-            "dict_s": times["dict"],
-            "resolved_s": times["resolved"],
             "compiled_s": times["compiled"],
-            "batched_s": times["batched"],
             "codegen_s": times["codegen"],
-            "resolved_over_dict": round(resolved_vs_dict, 3),
-            "compiled_over_resolved": round(compiled_vs_resolved, 3),
-            "batched_over_compiled": round(batched_vs_compiled, 3),
-            "codegen_over_batched": round(codegen_vs_batched, 3),
+            "codegen_over_compiled": round(codegen_vs_compiled, 3),
         }
     return results
 
 
 def run_divergence() -> dict[str, dict[str, object]]:
-    """Evaluate every A/B workload and control probe across the full
-    configuration matrix — engine × policy × quantum (batched), plus
-    the unbatched driver on every engine — and record the values and
-    whether they all agree.  Batching must be unobservable: the same
-    value at every batch size, with and without the register loop."""
+    """Evaluate every A/B workload and control probe across the
+    configuration matrix — engine × policy × quantum — and record the
+    values and whether they all agree.  Batching must be unobservable:
+    the same value at every batch size."""
     print("\n=== engine divergence check (engines × policies × quanta) ===")
     results: dict[str, dict[str, object]] = {}
-    configs: list[tuple[str, dict[str, object]]] = []
-    for engine in ENGINES:
-        for policy in DIVERGENCE_POLICIES:
-            for quantum in DIVERGENCE_QUANTA:
-                configs.append(
-                    (
-                        f"{engine}/{policy}/q{quantum}",
-                        dict(engine=engine, policy=policy, quantum=quantum,
-                             batched=True),
-                    )
-                )
-        configs.append(
-            (
-                f"{engine}/round-robin/q16/unbatched",
-                dict(engine=engine, policy="round-robin", quantum=16,
-                     batched=False),
-            )
+    configs = [
+        (
+            f"{engine}/{policy}/q{quantum}",
+            dict(engine=engine, policy=policy, quantum=quantum),
         )
-    # The timed workloads are big; give them the per-engine sweep with
-    # and without batching.  The control probes are small: they get the
-    # full engine × policy × quantum matrix.
+        for engine in ENGINES
+        for policy in DIVERGENCE_POLICIES
+        for quantum in DIVERGENCE_QUANTA
+    ]
+    # The timed workloads are big; give them the per-engine sweep.  The
+    # control probes are small: they get the full engine × policy ×
+    # quantum matrix.
     workload_configs = [
         (label, config)
         for label, config in configs
         if config["policy"] == "serial" and config["quantum"] == 16
-        or not config["batched"]
     ]
     suites = (AB_WORKLOADS, DIVERGENCE_PROBES)
     for suite in suites:
@@ -316,7 +234,6 @@ def run_divergence() -> dict[str, dict[str, object]]:
                         config["engine"],  # type: ignore[arg-type]
                         name,
                         suite,
-                        batched=config["batched"],  # type: ignore[arg-type]
                         policy=config["policy"],  # type: ignore[arg-type]
                         quantum=config["quantum"],  # type: ignore[arg-type]
                         seed=11,
@@ -404,8 +321,7 @@ def main(argv: list[str] | None = None) -> int:
         "--smoke",
         action="store_true",
         help="CI mode: best-of-3, skip the experiment suite, exit status "
-        "keyed to engine divergence plus the batched-loop floor (the "
-        "legacy r/d and c/r ratios are reported but not gated)",
+        "keyed to engine divergence",
     )
     args = parser.parse_args(argv)
     if args.fast:
@@ -419,37 +335,9 @@ def main(argv: list[str] | None = None) -> int:
     ab_results = run_ab(repeats)
     divergence_results = run_divergence()
 
-    gated = {
-        name: {
-            "resolved_over_dict": ab_results[name]["resolved_over_dict"],
-            "compiled_over_resolved": ab_results[name]["compiled_over_resolved"],
-        }
-        for name in GATED
-    }
-    ratios_ok = all(
-        ratio >= RATIO_FLOOR
-        for ratios in gated.values()
-        for ratio in ratios.values()
-    )
-    batched_gated = {
-        name: ab_results[name]["batched_over_compiled"] for name in BATCH_GATED
-    }
-    batched_no_regress = {
-        name: ab_results[name]["batched_over_compiled"] for name in BATCH_NO_REGRESS
-    }
-    batched_ok = all(
-        ratio >= BATCH_RATIO_FLOOR for ratio in batched_gated.values()
-    ) and all(
-        ratio >= BATCH_REGRESS_FLOOR for ratio in batched_no_regress.values()
-    )
     engines_agree = all(entry["agree"] for entry in divergence_results.values())
     experiments_ok = all(entry["ok"] for entry in experiment_results.values())
-    if args.smoke:
-        # CI gates divergence and the run-loop floor; the cross-engine
-        # r/d and c/r ratios depend on the runner too much to gate.
-        acceptance_pass = engines_agree and batched_ok
-    else:
-        acceptance_pass = ratios_ok and batched_ok and engines_agree and experiments_ok
+    acceptance_pass = engines_agree and experiments_ok
 
     payload = {
         "meta": {
@@ -465,13 +353,8 @@ def main(argv: list[str] | None = None) -> int:
         "divergence": divergence_results,
         "vm_profile": run_vm_profile(),
         "acceptance": {
-            "ratio_floor": RATIO_FLOOR,
-            "gated_ratios": gated,
-            "batch_ratio_floor": BATCH_RATIO_FLOOR,
-            "batch_regress_floor": BATCH_REGRESS_FLOOR,
-            "batched_gated": batched_gated,
-            "batched_no_regress": batched_no_regress,
             "engines_agree": engines_agree,
+            "experiments_ok": experiments_ok,
             "pass": acceptance_pass,
         },
     }
@@ -482,19 +365,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\nwrote {args.out}")
     status = "pass" if acceptance_pass else "FAIL"
     print(
-        f"acceptance [{status}]: "
-        + "  ".join(
-            f"{name} r/d={ratios['resolved_over_dict']:.2f}x "
-            f"c/r={ratios['compiled_over_resolved']:.2f}x"
-            for name, ratios in gated.items()
-        )
-        + "  "
-        + "  ".join(
-            f"{name} b/c={ratio:.2f}x" for name, ratio in batched_gated.items()
-        )
-        + f"  (floors {RATIO_FLOOR}x, b/c {BATCH_RATIO_FLOOR}x"
-        + (", ratios not gated in --smoke" if args.smoke else "")
-        + f")  engines_agree={engines_agree}"
+        f"acceptance [{status}]: engines_agree={engines_agree}"
+        + ("" if args.smoke else f"  experiments_ok={experiments_ok}")
     )
     return 0 if acceptance_pass else 1
 

@@ -768,13 +768,13 @@ _SCRATCH_SESSION: Any = None
 
 
 def _scratch_session() -> Any:
-    """A lazily-built resolved-engine session (prelude loaded) that
-    :func:`analyze` uses when no live session is supplied."""
+    """A lazily-built session (prelude loaded) that :func:`analyze`
+    uses when no live session is supplied."""
     global _SCRATCH_SESSION
     if _SCRATCH_SESSION is None:
         from repro.host.session import Session
 
-        _SCRATCH_SESSION = Session(name="analysis-scratch", engine="resolved")
+        _SCRATCH_SESSION = Session(name="analysis-scratch", engine="compiled")
     return _SCRATCH_SESSION
 
 

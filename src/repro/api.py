@@ -28,10 +28,10 @@ documented once, here (``docs/API.md`` mirrors it) — accepts enums or
 their string values interchangeably for ``engine`` and ``policy``:
 
     >>> from repro import Engine
-    >>> Interpreter(engine=Engine.DICT, prelude=False).engine
-    'dict'
-    >>> Interpreter(engine="dict", prelude=False).engine
-    'dict'
+    >>> Interpreter(engine=Engine.CODEGEN, prelude=False).engine
+    'codegen'
+    >>> Interpreter(engine="codegen", prelude=False).engine
+    'codegen'
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Any
 
 from repro.host.handle import EvalHandle
 from repro.host.session import Session
-from repro.machine.scheduler import Engine, SchedulerPolicy, normalize_engine
+from repro.machine.scheduler import Engine, SchedulerPolicy
 from repro.obs.recorder import Recorder
 
 __all__ = ["Interpreter"]
@@ -72,23 +72,15 @@ class Interpreter:
         Also print ``display`` output to real stdout.
     engine:
         Execution engine: :class:`~repro.machine.scheduler.Engine` or
-        its string value — ``"dict"``, ``"resolved"``, ``"compiled"``,
-        ``"codegen"`` (see :data:`repro.machine.scheduler.ENGINES`).
-        Defaults to ``"compiled"``: the pipeline reader → expand →
-        resolve → compile → machine.  ``"codegen"`` goes one stage
-        further — resolved IR is emitted as straight-line Python
-        source, ``compile()``d once and cached by ``ir-hash-v1``
-        digest (:mod:`repro.ir.codegen`, DESIGN.md S26).
-        ``"resolved"`` stops after the resolver and tree-walks the
-        resolved IR; ``"dict"`` is the original dict-chain interpreter
-        (the seed baseline).  All four agree on every program —
-        ``benchmarks/run_all.py`` runs the engine A/B.
-    batched:
-        Run tasks in quantum batches with the control registers held in
-        Python locals (the default).  ``batched=False`` selects the
-        unbatched ablation driver — one reference-stepper call per
-        transition with the PR-2 apply path — used by the benchmark A/B
-        column (see DESIGN.md S21).
+        its string value — ``"compiled"`` or ``"codegen"`` (see
+        :data:`repro.machine.scheduler.ENGINES`).  Defaults to
+        ``"compiled"``, the reference engine: the pipeline reader →
+        expand → resolve → compile → machine.  ``"codegen"`` is the
+        fast path — resolved IR is emitted as straight-line Python
+        source, ``compile()``d once and cached by ``ir-hash-v1`` digest
+        (:mod:`repro.ir.codegen`, DESIGN.md S26).  Both run on one run
+        loop and agree on every program — ``benchmarks/run_all.py``
+        runs the engine A/B.
     profile:
         Keep VM run-loop counters (quanta, spill causes, write-backs
         avoided) in ``machine.vm_stats``; surfaced through
@@ -109,8 +101,8 @@ class Interpreter:
         requests are classified pure / capture-heavy / spawning, and
         forms proven single-task run with an enlarged scheduler
         quantum.  On by default; ``analysis=False`` (the REPL's
-        ``--no-analysis``) is the ablation baseline and always ignored
-        on the ``dict`` engine.  Semantics are identical either way —
+        ``--no-analysis``) is the ablation baseline.  Semantics are
+        identical either way —
         ``benchmarks/bench_analysis.py`` gates on it.
     max_pending:
         Bound on queued + in-flight :meth:`submit` evaluations (passed
@@ -128,19 +120,11 @@ class Interpreter:
         prelude: bool = True,
         echo_output: bool = False,
         engine: str | Engine | None = None,
-        batched: bool = True,
         profile: bool = False,
         record: "Recorder | bool | None" = None,
         analysis: bool = True,
         max_pending: int = 64,
     ):
-        # The resolve= sentinel (deprecated since 1.1) is gone as of
-        # 1.4.0: engine="dict" is the only spelling of the dict-chain
-        # ablation.  Passing resolve= now raises TypeError like any
-        # unknown keyword.
-        if engine is None:
-            engine = "compiled"
-        engine = normalize_engine(engine)
         self.session = Session(
             policy=policy,
             seed=seed,
@@ -149,7 +133,6 @@ class Interpreter:
             prelude=prelude,
             echo_output=echo_output,
             engine=engine,
-            batched=batched,
             profile=profile,
             record=record,
             analysis=analysis,
@@ -169,11 +152,6 @@ class Interpreter:
         self.analysis_stats = self.session.analysis_stats
 
     @property
-    def resolve(self) -> bool:
-        """Whether the resolver pass runs (every engine but ``dict``)."""
-        return self.engine != "dict"
-
-    @property
     def recorder(self) -> Recorder | None:
         """The attached observability recorder (None unless the
         interpreter was built with ``record=``)."""
@@ -188,8 +166,8 @@ class Interpreter:
         max_steps: int | None = None,
         deadline: float | None = None,
     ) -> list[Any]:
-        """Read, expand, resolve and — on the compiled engine —
-        closure-compile every form in ``source``, then evaluate.
+        """Read, expand, resolve and compile (or emit, on the codegen
+        engine) every form in ``source``, then evaluate.
 
         Returns the list of values (definitions yield the unspecified
         value).  ``max_steps`` bounds this call's machine steps
@@ -270,9 +248,8 @@ class Interpreter:
     @property
     def stats(self) -> dict[str, int]:
         """Machine counters (forks, captures, reinstatements, ...)
-        plus — when the resolver is on — its compile-stage counters,
-        plus the closure compiler's counters on the compiled engine,
-        plus the session serving counters.  Pipeline counters appear
-        under namespaced keys (``resolver.*``, ``compile.*``, ``vm.*``)
-        with the historical flat names kept as aliases."""
+        plus the resolver's counters, the compiled engine's
+        ``compile.*`` or the codegen engine's ``codegen.*`` counters,
+        and the session serving counters, under namespaced keys
+        (``resolver.*``, ``compile.*``, ``codegen.*``, ``vm.*``)."""
         return self.session.stats

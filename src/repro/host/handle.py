@@ -87,7 +87,7 @@ class EvalHandle:
         # Capture/effect analysis results (repro.analysis.effects): the
         # ProgramReport from submit (transient — not serialized) and the
         # request classification pure/capture-heavy/spawning ("unknown"
-        # on the dict engine or with analysis off).
+        # with analysis off).
         self.report: Any = None
         self.classification: str = "unknown"
         self._exception: BaseException | None = None

@@ -108,8 +108,7 @@ class Session:
         ``EffectInfo`` facts on lambdas, classifies each request
         pure / capture-heavy / spawning, and lets the pump grant
         enlarged quanta to forms proven single-task.  On by default
-        (``--no-analysis`` in the REPL is the ablation flag); forced
-        off on the dict engine, whose IR the phase does not target.
+        (``--no-analysis`` in the REPL is the ablation flag).
     """
 
     def __init__(
@@ -122,7 +121,6 @@ class Session:
         prelude: bool = True,
         echo_output: bool = False,
         engine: str | Engine | None = None,
-        batched: bool = True,
         profile: bool = False,
         max_pending: int = 64,
         name: str | None = None,
@@ -132,7 +130,7 @@ class Session:
         engine = normalize_engine(engine if engine is not None else "compiled")
         self.name = name if name is not None else f"session-{next(_session_ids)}"
         self.engine = engine
-        self.analysis = bool(analysis) and engine != "dict"
+        self.analysis = bool(analysis)
         self.analysis_stats = AnalysisStats()
         self.resolver_stats = ResolverStats()
         self.compile_stats = CompileStats()
@@ -147,7 +145,6 @@ class Session:
             quantum=quantum,
             max_steps=None,  # budgets apply to user code only
             engine=engine,
-            batched=batched,
             profile=profile,
             record=record,
         )
@@ -230,18 +227,15 @@ class Session:
     def _frontend(self, source: str) -> tuple[list[Any], Any]:
         forms = read_all(source)
         nodes = expand_program(forms, self.expand_env)
+        nodes = resolve_program(nodes, self.globals, self.resolver_stats)
         report = None
-        if self.engine != "dict":
-            nodes = resolve_program(nodes, self.globals, self.resolver_stats)
-            if self.analysis:
-                # The phase runs on resolved IR, before compilation, so
-                # the compiler bakes the stamped facts into closures.
-                report = annotate_program(nodes, self.globals, self.analysis_stats)
-            if self.engine == "compiled":
-                nodes = compile_program(nodes, self.compile_stats)
-            elif self.engine == "codegen":
-                nodes = codegen_program(nodes, self.codegen_stats)
-        return nodes, report
+        if self.analysis:
+            # The phase runs on resolved IR, before compilation, so the
+            # compiler bakes the stamped facts into closures.
+            report = annotate_program(nodes, self.globals, self.analysis_stats)
+        if self.engine == "codegen":
+            return codegen_program(nodes, self.codegen_stats), report
+        return compile_program(nodes, self.compile_stats), report
 
     # -- state -----------------------------------------------------------
 
@@ -668,14 +662,13 @@ class Session:
         ``compile_nodes``, ``vm_quanta``, ...) are gone; see the 1.4.0
         release note in README.md."""
         out = dict(self.machine.stats)
-        if self.engine != "dict":
-            _merge_namespaced(out, "resolver", self.resolver_stats.as_dict())
-            if self.analysis:
-                _merge_namespaced(out, "analysis", self.analysis_stats.as_dict())
-            if self.engine == "compiled":
-                _merge_namespaced(out, "compile", self.compile_stats.as_dict())
-            elif self.engine == "codegen":
-                _merge_namespaced(out, "codegen", self.codegen_stats.as_dict())
+        _merge_namespaced(out, "resolver", self.resolver_stats.as_dict())
+        if self.analysis:
+            _merge_namespaced(out, "analysis", self.analysis_stats.as_dict())
+        if self.engine == "codegen":
+            _merge_namespaced(out, "codegen", self.codegen_stats.as_dict())
+        else:
+            _merge_namespaced(out, "compile", self.compile_stats.as_dict())
         if self.machine.profile:
             _merge_namespaced(out, "vm", self.machine.vm_stats)
         out.update(self.metrics.as_dict())

@@ -33,9 +33,10 @@ from repro.ir.pretty import pretty
 from repro.ir.resolve import ResolverStats, resolve_node, resolve_program
 
 # Imported last: repro.ir.compile and repro.ir.codegen depend on
-# repro.machine, which in turn imports repro.ir — by this point every
-# name above is bound, so the cycle resolves cleanly from either entry
-# direction.
+# repro.machine (down to repro.machine.step, whose apply_deliver the
+# emitted code calls), which in turn imports repro.ir — by this point
+# every name above is bound, so importing repro.ir first (as the
+# package root does) resolves the cycle.
 from repro.ir.compile import CompileStats, compile_node, compile_program
 from repro.ir.codegen import CodegenStats, codegen_node, codegen_program
 

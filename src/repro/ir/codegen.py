@@ -13,13 +13,13 @@ form's ``ir-hash-v1`` digest (:func:`repro.ir.hashing.stable_hash`).
 The emitted functions obey exactly the established code-thunk contract
 (``code(machine, task) -> (tag, payload) | None``, with ``.triv`` and
 ``.node`` attributes), so the codegen engine reuses the compiled
-engine's run loops (:func:`repro.machine.step.run_quantum_compiled`,
-``step_compiled``), frame VALUE delivery, snapshot ``_N_CODE``
-round-trip, the analysis quantum grant, and cross-engine closure
-interop without modification.  Everything outside the straight line —
-control primitives, ``pcall`` forks, continuation application,
-suspension — delegates through ``machine._apply_deliver`` with the
-task registers spilled first, exactly as the batched engine does, so
+engine's run loop (:func:`repro.machine.step.run_quantum_compiled`),
+frame VALUE delivery, snapshot ``_N_CODE`` round-trip, the analysis
+quantum grant, and cross-engine closure interop without modification.
+Everything outside the straight line — control primitives, ``pcall``
+forks, continuation application, suspension — delegates through
+:func:`~repro.machine.step.apply_deliver` with the task registers
+spilled first, exactly as the compiled engine does, so
 capture/reinstate, preemption, step budgets and deadlines are
 untouched.
 
@@ -63,7 +63,7 @@ first, so the elision is unobservable.
 A function never loops and never recurses through an application —
 ``apply`` only *schedules* a closure body — so one emitted call is one
 machine step, per-step work stays bounded by static expression size,
-and quantum preemption is byte-identical to the other engines.
+and quantum preemption is byte-identical to the compiled engine.
 
 The code cache is module-level (shared by every session in the
 process, which is what makes cluster restore cheap): a bounded LRU of
@@ -114,6 +114,7 @@ from repro.machine.frames import (
     SeqFrame,
 )
 from repro.machine.links import ForkLink, Join
+from repro.machine.step import apply_deliver
 from repro.machine.task import EVAL, VALUE, Task, TaskState
 from repro.machine.tree import replace_child
 from repro.machine.values import Closure, Primitive
@@ -150,6 +151,7 @@ _HELPERS: dict[str, Any] = {
     "_Task": Task,
     "_DEAD": TaskState.DEAD,
     "_replace_child": replace_child,
+    "_apply_deliver": apply_deliver,
 }
 
 #: Node kinds with a compile-time-known value shape (the closure
@@ -626,7 +628,7 @@ class _Emitter:
                     self.sync(env, w, find)
                     w.line(
                         find,
-                        "return machine._apply_deliver"
+                        f"return {self.helper('_apply_deliver', w)}"
                         f"(machine, task, {fexpr}, [{argsx}])",
                     )
 
@@ -681,7 +683,10 @@ class _Emitter:
         )
         w.line(ind + 1, f"return ({va}, {f}.fn({argsx}))")
         self.sync(env, w, ind)
-        w.line(ind, f"return machine._apply_deliver(machine, task, {f}, [{argsx}])")
+        w.line(
+            ind,
+            f"return {self.helper('_apply_deliver', w)}(machine, task, {f}, [{argsx}])",
+        )
 
     def self_call_inline(
         self, f: str, argsx: str, k: int, fn_node: Node | None, w: _Fn, ind: int
@@ -789,7 +794,7 @@ class _Emitter:
                     self.sync(env, w, find)
                     w.line(
                         find,
-                        "return machine._apply_deliver"
+                        f"return {self.helper('_apply_deliver', w)}"
                         f"(machine, task, {fexpr}, [{argsx}])",
                     )
 
@@ -868,7 +873,8 @@ class _Emitter:
                 self.sync(env, w, find)
                 w.line(
                     find,
-                    f"return machine._apply_deliver(machine, task, {fexpr}, [{argsx}])",
+                    f"return {self.helper('_apply_deliver', w)}"
+                    f"(machine, task, {fexpr}, [{argsx}])",
                 )
 
             t = self.inline_prim_call(node.test, env, w, ind, emit_fb)

@@ -4,8 +4,8 @@
 resolver (reader → expand → resolve → **compile** → machine).  It
 translates each resolved IR node, once, into a Python closure — a
 *code thunk* with signature ``code(machine, task)`` — that performs
-exactly the transition the tree-walking stepper would have performed
-for that node, with everything the stepper recomputes per step
+exactly the transition the machine's raw-IR dispatch would perform
+for that node, with everything the dispatch recomputes per step
 (type-keyed dispatch, attribute loads, trivial-operand classification)
 pre-resolved into the closure's captured variables.  This is the
 functional-correspondence move of Biernacka, Biernacki & Danvy: the
@@ -42,7 +42,7 @@ Every code thunk carries two attributes: ``triv`` — ``None``, or a
 ``(env) -> value`` closure usable when the node is a trivial operand —
 and ``node``, the source IR node (debugging / introspection).  Frame
 expression slots may therefore hold either IR nodes or code thunks;
-the machine's compiled stepper (:func:`repro.machine.step.step_compiled`)
+the machine's run loop (:func:`repro.machine.step.run_quantum_compiled`)
 dispatches on ``FunctionType`` and falls back to the shared node
 dispatch, so values (closures included) cross freely between engines.
 
@@ -87,6 +87,7 @@ from repro.machine.frames import (
     SeqFrame,
 )
 from repro.machine.links import ForkLink, Join
+from repro.machine.step import apply_deliver
 from repro.machine.task import EVAL, VALUE, Task, TaskState
 from repro.machine.tree import replace_child
 from repro.machine.values import Closure
@@ -267,21 +268,21 @@ class _Compiler:
             if not trivs:
 
                 def run(machine: Any, task: Task) -> Any:
-                    return machine._apply_deliver(machine, task, fn_triv(task.env), [])
+                    return apply_deliver(machine, task, fn_triv(task.env), [])
 
             elif len(trivs) == 1:
                 t0 = trivs[0]
 
                 def run(machine: Any, task: Task) -> Any:
                     env = task.env
-                    return machine._apply_deliver(machine, task, fn_triv(env), [t0(env)])
+                    return apply_deliver(machine, task, fn_triv(env), [t0(env)])
 
             elif len(trivs) == 2:
                 t0, t1 = trivs
 
                 def run(machine: Any, task: Task) -> Any:
                     env = task.env
-                    return machine._apply_deliver(
+                    return apply_deliver(
                         machine, task, fn_triv(env), [t0(env), t1(env)]
                     )
 
@@ -290,7 +291,7 @@ class _Compiler:
 
                 def run(machine: Any, task: Task) -> Any:
                     env = task.env
-                    return machine._apply_deliver(
+                    return apply_deliver(
                         machine, task, fn_triv(env), [t0(env), t1(env), t2(env)]
                     )
 
@@ -299,7 +300,7 @@ class _Compiler:
 
                 def run(machine: Any, task: Task) -> Any:
                     env = task.env
-                    return machine._apply_deliver(
+                    return apply_deliver(
                         machine,
                         task,
                         fn_triv(env),
@@ -396,7 +397,7 @@ class _Compiler:
                     fn = cell.value
                     if fn is UNBOUND:
                         raise UnboundVariableError(cell.name.name)
-                    return machine._apply_deliver(
+                    return apply_deliver(
                         machine, task, fn, [task.env.values[v0]]
                     )
 
@@ -406,7 +407,7 @@ class _Compiler:
                     fn = cell.value
                     if fn is UNBOUND:
                         raise UnboundVariableError(cell.name.name)
-                    return machine._apply_deliver(machine, task, fn, [v0])
+                    return apply_deliver(machine, task, fn, [v0])
 
             else:
 
@@ -414,7 +415,7 @@ class _Compiler:
                     fn = cell.value
                     if fn is UNBOUND:
                         raise UnboundVariableError(cell.name.name)
-                    return machine._apply_deliver(
+                    return apply_deliver(
                         machine, task, fn, [v0(task.env)]
                     )
 
@@ -430,7 +431,7 @@ class _Compiler:
                     if fn is UNBOUND:
                         raise UnboundVariableError(cell.name.name)
                     values = task.env.values
-                    return machine._apply_deliver(
+                    return apply_deliver(
                         machine, task, fn, [values[v0], values[v1]]
                     )
 
@@ -440,7 +441,7 @@ class _Compiler:
                     fn = cell.value
                     if fn is UNBOUND:
                         raise UnboundVariableError(cell.name.name)
-                    return machine._apply_deliver(
+                    return apply_deliver(
                         machine, task, fn, [task.env.values[v0], v1]
                     )
 
@@ -450,7 +451,7 @@ class _Compiler:
                     fn = cell.value
                     if fn is UNBOUND:
                         raise UnboundVariableError(cell.name.name)
-                    return machine._apply_deliver(
+                    return apply_deliver(
                         machine, task, fn, [v0, task.env.values[v1]]
                     )
 
@@ -460,7 +461,7 @@ class _Compiler:
                     fn = cell.value
                     if fn is UNBOUND:
                         raise UnboundVariableError(cell.name.name)
-                    return machine._apply_deliver(machine, task, fn, [v0, v1])
+                    return apply_deliver(machine, task, fn, [v0, v1])
 
             else:
                 t0 = trivs[0]
@@ -471,7 +472,7 @@ class _Compiler:
                     if fn is UNBOUND:
                         raise UnboundVariableError(cell.name.name)
                     env = task.env
-                    return machine._apply_deliver(
+                    return apply_deliver(
                         machine, task, fn, [t0(env), t1(env)]
                     )
 
@@ -483,7 +484,7 @@ class _Compiler:
                 fn = cell.value
                 if fn is UNBOUND:
                     raise UnboundVariableError(cell.name.name)
-                return machine._apply_deliver(machine, task, fn, [])
+                return apply_deliver(machine, task, fn, [])
 
             return run
 
@@ -494,7 +495,7 @@ class _Compiler:
             if fn is UNBOUND:
                 raise UnboundVariableError(cell.name.name)
             env = task.env
-            return machine._apply_deliver(
+            return apply_deliver(
                 machine, task, fn, [t(env) for t in all_trivs]
             )
 

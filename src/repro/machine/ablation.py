@@ -1,36 +1,19 @@
-"""Ablations: behaviourally identical, deliberately slower baselines.
+"""Ablation: copying capture, a behaviourally identical, deliberately
+slower baseline.
 
-Two A/B baselines live here, each preserving an earlier implementation
-strategy so benchmarks can measure what its replacement bought:
-
-* **Copying capture** (:func:`capture_subtree_copying`) — Section 7's
-  cost claim rests on capturing segments **by reference** (frames are
-  immutable, so a captured subtree shares them).  The obvious
-  alternative — copying every frame at capture time, as naive
-  continuation implementations do — costs O(continuation size).
-  ``benchmarks/bench_e9_capture_cost.py`` shows the difference
-  empirically: sharing capture stays flat as segments deepen, copying
-  capture grows linearly.
-
-* **PR-2 apply path** (:func:`apply_procedure_unbatched`,
-  :func:`apply_deliver_unbatched`) — the pre-batching apply helpers,
-  kept cost-faithful to the PR-2 engine: a ``check_arity`` call per
-  application, the ``fn.apply`` method path for primitives, a
-  ``getattr`` probe for continuations/controllers, and per-operand
-  tuple growth in the folding loop.  A machine built with
-  ``batched=False`` installs these as its ``_apply_procedure`` /
-  ``_apply_deliver`` seam, so the benchmark "compiled" column measures
-  the PR-2 engine while the batched column measures the new fast path
-  (precomputed arity windows, direct ``Primitive``/``Closure``
-  dispatch) — see DESIGN.md S21.
-
-Every ablation here is *behaviourally identical* (tests assert so); it
-only does redundant work.
+Section 7's cost claim rests on capturing segments **by reference**
+(frames are immutable, so a captured subtree shares them).  The obvious
+alternative — copying every frame at capture time, as naive
+continuation implementations do — costs O(continuation size).
+:func:`capture_subtree_copying` preserves that alternative so
+``benchmarks/bench_e9_capture_cost.py`` can show the difference
+empirically: sharing capture stays flat as segments deepen, copying
+capture grows linearly.  It is *behaviourally identical* (tests assert
+so); it only does redundant work.
 """
 
 from __future__ import annotations
 
-from types import FunctionType
 from typing import TYPE_CHECKING, Any
 
 from repro.machine.frames import (
@@ -43,24 +26,14 @@ from repro.machine.frames import (
     SeqFrame,
     SetFrame,
 )
-from repro.datum import from_pylist
-from repro.errors import WrongTypeError
-from repro.machine.environment import Environment, SlotRib
 from repro.machine.links import TOMBSTONE, ForkLink, Join, LabelLink
-from repro.machine.task import EVAL, VALUE, Task, TaskState
+from repro.machine.task import HOLE, Task, TaskState
 from repro.machine.tree import Capture
-from repro.machine.task import HOLE
-from repro.machine.values import Closure, ControlPrimitive, Primitive
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.scheduler import Machine
 
-__all__ = [
-    "copy_frames",
-    "capture_subtree_copying",
-    "apply_procedure_unbatched",
-    "apply_deliver_unbatched",
-]
+__all__ = ["copy_frames", "capture_subtree_copying"]
 
 
 def copy_frames(frame: Frame | None) -> Frame | None:
@@ -142,101 +115,3 @@ def capture_subtree_copying(
     hole_clone.tag = HOLE
     hole_clone.payload = None
     return Capture(root=root_clone, hole=hole_clone)
-
-
-# ---------------------------------------------------------------------------
-# The PR-2 apply path (cost-faithful, return-convention adapted)
-# ---------------------------------------------------------------------------
-
-
-def apply_procedure_unbatched(
-    machine: "Machine", task: Task, fn: Any, args: list[Any]
-) -> "tuple[Any, Any] | None":
-    """Apply ``fn`` to ``args`` the way the PR-2 engine did.
-
-    Same transition relation as ``repro.machine.step.apply_procedure``
-    — only the cost model differs: the arity check is always a call
-    (no precomputed window), primitives go through the ``fn.apply``
-    method, and controllers/continuations are found by ``getattr``
-    probe rather than an ``isinstance`` check.  Adapted to the
-    transition return convention so the reference steppers can drive
-    it.
-    """
-    kind = type(fn)
-    if kind is Closure:
-        fn.check_arity(len(args))
-        nslots = fn.nslots
-        if nslots is not None:
-            if nslots:
-                if fn.rest is None:
-                    values = args
-                else:
-                    nparams = len(fn.params)
-                    values = args[:nparams]
-                    values.append(from_pylist(args[nparams:]))
-                task.env = SlotRib(values, fn.env)
-            else:
-                task.env = fn.env
-            return (EVAL, fn.body)
-        nparams = len(fn.params)
-        bindings = dict(zip(fn.params, args))
-        if fn.rest is not None:
-            bindings[fn.rest] = from_pylist(args[nparams:])
-        task.env = Environment(bindings, fn.env, fn.env.globals)
-        return (EVAL, fn.body)
-    if kind is Primitive:
-        return (VALUE, fn.apply(args))
-    if kind is ControlPrimitive:
-        fn.apply(machine, task, args)
-        return None
-    machine_apply = getattr(fn, "machine_apply", None)
-    if machine_apply is not None:
-        machine_apply(machine, task, args)
-        return None
-    raise WrongTypeError(f"attempt to apply non-procedure: {fn!r}")
-
-
-def apply_deliver_unbatched(
-    machine: "Machine", task: Task, fn: Any, args: list[Any]
-) -> "tuple[Any, Any] | None":
-    """The PR-2 fused trivial-application apply (see
-    ``repro.machine.step.apply_deliver`` for the transition relation).
-
-    Kept cost-faithful: ``fn.apply`` method path, and the folding loop
-    grows the ``done`` tuple one operand at a time — the quadratic
-    growth PR 3 fixed in the live engine stays here so the A/B column
-    measures it.
-    """
-    if type(fn) is not Primitive:
-        return apply_procedure_unbatched(machine, task, fn, args)
-    value = fn.apply(args)
-    frame = task.frames
-    if frame is None:
-        return (VALUE, value)
-    frame_kind = type(frame)
-    if frame_kind is AppFrame:
-        task.frames = frame.next
-        done = frame.done + (value,)
-        pending = frame.pending
-        env = frame.env
-        index = 0
-        npend = len(pending)
-        while index < npend:
-            code = pending[index]
-            if code.__class__ is not FunctionType:
-                break
-            triv = code.triv
-            if triv is None:
-                break
-            done = done + (triv(env),)
-            index += 1
-        if index == npend:
-            return apply_procedure_unbatched(machine, task, done[0], list(done[1:]))
-        task.frames = AppFrame(done, pending[index + 1 :], env, task.frames)
-        task.env = env
-        return (EVAL, pending[index])
-    if frame_kind is IfFrame:
-        task.frames = frame.next
-        task.env = frame.env
-        return (EVAL, frame.then if value is not False else frame.els)
-    return (VALUE, value)

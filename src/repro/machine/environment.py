@@ -4,10 +4,12 @@ Two rib representations coexist behind one interface:
 
 * :class:`Environment` — the original chain of small per-call dicts,
   resolved by hashing a :class:`~repro.datum.Symbol` up the parent
-  chain at every reference.  Retained as the ``resolve=False``
-  ablation baseline (see ``docs/IMPLEMENTATION.md``).
+  chain at every reference.  It serves the expander's unresolved
+  dialect, which ``Machine.eval_node`` runs through the raw-IR
+  fallback, and closures restored from snapshots written before 1.5
+  by the ``dict`` engine (see ``docs/IMPLEMENTATION.md``).
 * :class:`SlotRib` — a flat ``values`` list plus a parent pointer,
-  used by the resolved machine: the compile-time resolver
+  used by both engines: the compile-time resolver
   (:mod:`repro.ir.resolve`) rewrites every variable into a
   ``(depth, index)`` lexical address, so lookup is pointer-chasing and
   one list index — no hashing, no dict.
@@ -15,7 +17,7 @@ Two rib representations coexist behind one interface:
 The global table is a dict of interned :class:`GlobalCell` boxes.  The
 resolver captures cells directly in ``GlobalRef``/``GlobalSet`` nodes,
 making a resolved global reference one attribute read; the dict-chain
-baseline goes through :meth:`GlobalEnv.lookup` on the same cells, so
+ribs go through :meth:`GlobalEnv.lookup` on the same cells, so
 both representations always see the same store.
 
 The *store* is deliberately shared, never captured: reinstating a

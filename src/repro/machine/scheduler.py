@@ -27,47 +27,31 @@ from repro.errors import DeadlineExceeded, MachineError, StepBudgetExceeded
 from repro.ir import Node
 from repro.machine.environment import Environment, GlobalEnv
 from repro.machine.links import HaltLink, Join, Label, LabelLink
-from repro.machine.step import (
-    apply_deliver,
-    apply_procedure,
-    run_quantum,
-    run_quantum_compiled,
-    run_quantum_stepped,
-    step,
-    step_compiled,
-)
+from repro.machine.step import run_quantum_compiled
 from repro.machine.task import EVAL, Task, TaskState
 from repro.obs.recorder import Recorder
 
 __all__ = ["ENGINES", "Engine", "Machine", "SchedulerPolicy", "normalize_engine"]
 
-#: The execution engines a Machine can run (see repro.machine.step and
-#: repro.ir.compile):
+#: The execution engines a Machine can run (see repro.machine.step):
 #:
-#: * ``"dict"`` — the expander dialect over dict-chain environments
-#:   (the seed baseline; no folding).
-#: * ``"resolved"`` — the resolver dialect (slot ribs, interned cells)
-#:   with trivial-operand folding in the tree-walking stepper.
 #: * ``"compiled"`` — resolved IR pre-translated to code thunks by
-#:   :mod:`repro.ir.compile`; the stepper dispatches by calling.
+#:   :mod:`repro.ir.compile`; the reference engine.
 #: * ``"codegen"`` — resolved IR emitted as straight-line Python source
 #:   and ``compile()``d once per form by :mod:`repro.ir.codegen`, with
-#:   code objects cached by ``ir-hash-v1`` digest.  The emitted
-#:   functions obey the same code-thunk contract as ``"compiled"``, so
-#:   both engines share one run loop.
+#:   code objects cached by ``ir-hash-v1`` digest; the fast path.
 #:
-#: All four push identical frame chains and control points, so the
-#: capture/reinstate algebra — and every Section 7 claim — is engine-
-#: independent.
-ENGINES = ("dict", "resolved", "compiled", "codegen")
+#: The emitted functions obey the same code-thunk contract as the
+#: compiled engine's, so both share one run loop, push identical frame
+#: chains and control points, and the capture/reinstate algebra — and
+#: every Section 7 claim — is engine-independent.
+ENGINES = ("compiled", "codegen")
 
 
 class Engine(enum.Enum):
     """Execution-engine selector; every constructor that takes an
     ``engine`` accepts either this enum or its string value."""
 
-    DICT = "dict"
-    RESOLVED = "resolved"
     COMPILED = "compiled"
     CODEGEN = "codegen"
 
@@ -78,7 +62,9 @@ def normalize_engine(engine: "Engine | str") -> str:
     if isinstance(engine, Engine):
         return engine.value
     if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+        raise ValueError(
+            f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
+        )
     return engine
 
 
@@ -112,8 +98,7 @@ class Machine:
         seed: int | None = None,
         quantum: int = 16,
         max_steps: int | None = None,
-        engine: str | Engine = "resolved",
-        batched: bool = True,
+        engine: str | Engine = "compiled",
         profile: bool = False,
         record: "Recorder | bool | None" = None,
     ):
@@ -133,51 +118,10 @@ class Machine:
         # DeadlineExceeded fires within one quantum of the budget and
         # never mid-frame.  Set via budget_scope (scoped) or directly.
         self.deadline: float | None = None
-        engine = normalize_engine(engine)
-        self.engine = engine
-        # Trivial-operand folding in the tree-walking stepper (see
-        # repro.machine.step).  Only the resolved engine folds: the dict
-        # baseline keeps the seed's step-for-step behaviour, and on a
-        # compiled machine folding is the compiler's job, so any IR
-        # nodes that reach the stepper (begin_eval fallback) take the
-        # plain path.
-        self.fold = engine == "resolved"
-        self._step_fn = (
-            step_compiled if engine in ("compiled", "codegen") else step
-        )
-        # The quantum driver (see repro.machine.step).  ``batched=True``
-        # (default) runs each quantum in one Python frame with the
-        # control registers held in locals; ``batched=False`` is the
-        # per-step ablation driver, re-entering the reference stepper
-        # once per transition — same transition relation, used as the
-        # A/B baseline in benchmarks/run_all.py.
-        self.batched = batched
-        if not batched:
-            self._run_quantum = run_quantum_stepped
-        elif engine in ("compiled", "codegen"):
-            self._run_quantum = run_quantum_compiled
-        else:
-            self._run_quantum = run_quantum
-        # The apply seam: code thunks and the reference steppers apply
-        # through these machine attributes, so the unbatched ablation
-        # runs the PR-2 apply path (repro.machine.ablation) while the
-        # batched engines get the fast path (precomputed arity windows,
-        # direct Primitive/Closure dispatch) — the A/B columns in
-        # benchmarks/run_all.py measure exactly this seam.
-        if batched:
-            self._apply_procedure = apply_procedure
-            self._apply_deliver = apply_deliver
-        else:
-            from repro.machine.ablation import (
-                apply_deliver_unbatched,
-                apply_procedure_unbatched,
-            )
-
-            self._apply_procedure = apply_procedure_unbatched
-            self._apply_deliver = apply_deliver_unbatched
+        self.engine = normalize_engine(engine)
         # VM counters (satellite observability).  Always allocated so
-        # the run loops can reference it; only *updated* when
-        # ``profile=True`` (the loops skip the bookkeeping otherwise).
+        # the run loop can reference it; only *updated* when
+        # ``profile=True`` (the loop skips the bookkeeping otherwise).
         self.profile = profile
         self.vm_stats: dict[str, int] = {
             "vm_quanta": 0,
@@ -251,9 +195,9 @@ class Machine:
 
     # -- control-event notify points ----------------------------------------
     #
-    # Every control operation lands on exactly one of these, from all
-    # three engines (the sites live in shared code: the steppers'
-    # _deliver_through_link/_eval_pcall and the control primitives'
+    # Every control operation lands on exactly one of these, from both
+    # engines (the sites live in shared code: the run loop's
+    # _deliver_through_link, the pcall forks and the control primitives'
     # machine_apply).  They are the single source of truth for both the
     # stats counters and the observability stream: counted == emitted
     # by construction, which is what fixes the seed Tracer's event
@@ -493,14 +437,14 @@ class Machine:
         """Run up to ``n`` machine steps; True iff the current tree has
         produced its value.  Raises on deadlock or budget exhaustion.
 
-        The inner loop hands whole quanta to the engine's run-quantum
-        driver (one Python call per quantum rather than per step); each
-        quantum's budget is clamped to both ``n`` and the remaining
-        ``max_steps`` headroom, so :class:`StepBudgetExceeded` is
-        raised at *exactly* the budget — never after an overflow step.
+        The inner loop hands whole quanta to
+        :func:`~repro.machine.step.run_quantum_compiled` (one Python
+        call per quantum rather than per step); each quantum's budget
+        is clamped to both ``n`` and the remaining ``max_steps``
+        headroom, so :class:`StepBudgetExceeded` is raised at *exactly*
+        the budget — never after an overflow step.
         """
         serial = self.policy is SchedulerPolicy.SERIAL
-        run_quantum_fn = self._run_quantum
         max_steps = self.max_steps
         deadline = self.deadline
         rec = self.recorder
@@ -553,7 +497,7 @@ class Machine:
                 if budget > headroom:
                     budget = headroom
             if rec is None:
-                taken = run_quantum_fn(self, task, budget)
+                taken = run_quantum_compiled(self, task, budget)
             else:
                 # One X (complete) event per quantum: which task ran,
                 # for how many steps, and how long it took.  Emitted
@@ -562,7 +506,7 @@ class Machine:
                 t0 = rec.clock()
                 s0 = self.steps_total
                 try:
-                    taken = run_quantum_fn(self, task, budget)
+                    taken = run_quantum_compiled(self, task, budget)
                 finally:
                     rec.complete(
                         "quantum",

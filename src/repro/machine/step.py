@@ -1,24 +1,25 @@
-"""The run loops and the single-task steppers.
+"""The run loop.
 
 The machine's transition relation is unchanged from the seed — the
 three control shapes are:
 
-* ``(EVAL, node)`` — decompose an IR node, pushing frames;
+* ``(EVAL, code)`` — run a code thunk (or decompose a plain IR node),
+  pushing frames;
 * ``(VALUE, v)`` — deliver a value to the top frame, or through the
   segment's link when the segment is empty;
 * ``(APPLY, fn, args)`` — apply a procedure value.
 
-What changed is *where the registers live while the machine runs*.
-``run_quantum(machine, task, budget)`` (tree-walking engines) and
-``run_quantum_compiled`` (compiled engine) execute up to ``budget``
-transitions in one Python frame, holding the control registers — and,
-for the tree loop, ``task.frames``/``task.env`` too — in Python
-locals, writing them back to the :class:`~repro.machine.task.Task`
-only at quantum exit.  This is the register-machine move of Biernacka,
+:func:`run_quantum_compiled` executes up to ``budget`` transitions in
+one Python frame, holding the control registers in Python locals and
+writing them back to the :class:`~repro.machine.task.Task` only at
+quantum exit.  This is the register-machine move of Biernacka,
 Biernacki & Danvy: relocating state into locals without changing the
-transition relation.  It eliminates the per-transition control-tuple
-allocation and the per-step call/return through the scheduler's inner
-loop.
+transition relation.  Both engines run it: ``compiled`` code thunks
+(:mod:`repro.ir.compile`) and ``codegen``'s emitted functions
+(:mod:`repro.ir.codegen`) obey the same thunk contract.  Plain IR
+nodes — the expander dialect ``Machine.begin_eval`` accepts
+unresolved, and resolved nodes never compiled — take the dispatch
+tables below, so every IR dialect runs on this one loop.
 
 The load-bearing design element is the **spill protocol** (see
 docs/IMPLEMENTATION.md for the contract ``control/*.py`` authors must
@@ -35,11 +36,9 @@ state).  Spill causes:
   control points);
 * task suspension (futures' ``touch``) and quantum/budget exhaustion;
 * an installed trace hook, which forces a spill before *every*
-  transition so tracing observes exactly the per-step states the
-  unbatched machine would produce.
+  transition so tracing observes every per-step state.
 
-One loop iteration is one observable machine step (apply never fuses
-beyond what the PR-2 compiled stepper already fused), so preemption
+One loop iteration is one observable machine step, so preemption
 fairness, step budgets, and the engine×policy differential matrix are
 preserved transition-for-transition.
 
@@ -47,14 +46,7 @@ Transition functions follow a uniform **return convention**: they
 return the next control pair ``(tag, payload)`` — never storing it —
 or ``None``, meaning external surgery happened and the caller must
 reload from the task (or stop, if the task is no longer runnable).
-Code thunks built by :mod:`repro.ir.compile` follow the same
-convention.
-
-``step``/``step_compiled`` remain as the per-transition reference
-steppers: ``Machine(batched=False)`` drives them one call per step
-through :func:`run_quantum_stepped` — the PR-2 ablation baseline the
-benchmarks A/B against — and they define the semantics the batched
-loops must reproduce exactly.
+Code thunks follow the same convention.
 """
 
 from __future__ import annotations
@@ -66,7 +58,6 @@ from repro.datum import UNSPECIFIED, from_pylist
 from repro.errors import (
     ControlError,
     MachineError,
-    StepBudgetExceeded,
     UnboundVariableError,
     WrongTypeError,
 )
@@ -109,367 +100,13 @@ from repro.machine.values import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.scheduler import Machine
 
-__all__ = [
-    "step",
-    "step_compiled",
-    "run_quantum",
-    "run_quantum_compiled",
-    "run_quantum_stepped",
-    "apply_procedure",
-    "apply_deliver",
-]
+__all__ = ["run_quantum_compiled", "apply_procedure", "apply_deliver"]
 
 _RUNNABLE = TaskState.RUNNABLE
 
-#: Sentinel: a node is not trivially evaluable in place.
-_NOT_TRIVIAL = object()
-
-
-def _trivial_eval(node: Any, env: Any) -> Any:
-    """Evaluate a *trivial* resolved node — one whose evaluation cannot
-    push frames, fork, capture, or observe the scheduler — or return
-    ``_NOT_TRIVIAL``.
-
-    Only the resolver's dialect folds (``LocalRef``/``GlobalRef``/
-    ``Const``/resolved ``Lambda``): the compile stage is what
-    guarantees a reference is one slot read or one cell read, so
-    applications can consume such operands without spending a machine
-    step each.  The unresolved dialect (``Var``) falls through, keeping
-    the dict-chain baseline's step-for-step seed behaviour.
-    """
-    kind = type(node)
-    if kind is LocalRef:
-        depth = node.depth
-        while depth:
-            env = env.parent
-            depth -= 1
-        return env.values[node.index]
-    if kind is GlobalRef:
-        value = node.cell.value
-        if value is UNBOUND:
-            raise UnboundVariableError(node.cell.name.name)
-        return value
-    if kind is Const:
-        return node.value
-    if kind is Lambda and node.nslots is not None:
-        return Closure(
-            node.params, node.rest, node.body, env, node.name, node.nslots, node.effects
-        )
-    return _NOT_TRIVIAL
-
-
 # ---------------------------------------------------------------------------
-# The quantum-batched run loops
+# The run loop
 # ---------------------------------------------------------------------------
-
-
-def run_quantum(
-    machine: "Machine",
-    task: Task,
-    budget: int,
-    *,
-    # Keyword-only defaults bind the hot globals as locals (LOAD_FAST
-    # instead of LOAD_GLOBAL on every transition); callers never pass
-    # them.
-    EVAL: Any = EVAL,
-    VALUE: Any = VALUE,
-    APPLY: Any = APPLY,
-    _RUNNABLE: Any = _RUNNABLE,
-    _NOT_TRIVIAL: Any = _NOT_TRIVIAL,
-    AppFrame: Any = AppFrame,
-    IfFrame: Any = IfFrame,
-    LocalRef: Any = LocalRef,
-    GlobalRef: Any = GlobalRef,
-    Var: Any = Var,
-    App: Any = App,
-    If: Any = If,
-    Const: Any = Const,
-    Closure: Any = Closure,
-    Primitive: Any = Primitive,
-) -> int:
-    """Run ``task`` for up to ``budget`` transitions on a tree-walking
-    machine (dict and resolved engines); return the number taken.
-
-    Control tag/payload, the frame chain and the environment live in
-    locals; the spill protocol (module docstring) writes them back to
-    the task at every delegation and at quantum exit.
-    """
-    base_total = machine.steps_total
-    base_steps = task.steps
-    profile = machine.profile
-    vm = machine.vm_stats
-    fold = machine.fold
-    # Hooks are installed between runs (trace.py, invariants.py), never
-    # by a transition, so one read per quantum suffices.
-    hook = machine.trace_hook
-    tag = task.tag
-    payload = task.payload
-    frames = task.frames
-    env = task.env
-    steps = 0
-    spills = 0
-    try:
-        while steps < budget:
-            if hook is not None:
-                task.tag = tag
-                task.payload = payload
-                task.frames = frames
-                task.env = env
-                machine.steps_total = base_total + steps
-                task.steps = base_steps + steps
-                hook(machine, task)
-                tag = task.tag
-                payload = task.payload
-                frames = task.frames
-                env = task.env
-                spills += 1
-                if profile:
-                    vm["vm_spill_trace"] += 1
-            steps += 1
-            fn = _NOT_TRIVIAL  # set when a path below falls through to apply
-            if tag is EVAL:
-                node = payload
-                kind = node.__class__
-                if kind is LocalRef:
-                    rib = env
-                    depth = node.depth
-                    while depth:
-                        rib = rib.parent
-                        depth -= 1
-                    tag = VALUE
-                    payload = rib.values[node.index]
-                    continue
-                if kind is GlobalRef:
-                    value = node.cell.value
-                    if value is UNBOUND:
-                        raise UnboundVariableError(node.cell.name.name)
-                    tag = VALUE
-                    payload = value
-                    continue
-                if kind is Var:
-                    tag = VALUE
-                    payload = env.lookup(node.name)
-                    continue
-                if kind is App:
-                    if fold:
-                        fnval = _trivial_eval(node.fn, env)
-                        if fnval is not _NOT_TRIVIAL:
-                            arg_nodes = node.args
-                            done = [fnval]
-                            index = 0
-                            nargs = len(arg_nodes)
-                            while index < nargs:
-                                value = _trivial_eval(arg_nodes[index], env)
-                                if value is _NOT_TRIVIAL:
-                                    break
-                                done.append(value)
-                                index += 1
-                            if index == nargs:
-                                fn = fnval
-                                args = done[1:]
-                                # falls through to the apply block
-                            else:
-                                frames = AppFrame(
-                                    tuple(done), arg_nodes[index + 1 :], env, frames
-                                )
-                                tag = EVAL
-                                payload = arg_nodes[index]
-                                continue
-                        else:
-                            frames = AppFrame((), node.args, env, frames)
-                            tag = EVAL
-                            payload = node.fn
-                            continue
-                    else:
-                        frames = AppFrame((), node.args, env, frames)
-                        tag = EVAL
-                        payload = node.fn
-                        continue
-                elif kind is If:
-                    frames = IfFrame(node.then, node.els, env, frames)
-                    tag = EVAL
-                    payload = node.test
-                    continue
-                elif kind is Const:
-                    tag = VALUE
-                    payload = node.value
-                    continue
-                else:
-                    # Dispatch-table fallback (Lambda, Seq, sets, define,
-                    # pcall, cross-engine code thunks): spill, delegate,
-                    # reload.
-                    handler = _EVAL_DISPATCH.get(kind)
-                    if handler is None:
-                        raise MachineError(f"cannot evaluate IR node: {node!r}")
-                    task.tag = tag
-                    task.payload = payload
-                    task.frames = frames
-                    task.env = env
-                    result = handler(machine, task, node)
-                    spills += 1
-                    if profile:
-                        vm["vm_spill_fallback"] += 1
-                    if task.state is not _RUNNABLE:
-                        return steps
-                    frames = task.frames
-                    env = task.env
-                    if result is None:
-                        tag = task.tag
-                        payload = task.payload
-                    else:
-                        tag, payload = result
-                    continue
-            elif tag is VALUE:
-                value = payload
-                frame = frames
-                if frame is not None:
-                    fkind = frame.__class__
-                    if fkind is AppFrame:
-                        frames = frame.next
-                        done = frame.done + (value,)
-                        pending = frame.pending
-                        if fold:
-                            env = frame.env
-                            index = 0
-                            npend = len(pending)
-                            if npend:
-                                folded = None
-                                while index < npend:
-                                    operand = _trivial_eval(pending[index], env)
-                                    if operand is _NOT_TRIVIAL:
-                                        break
-                                    if folded is None:
-                                        folded = [operand]
-                                    else:
-                                        folded.append(operand)
-                                    index += 1
-                                if folded is not None:
-                                    done = done + tuple(folded)
-                            if index == npend:
-                                fn = done[0]
-                                args = list(done[1:])
-                                # falls through to the apply block
-                            else:
-                                frames = AppFrame(
-                                    done, pending[index + 1 :], env, frames
-                                )
-                                tag = EVAL
-                                payload = pending[index]
-                                continue
-                        elif pending:
-                            env = frame.env
-                            frames = AppFrame(done, pending[1:], env, frames)
-                            tag = EVAL
-                            payload = pending[0]
-                            continue
-                        else:
-                            tag = APPLY
-                            payload = (done[0], list(done[1:]))
-                            continue
-                    elif fkind is IfFrame:
-                        frames = frame.next
-                        env = frame.env
-                        tag = EVAL
-                        payload = frame.then if value is not False else frame.els
-                        continue
-                    else:
-                        handler = _FRAME_DISPATCH.get(fkind)
-                        if handler is None:  # pragma: no cover - defensive
-                            raise MachineError(f"unknown frame: {frame!r}")
-                        task.tag = tag
-                        task.payload = payload
-                        task.frames = frame.next
-                        task.env = env
-                        result = handler(machine, task, frame, value)
-                        spills += 1
-                        if profile:
-                            vm["vm_spill_fallback"] += 1
-                        if task.state is not _RUNNABLE:
-                            return steps
-                        frames = task.frames
-                        env = task.env
-                        if result is None:
-                            tag = task.tag
-                            payload = task.payload
-                        else:
-                            tag, payload = result
-                        continue
-                else:
-                    # Segment exhausted: deliver through the link (a
-                    # control point — always a spill).
-                    task.tag = tag
-                    task.payload = payload
-                    task.frames = frames
-                    task.env = env
-                    _deliver_through_link(machine, task, value)
-                    spills += 1
-                    if profile:
-                        vm["vm_spill_control"] += 1
-                    if task.state is not _RUNNABLE:
-                        return steps
-                    frames = task.frames
-                    env = task.env
-                    continue  # tag/payload still (VALUE, value): label pop
-            elif tag is APPLY:
-                fn_args = payload
-                fn = fn_args[0]
-                args = fn_args[1]
-                # falls through to the apply block
-            elif tag is HOLE:  # pragma: no cover - scheduler never runs holes
-                raise MachineError(
-                    "attempted to step the hole of a captured continuation"
-                )
-            else:  # pragma: no cover - defensive
-                raise MachineError(f"unknown control tag: {tag!r}")
-
-            # -- the apply block (reached by falling through) -----------
-            fcls = fn.__class__
-            if fcls is Primitive:
-                tag = VALUE
-                payload = fn.apply(args)
-                continue
-            if fcls is Closure:
-                tag, payload = apply_procedure(machine, task, fn, args)
-                env = task.env
-                continue
-            task.tag = tag
-            task.payload = payload
-            task.frames = frames
-            task.env = env
-            result = apply_procedure(machine, task, fn, args)
-            spills += 1
-            if profile:
-                vm["vm_spill_apply"] += 1
-            if task.state is not _RUNNABLE:
-                return steps
-            frames = task.frames
-            env = task.env
-            if result is None:
-                tag = task.tag
-                payload = task.payload
-            else:
-                tag, payload = result
-        # Budget exhausted with the task still runnable: spill and hand
-        # the registers back to the scheduler.
-        task.tag = tag
-        task.payload = payload
-        task.frames = frames
-        task.env = env
-        spills += 1
-        return steps
-    finally:
-        machine.steps_total = base_total + steps
-        task.steps = base_steps + steps
-        if profile:
-            vm["vm_quanta"] += 1
-            vm["vm_quantum_steps"] += steps
-            avoided = steps - spills
-            if avoided > 0:
-                vm["vm_allocations_avoided"] += avoided
-            if task.state is _RUNNABLE:
-                vm["vm_spill_budget"] += 1
-            else:
-                vm["vm_spill_suspend"] += 1
 
 
 def run_quantum_compiled(
@@ -492,8 +129,8 @@ def run_quantum_compiled(
     Primitive: Any = Primitive,
     SlotRib: Any = SlotRib,
 ) -> int:
-    """Run ``task`` for up to ``budget`` transitions on a compiled
-    machine; return the number taken.
+    """Run ``task`` for up to ``budget`` transitions; return the number
+    taken.
 
     The control tag/payload live in locals; frames and environment stay
     on the task because the code thunks read and push them directly
@@ -506,7 +143,9 @@ def run_quantum_compiled(
     base_steps = task.steps
     profile = machine.profile
     vm = machine.vm_stats
-    hook = machine.trace_hook  # installed between runs only; see run_quantum
+    # Hooks are installed between runs (trace.py, invariants.py), never
+    # by a transition, so one read per quantum suffices.
+    hook = machine.trace_hook
     tag = task.tag
     payload = task.payload
     steps = 0
@@ -542,8 +181,8 @@ def run_quantum_compiled(
                     tag = task.tag
                     payload = task.payload
                     continue
-                # Raw-IR fallback: nodes from begin_eval or another
-                # engine's closures.
+                # Raw-IR fallback: plain nodes from begin_eval, or
+                # bodies of closures restored from an old snapshot.
                 handler = _EVAL_DISPATCH.get(code.__class__)
                 if handler is None:
                     raise MachineError(f"cannot evaluate IR node: {code!r}")
@@ -616,7 +255,7 @@ def run_quantum_compiled(
                                     tag = EVAL
                                     payload = fn.body
                                     continue
-                                # Cross-engine closure with a dict rib.
+                                # Unresolved closure: a dict rib.
                                 bindings = dict(zip(fn.params, args))
                                 if fn.rest is not None:
                                     bindings[fn.rest] = from_pylist(args[fn.low :])
@@ -784,308 +423,10 @@ def run_quantum_compiled(
                 vm["vm_spill_suspend"] += 1
 
 
-def run_quantum_stepped(machine: "Machine", task: Task, budget: int) -> int:
-    """The unbatched ablation driver (``Machine(batched=False)``): one
-    reference-stepper call per transition, faithfully reproducing the
-    PR-2 scheduler's inner loop — per-step call/return through the
-    stepper, per-step control-register write-back, and per-step
-    ``steps_total``/``max_steps``/halt bookkeeping on the machine.
-    The benchmarks A/B the batched loops against this path.
-    """
-    step_fn = machine._step_fn
-    no_halt = machine.halt_value  # _NO_HALT while a tree is running
-    steps = 0
-    while task.state is TaskState.RUNNABLE:
-        if machine.trace_hook is not None:
-            machine.trace_hook(machine, task)
-        step_fn(machine, task)
-        machine.steps_total += 1
-        task.steps += 1
-        steps += 1  # plays the role of step_n's old ``remaining -= 1``
-        if (
-            machine.max_steps is not None
-            and machine.steps_total > machine.max_steps
-        ):  # pragma: no cover - step_n clamps the budget first
-            raise StepBudgetExceeded(machine.steps_total)
-        if machine.halt_value is not no_halt:
-            break
-        budget -= 1
-        if budget <= 0:
-            break
-    return steps
-
-
-# ---------------------------------------------------------------------------
-# The per-transition reference steppers
-# ---------------------------------------------------------------------------
-
-
-def step(machine: "Machine", task: Task) -> None:
-    """Advance ``task`` by one transition (tree-walking engines).
-
-    The hottest cases — variable reference, constant, application and
-    conditional decomposition, and frame-ful value delivery — are
-    inlined here; everything else goes through the dispatch tables.
-    """
-    tag = task.tag
-    if tag is EVAL:
-        node = task.payload
-        kind = node.__class__
-        if kind is LocalRef:
-            env = task.env
-            depth = node.depth
-            while depth:
-                env = env.parent
-                depth -= 1
-            task.tag = VALUE
-            task.payload = env.values[node.index]
-            return
-        if kind is GlobalRef:
-            value = node.cell.value
-            if value is UNBOUND:
-                raise UnboundVariableError(node.cell.name.name)
-            task.tag = VALUE
-            task.payload = value
-            return
-        if kind is Var:
-            task.tag = VALUE
-            task.payload = task.env.lookup(node.name)
-            return
-        if kind is App:
-            env = task.env
-            if machine.fold:
-                fnval = _trivial_eval(node.fn, env)
-                if fnval is not _NOT_TRIVIAL:
-                    args = node.args
-                    done = [fnval]
-                    index = 0
-                    nargs = len(args)
-                    while index < nargs:
-                        value = _trivial_eval(args[index], env)
-                        if value is _NOT_TRIVIAL:
-                            break
-                        done.append(value)
-                        index += 1
-                    if index == nargs:
-                        result = machine._apply_procedure(machine, task, fnval, done[1:])
-                        if result is not None:
-                            task.tag, task.payload = result
-                        return
-                    task.frames = AppFrame(
-                        tuple(done), args[index + 1 :], env, task.frames
-                    )
-                    task.tag = EVAL
-                    task.payload = args[index]
-                    return
-            task.frames = AppFrame((), node.args, env, task.frames)
-            task.tag = EVAL
-            task.payload = node.fn
-            return
-        if kind is If:
-            task.frames = IfFrame(node.then, node.els, task.env, task.frames)
-            task.tag = EVAL
-            task.payload = node.test
-            return
-        if kind is Const:
-            task.tag = VALUE
-            task.payload = node.value
-            return
-        handler = _EVAL_DISPATCH.get(kind)
-        if handler is None:
-            raise MachineError(f"cannot evaluate IR node: {node!r}")
-        result = handler(machine, task, node)
-        if result is not None:
-            task.tag, task.payload = result
-    elif tag is VALUE:
-        value = task.payload
-        frame = task.frames
-        if frame is not None:
-            task.frames = frame.next
-            fkind = frame.__class__
-            if fkind is AppFrame:
-                done = frame.done + (value,)
-                pending = frame.pending
-                if machine.fold:
-                    env = frame.env
-                    index = 0
-                    npend = len(pending)
-                    if npend:
-                        folded = None
-                        while index < npend:
-                            operand = _trivial_eval(pending[index], env)
-                            if operand is _NOT_TRIVIAL:
-                                break
-                            if folded is None:
-                                folded = [operand]
-                            else:
-                                folded.append(operand)
-                            index += 1
-                        if folded is not None:
-                            done = done + tuple(folded)
-                    if index == npend:
-                        result = machine._apply_procedure(
-                            machine, task, done[0], list(done[1:])
-                        )
-                        if result is not None:
-                            task.tag, task.payload = result
-                        return
-                    task.frames = AppFrame(done, pending[index + 1 :], env, task.frames)
-                    task.env = env
-                    task.tag = EVAL
-                    task.payload = pending[index]
-                    return
-                if pending:
-                    task.frames = AppFrame(done, pending[1:], frame.env, task.frames)
-                    task.env = frame.env
-                    task.tag = EVAL
-                    task.payload = pending[0]
-                else:
-                    task.tag = APPLY
-                    task.payload = (done[0], list(done[1:]))
-                return
-            if fkind is IfFrame:
-                task.env = frame.env
-                task.tag = EVAL
-                task.payload = frame.then if value is not False else frame.els
-                return
-            handler = _FRAME_DISPATCH.get(fkind)
-            if handler is None:  # pragma: no cover - defensive
-                raise MachineError(f"unknown frame: {frame!r}")
-            result = handler(machine, task, frame, value)
-            if result is not None:
-                task.tag, task.payload = result
-            return
-        _deliver_through_link(machine, task, value)
-    elif tag is APPLY:
-        fn_args = task.payload
-        result = machine._apply_procedure(machine, task, fn_args[0], fn_args[1])
-        if result is not None:
-            task.tag, task.payload = result
-    elif tag is HOLE:  # pragma: no cover - scheduler never runs holes
-        raise MachineError("attempted to step the hole of a captured continuation")
-    else:  # pragma: no cover - defensive
-        raise MachineError(f"unknown control tag: {tag!r}")
-
-
-def step_compiled(machine: "Machine", task: Task) -> None:
-    """Advance ``task`` by one transition on a compiled-engine machine.
-
-    ``(EVAL, code)`` invokes the code thunk directly; a thunk may fuse
-    several node transitions (trivial operands, branch jumps) into this
-    one step, but never recurses through ``apply_procedure`` — an
-    application always ends the step, so loops cost at least one step
-    per iteration and quantum preemption is preserved.  ``(EVAL,
-    node)`` with a plain IR node falls back to the shared dispatch
-    table.
-    """
-    tag = task.tag
-    if tag is EVAL:
-        target = task.payload
-        if target.__class__ is FunctionType:
-            result = target(machine, task)
-            if result is not None:
-                task.tag, task.payload = result
-            return
-        handler = _EVAL_DISPATCH.get(target.__class__)
-        if handler is None:
-            raise MachineError(f"cannot evaluate IR node: {target!r}")
-        result = handler(machine, task, target)
-        if result is not None:
-            task.tag, task.payload = result
-    elif tag is VALUE:
-        value = task.payload
-        frame = task.frames
-        if frame is not None:
-            task.frames = frame.next
-            frame_kind = frame.__class__
-            if frame_kind is AppFrame:
-                done = frame.done + (value,)
-                pending = frame.pending
-                env = frame.env
-                index = 0
-                npend = len(pending)
-                if npend:
-                    folded = None
-                    while index < npend:
-                        code = pending[index]
-                        if code.__class__ is not FunctionType:
-                            break
-                        triv = code.triv
-                        if triv is None:
-                            break
-                        if folded is None:
-                            folded = [triv(env)]
-                        else:
-                            folded.append(triv(env))
-                        index += 1
-                    if folded is not None:
-                        done = done + tuple(folded)
-                if index == npend:
-                    result = machine._apply_procedure(
-                        machine, task, done[0], list(done[1:])
-                    )
-                    if result is not None:
-                        task.tag, task.payload = result
-                    return
-                following = pending[index]
-                task.frames = AppFrame(done, pending[index + 1 :], env, task.frames)
-                task.env = env
-                if following.__class__ is FunctionType:
-                    result = following(machine, task)
-                    if result is not None:
-                        task.tag, task.payload = result
-                else:
-                    task.tag = EVAL
-                    task.payload = following
-                return
-            if frame_kind is IfFrame:
-                task.env = frame.env
-                branch = frame.then if value is not False else frame.els
-                if branch.__class__ is FunctionType:
-                    result = branch(machine, task)
-                    if result is not None:
-                        task.tag, task.payload = result
-                else:
-                    task.tag = EVAL
-                    task.payload = branch
-                return
-            if frame_kind is SeqFrame:
-                remaining = frame.remaining
-                if len(remaining) > 1:
-                    task.frames = SeqFrame(remaining[1:], frame.env, task.frames)
-                task.env = frame.env
-                following = remaining[0]
-                if following.__class__ is FunctionType:
-                    result = following(machine, task)
-                    if result is not None:
-                        task.tag, task.payload = result
-                else:
-                    task.tag = EVAL
-                    task.payload = following
-                return
-            handler = _FRAME_DISPATCH.get(frame_kind)
-            if handler is None:  # pragma: no cover - defensive
-                raise MachineError(f"unknown frame: {frame!r}")
-            result = handler(machine, task, frame, value)
-            if result is not None:
-                task.tag, task.payload = result
-            return
-        _deliver_through_link(machine, task, value)
-    elif tag is APPLY:
-        fn_args = task.payload
-        result = machine._apply_procedure(machine, task, fn_args[0], fn_args[1])
-        if result is not None:
-            task.tag, task.payload = result
-    elif tag is HOLE:  # pragma: no cover - scheduler never runs holes
-        raise MachineError("attempted to step the hole of a captured continuation")
-    else:  # pragma: no cover - defensive
-        raise MachineError(f"unknown control tag: {tag!r}")
-
-
 def apply_deliver(
     machine: "Machine", task: Task, fn: Any, args: list[Any]
 ) -> tuple[Any, Any] | None:
-    """Compiled-engine apply with primitive-result delivery fused in.
+    """Apply with primitive-result delivery fused in.
 
     Used by code thunks for fully trivial applications: when ``fn``
     turns out to be a :class:`Primitive`, its result is delivered
@@ -1145,13 +486,17 @@ def apply_deliver(
 
 
 # ---------------------------------------------------------------------------
-# EVAL — one handler per node type, dispatched by type
+# The raw-IR fallback — one EVAL handler per node type, dispatched by type
 # ---------------------------------------------------------------------------
 #
-# Handlers follow the transition return convention: they return the
-# next (tag, payload) pair, or None after external surgery (pcall).
-# They may read and mutate task.frames/task.env — callers on the
-# batched loops spill those registers first.
+# The run loop reaches these for plain IR nodes: the expander's dialect
+# that ``Machine.begin_eval``/``eval_node`` accept unresolved (``Var``,
+# ``SetBang``, dict-rib closures), resolved nodes that were never
+# compiled, and frame slots holding either.  Handlers follow the
+# transition return convention: they return the next (tag, payload)
+# pair, or None after external surgery (pcall).  They may read and
+# mutate task.frames/task.env — the run loop spills those registers
+# first.
 
 
 def _eval_const(machine: "Machine", task: Task, node: Const):
@@ -1194,25 +539,7 @@ def _eval_lambda(machine: "Machine", task: Task, node: Lambda):
 
 
 def _eval_app(machine: "Machine", task: Task, node: App):
-    env = task.env
-    if machine.fold:
-        fnval = _trivial_eval(node.fn, env)
-        if fnval is not _NOT_TRIVIAL:
-            args = node.args
-            done = [fnval]
-            index = 0
-            nargs = len(args)
-            while index < nargs:
-                value = _trivial_eval(args[index], env)
-                if value is _NOT_TRIVIAL:
-                    break
-                done.append(value)
-                index += 1
-            if index == nargs:
-                return apply_procedure(machine, task, fnval, done[1:])
-            task.frames = AppFrame(tuple(done), args[index + 1 :], env, task.frames)
-            return (EVAL, args[index])
-    task.frames = AppFrame((), node.args, env, task.frames)
+    task.frames = AppFrame((), node.args, task.env, task.frames)
     return (EVAL, node.fn)
 
 
@@ -1262,14 +589,6 @@ def _eval_pcall(machine: "Machine", task: Task, node: Pcall):
     return None
 
 
-def _eval_code(machine: "Machine", task: Task, code: Any):
-    """Cross-engine shim: a compiled code thunk reached a tree-walking
-    machine (a closure built on a compiled machine, applied here).  The
-    caller has spilled the task's registers, which is exactly the state
-    thunks run against, so delegating is all it takes."""
-    return code(machine, task)
-
-
 _EVAL_DISPATCH: dict[type, Callable[["Machine", Task, Any], Any]] = {
     Const: _eval_const,
     Var: _eval_var,
@@ -1284,61 +603,17 @@ _EVAL_DISPATCH: dict[type, Callable[["Machine", Task, Any], Any]] = {
     GlobalSet: _eval_global_set,
     DefineTop: _eval_define,
     Pcall: _eval_pcall,
-    FunctionType: _eval_code,
 }
 
 
 # ---------------------------------------------------------------------------
-# VALUE delivery — frame handlers dispatched by type
+# VALUE delivery — the assignment frames, dispatched by type
 # ---------------------------------------------------------------------------
 #
-# Same return convention as the EVAL handlers.  The caller has already
-# popped the frame (task.frames = frame.next).
-
-
-def _frame_app(machine: "Machine", task: Task, frame: AppFrame, value: Any):
-    done = frame.done + (value,)
-    pending = frame.pending
-    if machine.fold:
-        env = frame.env
-        index = 0
-        npend = len(pending)
-        if npend:
-            folded = None
-            while index < npend:
-                operand = _trivial_eval(pending[index], env)
-                if operand is _NOT_TRIVIAL:
-                    break
-                if folded is None:
-                    folded = [operand]
-                else:
-                    folded.append(operand)
-                index += 1
-            if folded is not None:
-                done = done + tuple(folded)
-        if index == npend:
-            return apply_procedure(machine, task, done[0], list(done[1:]))
-        task.frames = AppFrame(done, pending[index + 1 :], env, task.frames)
-        task.env = env
-        return (EVAL, pending[index])
-    if pending:
-        task.frames = AppFrame(done, pending[1:], frame.env, task.frames)
-        task.env = frame.env
-        return (EVAL, pending[0])
-    return (APPLY, (done[0], list(done[1:])))
-
-
-def _frame_if(machine: "Machine", task: Task, frame: IfFrame, value: Any):
-    task.env = frame.env
-    return (EVAL, frame.then if value is not False else frame.els)
-
-
-def _frame_seq(machine: "Machine", task: Task, frame: SeqFrame, value: Any):
-    remaining = frame.remaining
-    if len(remaining) > 1:
-        task.frames = SeqFrame(remaining[1:], frame.env, task.frames)
-    task.env = frame.env
-    return (EVAL, remaining[0])
+# The run loop delivers into AppFrame/IfFrame/SeqFrame inline; only the
+# assignment and definition frames come here.  Same return convention
+# as the EVAL handlers.  The caller has already popped the frame
+# (task.frames = frame.next).
 
 
 def _frame_set(machine: "Machine", task: Task, frame: SetFrame, value: Any):
@@ -1372,30 +647,11 @@ def _frame_define(machine: "Machine", task: Task, frame: DefineFrame, value: Any
 
 
 _FRAME_DISPATCH: dict[type, Callable[["Machine", Task, Any, Any], Any]] = {
-    AppFrame: _frame_app,
-    IfFrame: _frame_if,
-    SeqFrame: _frame_seq,
     SetFrame: _frame_set,
     LocalSetFrame: _frame_local_set,
     GlobalSetFrame: _frame_global_set,
     DefineFrame: _frame_define,
 }
-
-
-def _step_value(machine: "Machine", task: Task, value: Any) -> None:
-    """Out-of-line value delivery (kept for direct callers/tests; the
-    run loops inline the hot frame cases)."""
-    frame = task.frames
-    if frame is not None:
-        task.frames = frame.next
-        handler = _FRAME_DISPATCH.get(type(frame))
-        if handler is None:  # pragma: no cover - defensive
-            raise MachineError(f"unknown frame: {frame!r}")
-        result = handler(machine, task, frame, value)
-        if result is not None:
-            task.tag, task.payload = result
-        return
-    _deliver_through_link(machine, task, value)
 
 
 def _deliver_through_link(machine: "Machine", task: Task, value: Any) -> None:

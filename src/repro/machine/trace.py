@@ -9,7 +9,7 @@ than just final values.
 
 Every event comes from one of the machine's notify points
 (``notify_fork`` / ``notify_label_pop`` / ``notify_join_fire`` /
-``notify_capture`` / ``notify_reinstate``), which all three engines
+``notify_capture`` / ``notify_reinstate``), which both engines
 call from shared code at the moment the operation happens.  That makes
 counted == emitted an invariant: exactly one event per unit of the
 corresponding stats counter, regardless of engine, quantum, or whether
@@ -22,7 +22,7 @@ to run next.)
 
 The per-step trace hook is now only installed when task-switch events
 are requested (``record_switches=True``); a plain trace leaves the
-batched run loops un-spilled.
+batched run loop un-spilled.
 
 Usage::
 
@@ -131,7 +131,7 @@ class Tracer:
         if self.record_switches:
             # Task-switch detection genuinely needs to see every step;
             # only then do we pay for per-step spills in the batched
-            # run loops.
+            # run loop.
             def hook(machine_: "Machine", task: Task) -> None:
                 previous = self._saved["trace_hook"]
                 if previous is not None:

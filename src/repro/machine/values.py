@@ -61,12 +61,13 @@ class MachineApplicable:
 class Closure:
     """A user procedure: formals + body + captured environment.
 
-    ``body`` is whatever the machine's engine evaluates: an IR node
-    (dict and resolved engines) or a compiled code thunk produced by
-    :mod:`repro.ir.compile` (compiled engine — the body is compiled
-    once per ``lambda`` node and shared by every closure made from it).
-    Application just schedules ``(EVAL, body)`` either way, so closures
-    cross freely between machines of different engines.
+    ``body`` is whatever the machine evaluates: a code thunk produced by
+    :mod:`repro.ir.compile` or :mod:`repro.ir.codegen` (compiled once
+    per ``lambda`` node and shared by every closure made from it), or a
+    plain IR node (a lambda evaluated through the raw-IR fallback, or
+    restored from an old snapshot).  Application just schedules
+    ``(EVAL, body)`` either way, so closures cross freely between
+    machines of different engines.
 
     ``nslots`` is the frame size of one application — set by the
     resolver (via ``Lambda.nslots``) when the body is resolved (or

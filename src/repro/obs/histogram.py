@@ -4,8 +4,9 @@ A :class:`Histogram` has 48 power-of-two buckets (bucket ``i`` holds
 values ``v`` with ``v.bit_length() == i``, i.e. ``2^(i-1) <= v < 2^i``;
 bucket 0 holds zeros).  Observation is two integer ops and an array
 increment — cheap enough to leave on unconditionally in the host's
-serving path — and quantiles come back as bucket upper bounds, which is
-the right fidelity for "p99 latency is under 2^k µs" style gates.
+serving path — and quantiles come back as bucket upper bounds (never
+above the largest observation), which is the right fidelity for "p99
+latency is under 2^k µs" style gates.
 
 Used by :class:`~repro.host.metrics.SessionMetrics` (per-request
 latency in µs, per-request steps) and
@@ -68,16 +69,19 @@ class Histogram:
 
     def quantile(self, q: float) -> int:
         """Upper bound of the bucket containing the ``q``-quantile
-        (``0 <= q <= 1``); 0 on an empty histogram."""
+        (``0 <= q <= 1``), clamped to the largest observation; 0 on an
+        empty histogram."""
         if self.count == 0:
             return 0
         rank = q * self.count
         seen = 0
+        bound = (1 << (BUCKETS - 1)) - 1
         for idx, c in enumerate(self.counts):
             seen += c
             if seen >= rank and c:
-                return (1 << idx) - 1 if idx else 0
-        return (1 << (BUCKETS - 1)) - 1
+                bound = (1 << idx) - 1 if idx else 0
+                break
+        return min(bound, self.max)
 
     @property
     def mean(self) -> float:

@@ -63,7 +63,7 @@ class ObsEvent:
 
     ``ts`` is a ``time.perf_counter`` timestamp (seconds; monotonic),
     ``step`` the machine's ``steps_total`` at emission (quantum
-    granularity under the batched run loops), ``track`` the logical
+    granularity under the batched run loop), ``track`` the logical
     thread the event belongs to (session name, ``"host"``, ...).
     """
 

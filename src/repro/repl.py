@@ -4,8 +4,7 @@
     python -m repro program.ss        # run a file
     python -m repro -e "(+ 1 2)"      # evaluate and print
     python -m repro --examples        # list the paper's programs
-    python -m repro --engine dict ... # pick an execution engine
-    python -m repro --no-resolve ...  # alias for --engine dict (A/B runs)
+    python -m repro --engine codegen  # pick an execution engine
     python -m repro --no-analysis ... # skip the capture/effect phase (A/B)
     python -m repro --deadline 0.5    # per-evaluation wall-clock budget
 
@@ -283,19 +282,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--engine",
         default=None,
-        choices=["dict", "resolved", "compiled", "codegen"],
+        choices=["compiled", "codegen"],
         help="execution engine: 'compiled' (default; resolved IR "
-        "closure-compiled to code thunks), 'codegen' (resolved IR "
+        "closure-compiled to code thunks) or 'codegen' (resolved IR "
         "emitted as Python source, compile()d once and cached by "
-        "ir-hash), 'resolved' (tree-walk the resolved IR), or 'dict' "
-        "(the original dict-chain interpreter)",
-    )
-    parser.add_argument(
-        "--no-resolve",
-        action="store_true",
-        help="alias for --engine dict: skip the lexical-addressing "
-        "resolver pass (dict-chain environments; the benchable "
-        "ablation baseline)",
+        "ir-hash)",
     )
     parser.add_argument(
         "--no-analysis",
@@ -326,17 +317,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {name:32s} ({kind})")
         return 0
 
-    engine = args.engine
-    if engine is None:
-        engine = "dict" if args.no_resolve else "compiled"
-    elif args.no_resolve and engine != "dict":
-        parser.error("--no-resolve contradicts --engine " + engine)
     interp = Interpreter(
         policy=args.policy,
         seed=args.seed,
         max_steps=args.max_steps,
         echo_output=False,
-        engine=engine,
+        engine=args.engine,
         profile=args.profile,
         record=args.trace_out is not None,
         analysis=not args.no_analysis,

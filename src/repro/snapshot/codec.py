@@ -120,6 +120,12 @@ MAGIC = b"RSNP"
 #: engine, zeros when codegen never ran).
 FORMAT_VERSION = 3
 
+#: Engine names written by builds before 1.5, which also ran the
+#: expander's dialect (``dict``) and resolved IR (``resolved``) on
+#: engines of their own.  Their blobs restore under ``compiled``: the
+#: run loop's raw-IR fallback runs those closures' bodies as they are.
+_LEGACY_ENGINES = {"dict": "compiled", "resolved": "compiled"}
+
 # -- value tags (the self-describing scalar/reference layer) -------------
 
 _V_NONE = 0
@@ -478,8 +484,11 @@ class _Encoder:
         w.str_(session.engine)
         w.str_(machine.policy.value)
         w.varint(machine.quantum)
+        # Bit 0 is reserved: pre-1.5 builds stored a ``batched`` flag
+        # there.  It is written set, as those builds' default was, and
+        # ignored on read.
         w.u8(
-            (1 if machine.batched else 0)
+            1
             | (2 if machine.profile else 0)
             | (4 if session.output.echo else 0)
             | (8 if session.analysis else 0)
@@ -691,9 +700,9 @@ def _machine_rest(enc: _Encoder, obj: Machine) -> list:
         obj.quantum,
         obj.max_steps,
         obj.engine,
-        obj.batched,
+        True,  # reserved: the pre-1.5 ``batched`` field
         obj.profile,
-        obj.fold,
+        False,  # reserved: the pre-1.5 ``fold`` field
         obj.recorder is not None,
         deadline,
         obj.toplevel_env,
@@ -974,16 +983,11 @@ class _Decoder:
                 )
             # The restoring engine decides the executable form: codegen
             # routes through its digest-keyed code cache, compiled
-            # rebuilds closure thunks, and the tree-walking engines
-            # keep the raw resolved IR (their steppers evaluate nodes
-            # directly — a restored closure's resolved body runs fine
-            # under either walker).
+            # rebuilds closure thunks.
             if self.engine == "codegen":
                 thunk = codegen_node(node, self.scratch_codegen_stats)
-            elif self.engine == "compiled":
-                thunk = compile_node(node, self.scratch_compile_stats)
             else:
-                thunk = node
+                thunk = compile_node(node, self.scratch_compile_stats)
             self.code_cache[digest] = thunk
             return thunk
         raise SnapshotFormatError(f"unknown node tag {tag}")
@@ -1004,11 +1008,11 @@ class _Decoder:
         engine = r.str_()
         if self.engine_override is not None:
             engine = self.engine_override
+        engine = _LEGACY_ENGINES.get(engine, engine)
         self.engine = engine
         policy = r.str_()
         quantum = r.varint()
-        flags = r.u8()
-        batched = bool(flags & 1)
+        flags = r.u8()  # bit 0 reserved
         profile = bool(flags & 2)
         echo = bool(flags & 4)
         analysis = bool(flags & 8)
@@ -1021,7 +1025,6 @@ class _Decoder:
             prelude=False,
             echo_output=echo,
             engine=engine,
-            batched=batched,
             profile=profile,
             max_pending=max_pending,
             name=self.name_override if self.name_override is not None else name,
@@ -1252,9 +1255,9 @@ def _fill_machine(dec: _Decoder, r: Reader, machine: Machine) -> None:
     quantum = rv(r)
     max_steps = rv(r)
     engine = rv(r)
-    batched = rv(r)
+    rv(r)  # reserved: the pre-1.5 ``batched`` field
     profile = rv(r)
-    fold = rv(r)
+    rv(r)  # reserved: the pre-1.5 ``fold`` field
     has_recorder = rv(r)
     deadline = rv(r)
     machine.__init__(
@@ -1263,12 +1266,10 @@ def _fill_machine(dec: _Decoder, r: Reader, machine: Machine) -> None:
         seed=0,
         quantum=quantum,
         max_steps=max_steps,
-        engine=engine,
-        batched=batched,
+        engine=_LEGACY_ENGINES.get(engine, engine),
         profile=profile,
         record=dec.record if has_recorder else None,
     )
-    machine.fold = fold
     machine.deadline = None if deadline is None else dec.now + deadline
     machine.toplevel_env = rv(r)
     machine.root_entity = rv(r)

@@ -18,12 +18,22 @@ import pytest
 from repro import EffectInfo, Interpreter, analyze
 from repro.analysis import AnalysisStats, annotate_program, single_task_form
 from repro.analysis.effects import GRANT_QUANTUM
+from repro.expander import expand_program
 from repro.host.host import Host
 from repro.host.session import Session
+from repro.ir import resolve_program
 from repro.lib import paper_examples
+from repro.reader import read_all
 from repro.snapshot import restore_session, snapshot_session
+from tests.engines import ENGINES, legacy_blob, make_session
 
 FIB = "(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2))))) (fib 10)"
+
+
+def _resolved(sess, source):
+    """``source`` read, expanded and resolved against ``sess`` (the IR
+    the analysis phase sees, before compilation)."""
+    return resolve_program(expand_program(read_all(source), sess.expand_env), sess.globals)
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +100,8 @@ def test_fib_is_capture_free_but_not_total():
 def test_self_loop_never_proves_total():
     # The form facts describe evaluating the define (closure creation —
     # total); the *lambda's* stamped facts must not claim termination.
-    sess = Session(engine="resolved")
-    nodes, _ = sess._frontend("(define (l) (l))")
+    sess = Session()
+    nodes = _resolved(sess, "(define (l) (l))")
     annotate_program(nodes, sess.globals)
     lam = nodes[0].expr
     assert lam.effects.capture_free and lam.effects.spawn_free
@@ -165,8 +175,8 @@ def test_program_classification_is_worst_form():
 
 
 def test_annotate_stamps_lambdas_and_counts():
-    sess = Session(engine="resolved")
-    nodes, _ = sess._frontend("(define (sq x) (* x x)) (sq 3)")
+    sess = Session()
+    nodes = _resolved(sess, "(define (sq x) (* x x)) (sq 3)")
     stats = AnalysisStats()
     report = annotate_program(nodes, sess.globals, stats)
     assert stats.forms == 2
@@ -196,7 +206,7 @@ def _forms(sess, source):
 
 @pytest.fixture(scope="module")
 def resolved_session():
-    return Session(engine="resolved")
+    return Session()
 
 
 def test_validator_accepts_pure_recursion(resolved_session):
@@ -223,7 +233,7 @@ def test_validator_rejects_self_mutating_form(resolved_session):
     # One form that assigns a cell it also applies through (top-level
     # begin splices, so hide the sequence inside a thunk): the walk's
     # facts would be stale by the time the redefined procedure runs.
-    sess = Session(engine="resolved")
+    sess = Session()
     sess.run("(define (f x) x)")
     handle = sess.submit("((lambda () (set! f (lambda (x) (call/cc x))) (f 1)))")
     node = handle.nodes[0]
@@ -237,7 +247,7 @@ def test_validator_rejects_define_then_call_in_one_form(resolved_session):
     # top-level defines into their own forms).
     from repro.ir.nodes import App, Const, DefineTop, GlobalRef, Lambda, Seq
 
-    sess = Session(engine="resolved")
+    sess = Session()
     sess.run("(define (g) 1)")
     from repro.datum import intern
 
@@ -253,7 +263,7 @@ def test_validator_rejects_define_then_call_in_one_form(resolved_session):
 
 def test_validator_follows_current_cell_values():
     # Facts must come from the *live* closure, not the submit-time one.
-    sess = Session(engine="resolved")
+    sess = Session()
     sess.run("(define (f x) (+ x 1))")
     handle = sess.submit("(f 1)")
     node = handle.nodes[0]
@@ -309,19 +319,22 @@ def test_codegen_engine_gets_grants():
     assert codegen.machine.quantum_grant is None  # cleared at form end
 
 
-@pytest.mark.parametrize("engine", ["dict", "resolved", "compiled", "codegen"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_no_grants_under_random_policy_any_engine(engine):
     # Regression for the grant policy gate: the random policy draws
     # from its RNG once per pick, so an enlarged quantum would perturb
     # the seeded schedule — every engine must stay excluded, including
     # any engine added after the gate was written.
-    sess = Session(engine=engine, quantum=16, policy="random", seed=3)
+    sess = make_session(engine, quantum=16, policy="random", seed=3)
+    before = sess.analysis_stats.grants  # a legacy cell's prelude ran FIFO
     sess.run(FIB)
-    assert sess.analysis_stats.grants == 0
+    assert sess.analysis_stats.grants == before
 
 
 def test_dict_engine_ignores_analysis():
-    sess = Session(engine="dict")
+    # The dict engine ran with analysis forced off, and its snapshots
+    # keep it off: a restored session never analyzes or grants.
+    sess = Session.restore(legacy_blob("dict"))
     assert sess.analysis is False
     sess.run(FIB)
     assert sess.analysis_stats.grants == 0
@@ -434,7 +447,7 @@ def _both_dialect_classifications(source):
     from repro.reader import read_all
 
     unresolved = [s.classification for s in analyze_source(source)]
-    sess = Session(engine="resolved", prelude=False)
+    sess = Session(prelude=False)
     env = ExpandEnv()
     env.macros.update(sess.expand_env.macros)
     nodes = expand_program(read_all(source), env)
@@ -478,7 +491,7 @@ def test_random_programs_zero_divergence(engine, quantum):
         program = gen_program(seed)
         runs = {}
         for analysis in (True, False):
-            sess = Session(engine=engine, quantum=quantum, seed=5, analysis=analysis)
+            sess = make_session(engine, quantum=quantum, seed=5, analysis=analysis)
             sess.submit(program)
             while not sess.idle:
                 sess.pump(10_000)

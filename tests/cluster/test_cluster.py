@@ -72,10 +72,10 @@ def test_inline_store_roundtrip_through_directory(tmp_path):
 
 
 def test_session_defaults_apply():
-    with Cluster(workers=0, session_defaults={"engine": "dict", "quantum": 7}) as c:
+    with Cluster(workers=0, session_defaults={"engine": "codegen", "quantum": 7}) as c:
         c.submit("s", "(define ok 1)")
         session = c.shards[0].runtime.host["s"]
-        assert session.engine == "dict"
+        assert session.engine == "codegen"
         assert session.machine.quantum == 7
 
 

@@ -3,8 +3,11 @@ verbatim."""
 
 import pytest
 
+from repro import Interpreter
 from repro.errors import DeadControllerError, InvalidControllerError
 from repro.lib import paper_examples
+from repro.machine.scheduler import ENGINES
+from tests.engines import eval_raw_ir
 
 
 def test_paper_invalid_after_return(interp):
@@ -99,36 +102,57 @@ def test_error_message_names_the_controller(interp):
 # -- both environment representations ------------------------------------
 #
 # The validity rules are a property of the process tree, not of how
-# variables are looked up; they must hold identically on the resolved
-# machine (slot ribs, default) and the dict-chain ablation.
+# variables are looked up; they must hold identically for slot ribs
+# (both engines) and the dict-chain ribs of the unresolved dialect.
+# Each test runs its program under both engines and, as an independent
+# reference, as plain IR (unresolved, or resolved but never compiled)
+# through the machine's raw-IR fallback.
+
+
+def _outcome(run):
+    try:
+        value = run()
+    except DeadControllerError as exc:
+        return type(exc)
+    return repr(value)
+
+
+def _outcomes(source, representation):
+    results = {
+        engine: _outcome(lambda: Interpreter(engine=engine).eval(source))
+        for engine in ENGINES
+    }
+    reference = Interpreter()
+    results[representation] = _outcome(
+        lambda: eval_raw_ir(
+            reference, source, resolve=representation == "resolved"
+        )[-1]
+    )
+    return set(results.values())
 
 
 @pytest.fixture(params=["resolved", "dict"], ids=["resolved", "dict"])
-def either_interp(request):
-    from repro import Interpreter
-
-    return Interpreter(engine=request.param)
+def representation(request):
+    return request.param
 
 
-def test_invalid_after_return_both_representations(either_interp):
-    with pytest.raises(DeadControllerError):
-        either_interp.eval(paper_examples.INVALID_AFTER_RETURN)
+def test_invalid_after_return_both_representations(representation):
+    assert _outcomes(paper_examples.INVALID_AFTER_RETURN, representation) == {
+        DeadControllerError
+    }
 
 
-def test_invalid_after_use_both_representations(either_interp):
-    with pytest.raises(DeadControllerError):
-        either_interp.eval(paper_examples.INVALID_AFTER_USE)
+def test_invalid_after_use_both_representations(representation):
+    assert _outcomes(paper_examples.INVALID_AFTER_USE, representation) == {
+        DeadControllerError
+    }
 
 
-def test_valid_after_reinstatement_both_representations(either_interp):
+def test_valid_after_reinstatement_both_representations(representation):
     source = paper_examples.VALID_AFTER_REINSTATEMENT.strip()
-    assert either_interp.eval(f"({source} 42)") == 42
+    assert _outcomes(f"({source} 42)", representation) == {"42"}
 
 
-def test_spawn_escape_both_representations(either_interp):
-    assert (
-        either_interp.eval(
-            "(spawn (lambda (c) (+ 1 (c (lambda (k) 'out)))))"
-        ).name
-        == "out"
-    )
+def test_spawn_escape_both_representations(representation):
+    source = "(spawn (lambda (c) (+ 1 (c (lambda (k) 'out)))))"
+    assert _outcomes(source, representation) == {repr(Interpreter().eval("'out"))}

@@ -20,8 +20,8 @@ LOOP = "(define (loop n) (loop (+ n 1)))"
 
 
 def test_engine_accepts_enum_and_string():
-    assert Interpreter(engine=Engine.DICT, prelude=False).engine == "dict"
-    assert Interpreter(engine="dict", prelude=False).engine == "dict"
+    assert Interpreter(engine=Engine.CODEGEN, prelude=False).engine == "codegen"
+    assert Interpreter(engine="codegen", prelude=False).engine == "codegen"
     assert Interpreter(engine=Engine.COMPILED, prelude=False).engine == "compiled"
 
 
@@ -55,18 +55,11 @@ def test_facade_is_a_session():
 
 def test_resolve_kwarg_removed():
     # The sentinel path is gone: resolve= is an unknown keyword now,
-    # not a warning.  engine="dict" is the only spelling.
+    # not a warning.
     with pytest.raises(TypeError, match="resolve"):
         Interpreter(resolve=False, prelude=False)
     with pytest.raises(TypeError, match="resolve"):
         Interpreter(resolve=True, prelude=False)
-
-
-def test_resolve_property_still_reads():
-    # The derived read-only property survives (it reports whether the
-    # resolver pass runs, i.e. any engine but dict).
-    assert Interpreter(engine="dict", prelude=False).resolve is False
-    assert Interpreter(engine="compiled", prelude=False).resolve is True
 
 
 # -- per-call budgets -----------------------------------------------------

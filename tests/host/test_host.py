@@ -9,8 +9,8 @@ import pytest
 from repro import Host, Session
 from repro.errors import DeadlineExceeded, HostSaturated, StepBudgetExceeded
 from repro.host import HandleState, HostPolicy
+from tests.engines import ENGINES, make_session
 
-ENGINES = ["dict", "resolved", "compiled"]
 HOST_POLICIES = ["round-robin", "deficit"]
 
 LOOP = "(define (loop n) (loop (+ n 1)))"
@@ -18,6 +18,11 @@ LOOP = "(define (loop n) (loop (+ n 1)))"
 
 def _spin(n: int) -> str:
     return f"(let loop ([i 0]) (if (= i {n}) i (loop (+ i 1))))"
+
+
+def _session(host: Host, name: str, engine: str, **kwargs) -> Session:
+    """Attach a session for one cell of the engine axis."""
+    return host.add_session(make_session(engine, name=name, **kwargs))
 
 
 # -- membership -----------------------------------------------------------
@@ -69,7 +74,7 @@ def test_eight_sessions_complete_with_correct_results(engine, policy):
     handles = {}
     expected = {}
     for k in range(8):
-        sess = host.session(f"s{k}", engine=engine, quantum=4)
+        sess = _session(host, f"s{k}", engine, quantum=4)
         if k % 2 == 0:
             # sum-of-products = product(ls1) + product(ls2)
             sess.load_paper_example("sum-of-products")
@@ -91,7 +96,7 @@ def test_results_are_per_session_correct(engine):
     host = Host(quantum=150)
     handles = {}
     for k in range(8):
-        sess = host.session(f"s{k}", engine=engine, quantum=4)
+        sess = _session(host, f"s{k}", engine, quantum=4)
         sess.load_paper_example("sum-of-products")
         handles[k] = host.submit(sess, f"(sum-of-products '(1 2 3) '(4 {k} 6))")
     host.run_until_idle(max_ticks=10_000)
@@ -167,10 +172,10 @@ def test_deadline_expiry_mid_pcall(engine):
     mid-pcall kills only that request; the session and its siblings
     keep serving correct results."""
     host = Host(quantum=50)
-    victim = host.session("victim", engine=engine, quantum=4)
+    victim = _session(host, "victim", engine, quantum=4)
     victim.run(LOOP)
     victim.load_paper_example("sum-of-products")
-    sibling = host.session("sibling", engine=engine, quantum=4)
+    sibling = _session(host, "sibling", engine, quantum=4)
     sibling.load_paper_example("sum-of-products")
     # An unbounded loop *inside* a pcall branch: the deadline fires
     # while the other branch sits suspended in the fork.
@@ -221,7 +226,7 @@ def test_step_budget_enforcement_is_engine_invariant(engine, task_policy, quantu
     *exactly* the configured step count — same count, same exception —
     whatever the engine, task policy or machine quantum.  This is the
     property the CI host-smoke step asserts across the full matrix."""
-    session = Session(engine=engine, policy=task_policy, quantum=quantum)
+    session = make_session(engine, policy=task_policy, quantum=quantum)
     session.run(LOOP)
     handle = session.submit("(loop 0)", max_steps=333)
     while not handle.done():
@@ -236,11 +241,11 @@ def test_doomed_session_does_not_skew_siblings(engine):
     what any other session computes (engine × policy acceptance)."""
     for policy in HOST_POLICIES:
         host = Host(policy=policy, quantum=100)
-        doomed_sess = host.session(f"doomed-{policy}", engine=engine, prelude=False)
+        doomed_sess = _session(host, f"doomed-{policy}", engine, prelude=False)
         doomed_sess.run(LOOP)
         doomed = host.submit(doomed_sess, "(loop 0)", max_steps=5_000)
         others = [
-            (host.submit(host.session(f"w{k}-{policy}", engine=engine, prelude=False),
+            (host.submit(_session(host, f"w{k}-{policy}", engine, prelude=False),
                          _spin(1000)), 1000)
             for k in range(3)
         ]

@@ -15,6 +15,7 @@ from repro.errors import (
     StepBudgetExceeded,
 )
 from repro.host import HandleState
+from tests.engines import legacy_blob, make_session
 
 ENGINES = ["dict", "resolved", "compiled"]
 
@@ -27,13 +28,13 @@ SUM_100 = "(let loop ([n 0] [acc 0]) (if (= n 100) acc (loop (+ n 1) (+ acc n)))
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_eval_roundtrip(engine):
-    session = Session(engine=engine)
+    session = make_session(engine)
     assert session.eval("(+ 1 2)") == 3
 
 
 def test_engine_enum_accepted():
-    assert Session(engine=Engine.DICT, prelude=False).engine == "dict"
-    assert Session(engine="resolved", prelude=False).engine == "resolved"
+    assert Session(engine=Engine.CODEGEN, prelude=False).engine == "codegen"
+    assert Session(engine="compiled", prelude=False).engine == "compiled"
 
 
 def test_unknown_engine_rejected():
@@ -62,7 +63,7 @@ def bare_session() -> Session:
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_pump_suspends_and_resumes(engine):
-    session = Session(engine=engine, prelude=False)
+    session = make_session(engine, prelude=False)
     handle = session.submit(SUM_100)
     pumps = 0
     while not handle.done():
@@ -112,7 +113,7 @@ def test_handle_result_drives_session(bare_session):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_step_budget_enforced_exactly(engine):
-    session = Session(engine=engine)
+    session = make_session(engine)
     session.run(LOOP)
     handle = session.submit("(loop 0)", max_steps=500)
     while not handle.done():
@@ -260,9 +261,14 @@ def test_stats_namespaced_only():
 
 
 def test_dict_engine_has_no_resolver_stats():
-    session = Session(engine="dict", prelude=False)
-    session.eval("(+ 1 2)")
-    assert "resolver.locals" not in session.stats
+    # The dict engine never ran the resolver, and its snapshots say so:
+    # a restored session's resolver counters start at zero and count
+    # only the forms it resolves after the restore.
+    session = Session.restore(legacy_blob("dict"))
+    resolver = {k: v for k, v in session.stats.items() if k.startswith("resolver.")}
+    assert resolver and set(resolver.values()) == {0}
+    session.eval("(let ([x 1]) (+ x 2))")
+    assert session.stats["resolver.locals"] >= 1
 
 
 def test_sessions_are_isolated():

@@ -1,24 +1,29 @@
-"""Differential matrix: every engine must agree with every other.
+"""Differential matrix: the two engines must agree with each other.
 
 Runs the paper's example programs (E1–E10 territory: call/cc products,
 spawn/exit, pcall trees, parallel-or, parallel search, futures,
-engines) and the resolver's equivalence programs under all three
-execution engines × all three scheduler policies, asserting identical
-values — and, for schedule-deterministic programs, identical
+engines) and the resolver's equivalence programs under both execution
+engines × all three scheduler policies, asserting identical values —
+and, for schedule-deterministic programs, identical
 ``captures``/``reinstatements`` statistics.
 
-The engines differ in how many machine steps a program costs (the
-compiled engine fuses transitions), so under a fixed quantum the
-*interleaving* of pcall branches can differ across engines.  Every
-case below is written so its value is interleaving-independent; the
-stats assertions additionally require that the number of continuation
-captures is fixed by the program, not by the schedule.
+The engines differ in how many machine steps a program costs (codegen
+fuses more per step), so under a fixed quantum the *interleaving* of
+pcall branches can differ across engines.  Every case below is written
+so its value is interleaving-independent; the stats assertions
+additionally require that the number of continuation captures is
+fixed by the program, not by the schedule.
+
+The batching and analysis-ablation matrices run over the whole engine
+axis of ``tests/engines.py``, legacy-snapshot cells included.
 """
 
 import pytest
 
 from repro import Interpreter
 from repro.machine.scheduler import ENGINES
+from tests.engines import ENGINES as ENGINE_AXIS
+from tests.engines import make_session
 
 POLICIES = ("round-robin", "random", "serial")
 
@@ -174,37 +179,38 @@ def test_equivalence_programs_across_engines(source, policy):
 
 
 # ---------------------------------------------------------------------------
-# Batching equivalence: the quantum-batched run loops vs the unbatched
-# per-step ablation driver.  Batching is an implementation detail of
-# the run loop — for any quantum, a batched machine must produce the
-# same value, the same total step count and the same capture stats as
-# an unbatched one, because the scheduler rotates tasks at the same
-# transition boundaries either way.
+# Batching equivalence: the run loop batching a quantum in registers vs
+# the same loop stepped, spilling every transition (a trace hook is
+# installed).  Batching is an implementation detail of the run loop —
+# for any quantum, a batched run must produce the same value, the same
+# total step count and the same capture stats as a stepped one, because
+# the scheduler rotates tasks at the same transition boundaries either
+# way.
 # ---------------------------------------------------------------------------
 
 BATCH_QUANTA = (1, 2, 16, 4096)
 
 
 def _run_case_counted(engine, policy, quantum, batched, case):
-    interp = Interpreter(
-        engine=engine, policy=policy, seed=7, quantum=quantum, batched=batched
-    )
+    session = make_session(engine, policy=policy, seed=7, quantum=quantum)
+    if not batched:
+        session.machine.trace_hook = lambda machine, task: None
     for example in case.examples:
-        interp.load_paper_example(example)
+        session.load_paper_example(example)
     if case.setup:
-        interp.run(case.setup)
-    value = interp.eval_to_string(case.expr)
-    stats = interp.stats
+        session.run(case.setup)
+    value = session.eval_to_string(case.expr)
+    stats = session.stats
     return (
         value,
-        interp.machine.steps_total,
+        session.machine.steps_total,
         stats["captures"],
         stats["reinstatements"],
     )
 
 
 @pytest.mark.parametrize("quantum", BATCH_QUANTA)
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", ENGINE_AXIS)
 def test_batched_matches_stepped(engine, quantum):
     for case in CASES:
         if not case.check_stats:
@@ -219,8 +225,7 @@ def test_batched_matches_stepped(engine, quantum):
 # effects) stamps facts and grants enlarged quanta to proven
 # single-task forms, but must be semantically invisible — identical
 # values, total step counts and machine stats with analysis on or off,
-# across engines × policies × quanta.  The dict engine ignores the
-# flag (no resolved IR to analyze), so the axis covers the other two.
+# across engines × policies × quanta.
 # ---------------------------------------------------------------------------
 
 ANALYSIS_ENGINES = ("resolved", "compiled", "codegen")
@@ -228,15 +233,15 @@ ANALYSIS_QUANTA = (1, 16, 4096)
 
 
 def _run_case_analysis(engine, policy, quantum, analysis, case):
-    interp = Interpreter(
-        engine=engine, policy=policy, seed=7, quantum=quantum, analysis=analysis
+    session = make_session(
+        engine, policy=policy, seed=7, quantum=quantum, analysis=analysis
     )
     for example in case.examples:
-        interp.load_paper_example(example)
+        session.load_paper_example(example)
     if case.setup:
-        interp.run(case.setup)
-    value = interp.eval_to_string(case.expr)
-    return (value, interp.machine.steps_total, dict(interp.machine.stats))
+        session.run(case.setup)
+    value = session.eval_to_string(case.expr)
+    return (value, session.machine.steps_total, dict(session.machine.stats))
 
 
 @pytest.mark.parametrize("quantum", ANALYSIS_QUANTA)
@@ -265,7 +270,7 @@ def test_analysis_ablation_across_policies(policy):
 
 @pytest.mark.parametrize("source", EQUIV_PROGRAMS)
 def test_equivalence_programs_analysis_ablation(source):
-    for engine in ANALYSIS_ENGINES:
+    for engine in ENGINES:
         runs = {
             analysis: Interpreter(
                 engine=engine, policy="round-robin", seed=3, analysis=analysis
@@ -275,7 +280,7 @@ def test_equivalence_programs_analysis_ablation(source):
         assert runs[True] == runs[False], (engine, source)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", ENGINE_AXIS)
 def test_batched_values_quantum_invariant(engine):
     # Schedule-deterministic cases must not observe the quantum at all:
     # identical values and capture stats at every batch size.

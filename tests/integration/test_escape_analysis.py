@@ -179,7 +179,7 @@ def resolved_sites(source):
 
     from repro.analysis import analyze_spawns
 
-    sess = Session(engine="resolved", prelude=False)
+    sess = Session(prelude=False)
     env = ExpandEnv()
     env.macros.update(sess.expand_env.macros)
     nodes = expand_program(read_all(source), env)

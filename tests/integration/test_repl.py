@@ -145,8 +145,12 @@ def test_cli_max_steps(capsys):
 
 
 def test_cli_no_resolve(capsys):
-    assert main(["--no-resolve", "-e", "(let ([x 6]) (* x 7))"]) == 0
-    assert "42" in capsys.readouterr().out
+    # The flag selected the dict engine, which is gone: argparse now
+    # rejects it like any unknown option.
+    with pytest.raises(SystemExit) as exc:
+        main(["--no-resolve", "-e", "(let ([x 6]) (* x 7))"])
+    assert exc.value.code == 2
+    assert "--no-resolve" in capsys.readouterr().err
 
 
 def test_meta_stats_includes_resolver_counters(repl):
@@ -155,14 +159,15 @@ def test_meta_stats_includes_resolver_counters(repl):
     assert "resolver.cells_interned" in text
 
 
-def test_meta_stats_no_resolver_rows_when_disabled():
+def test_meta_stats_no_analysis_rows_when_disabled():
     from repro import Interpreter
 
     out = io.StringIO()
-    pair = (Repl(Interpreter(echo_output=False, engine="dict"), out=out), out)
+    pair = (Repl(Interpreter(echo_output=False, analysis=False), out=out), out)
     text, _ = feed(pair, "(+ 1 2)", ",stats")
     assert "forks" in text
-    assert "resolver.locals" not in text
+    assert "resolver.locals" in text
+    assert "analysis." not in text
 
 
 def test_meta_analyze(repl):

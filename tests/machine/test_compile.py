@@ -1,29 +1,30 @@
 """The closure compiler (repro.ir.compile) and the compiled engine.
 
 Per-node-kind behavior, dialect rejection, compile-stage statistics,
-and the machine-level seams: the ``engine`` knob, the raw-IR fallback
-in ``step_compiled``, and closures carrying compiled body code.
+and the machine-level seams: the ``engine`` knob, the run loop's raw-IR
+fallback, and closures carrying compiled body code.
 """
 
 from types import FunctionType
 
 import pytest
 
-from repro import Interpreter
-from repro.datum import intern
+from repro import Interpreter, Session
+from repro.datum import intern, scheme_repr
 from repro.errors import CompileError, UnboundVariableError
 from repro.expander import ExpandEnv, expand_program
 from repro.ir import CompileStats, Const, Lambda, compile_node, compile_program
 from repro.ir import resolve_program
-from repro.machine.scheduler import ENGINES, Machine
+from repro.machine.scheduler import ENGINES, Machine, normalize_engine
 from repro.reader import read_all
+from tests.engines import eval_raw_ir
 
 
 def _compiled_interp(**kwargs):
     return Interpreter(engine="compiled", **kwargs)
 
 
-# -- per-node-kind behavior (differential against the resolved engine) --
+# -- per-node-kind behavior (differential against uncompiled resolved IR) --
 
 NODE_KIND_PROGRAMS = [
     "42",  # Const
@@ -51,9 +52,13 @@ NODE_KIND_PROGRAMS = [
 
 @pytest.mark.parametrize("source", NODE_KIND_PROGRAMS)
 def test_compiled_matches_resolved(source):
-    compiled = Interpreter(engine="compiled", policy="serial").eval_to_string(source)
-    resolved = Interpreter(engine="resolved", policy="serial").eval_to_string(source)
-    assert compiled == resolved
+    # The reference is the same program's resolved IR, never compiled,
+    # run through the machine's raw-IR fallback.
+    reference = Interpreter(policy="serial", prelude=False)
+    resolved = scheme_repr(eval_raw_ir(reference, source, resolve=True)[-1])
+    for engine in ENGINES:
+        interp = Interpreter(engine=engine, policy="serial", prelude=False)
+        assert interp.eval_to_string(source) == resolved, engine
 
 
 # -- dialect rejection -------------------------------------------------
@@ -61,7 +66,7 @@ def test_compiled_matches_resolved(source):
 
 def test_compile_rejects_unresolved_program():
     # Expanded-but-unresolved IR uses the Var dialect, which only the
-    # dict engine understands.
+    # machine's raw-IR fallback runs.
     nodes = expand_program(read_all("(lambda (x) x)"), ExpandEnv())
     with pytest.raises(CompileError):
         compile_program(nodes)
@@ -102,36 +107,56 @@ def test_interpreter_stats_include_compile_counters():
 
 
 def test_resolved_engine_stats_omit_compile_counters():
-    interp = Interpreter(engine="resolved")
-    interp.eval("(+ 1 2)")
-    assert "compile.nodes" not in interp.stats
+    # Resolved IR handed straight to the machine runs on the raw-IR
+    # fallback: the compile counters do not move.
+    interp = _compiled_interp()
+    before = interp.stats["compile.nodes"]
+    assert eval_raw_ir(interp, "(+ 1 2)", resolve=True) == [3]
+    assert interp.stats["compile.nodes"] == before
+    assert "compile.nodes" not in Interpreter(engine="codegen").stats
 
 
 # -- the engine seam ---------------------------------------------------
 
 
-def test_engines_tuple_names_all_four():
-    assert ENGINES == ("dict", "resolved", "compiled", "codegen")
+def test_engines_tuple_names_both():
+    assert ENGINES == ("compiled", "codegen")
 
 
 def test_machine_rejects_unknown_engine():
     with pytest.raises(ValueError) as exc:
         Machine(engine="bogus")
     # The error names every engine, so a typo'd selector is self-serving.
-    for name in ("dict", "resolved", "compiled", "codegen"):
+    for name in ENGINES:
         assert name in str(exc.value)
 
 
+@pytest.mark.parametrize("legacy", ["dict", "resolved"])
+def test_removed_engines_are_rejected(legacy):
+    # The pre-1.5 engine names survive only in the snapshot decoder.
+    with pytest.raises(ValueError) as exc:
+        normalize_engine(legacy)
+    message = str(exc.value)
+    assert message.endswith("expected one of compiled, codegen")
+    with pytest.raises(ValueError):
+        Machine(engine=legacy)
+
+
 def test_interpreter_engine_defaults():
+    # One default at every layer.
     assert Interpreter().engine == "compiled"
-    assert Interpreter(engine="dict").engine == "dict"
-    assert Interpreter(engine="resolved").engine == "resolved"
+    assert Session(prelude=False).engine == "compiled"
+    assert Machine().engine == "compiled"
+    assert Interpreter(engine="codegen").engine == "codegen"
 
 
-def test_fold_flag_tracks_engine():
-    assert Machine(engine="resolved").fold is True
-    assert Machine(engine="compiled").fold is False
-    assert Machine(engine="dict").fold is False
+def test_batched_knob_is_gone():
+    with pytest.raises(TypeError, match="batched"):
+        Session(batched=False)
+    with pytest.raises(TypeError, match="batched"):
+        Interpreter(batched=True)
+    with pytest.raises(TypeError, match="batched"):
+        Machine(batched=False)
 
 
 def test_closure_body_is_compiled_code():
@@ -156,7 +181,7 @@ def test_compiled_code_carries_source_node():
 
 
 def test_compiled_machine_evaluates_raw_nodes():
-    # step_compiled falls back to the node dispatch table when handed
+    # The run loop falls back to the node dispatch table when handed
     # an uncompiled IR node (incremental embedding API).
     interp = _compiled_interp()
     nodes = expand_program(read_all("(+ 20 22)"), ExpandEnv())
@@ -192,11 +217,12 @@ def test_step_budget_still_counts_loop_iterations():
 
 def test_closures_cross_engines():
     # A closure whose body is a resolved IR tree still applies on a
-    # compiled machine: application schedules (EVAL, body) and
-    # step_compiled falls back to the node dispatch table.
-    producer = Interpreter(engine="resolved")
-    closure = producer.eval("(lambda (x) (* x x))")
+    # compiled machine: application schedules (EVAL, body) and the run
+    # loop falls back to the node dispatch table.
+    producer = Interpreter()
+    (closure,) = eval_raw_ir(producer, "(lambda (x) (* x x))", resolve=True)
     assert not isinstance(closure.body, FunctionType)
+    assert closure.nslots == 1
     consumer = _compiled_interp()
     consumer.machine.globals.define(intern("sq"), closure)
     assert consumer.eval("(sq 9)") == 81

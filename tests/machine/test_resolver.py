@@ -1,5 +1,5 @@
-"""The resolver pass: lexical addresses, global cells, and the
-resolved machine's behaviour against the dict-chain baseline."""
+"""The resolver pass: lexical addresses, global cells, and both
+engines' behaviour against the unresolved dict-chain dialect."""
 
 import pytest
 
@@ -18,7 +18,9 @@ from repro.ir import (
     resolve_program,
 )
 from repro.machine.environment import GlobalEnv
+from repro.machine.scheduler import ENGINES
 from repro.reader import read_all
+from tests.engines import eval_raw_ir
 
 
 def resolve_source(source, genv=None):
@@ -89,7 +91,7 @@ def test_forward_reference_shares_the_define_cell():
     assert before.body.cell is genv.cell(intern("later"))
 
 
-# -- behaviour: resolved machine vs dict-chain baseline -------------------
+# -- behaviour: both engines vs the unresolved dict-chain dialect ----------
 
 EQUIV_PROGRAMS = [
     "(let ([x 1] [y 2]) (+ x y))",
@@ -115,10 +117,13 @@ EQUIV_PROGRAMS = [
 
 @pytest.mark.parametrize("source", EQUIV_PROGRAMS)
 def test_resolved_and_dict_agree(source):
-    resolved = Interpreter(policy="serial", engine="resolved").eval(source)
-    baseline = Interpreter(policy="serial", engine="dict").eval(source)
-    assert type(resolved) is type(baseline)
-    assert repr(resolved) == repr(baseline)
+    # The reference skips the resolver: the expander's IR over
+    # dict-chain ribs, run through the machine's raw-IR fallback.
+    baseline = eval_raw_ir(Interpreter(policy="serial"), source)[-1]
+    for engine in ENGINES:
+        resolved = Interpreter(policy="serial", engine=engine).eval(source)
+        assert type(resolved) is type(baseline), engine
+        assert repr(resolved) == repr(baseline), engine
 
 
 def test_set_global_defined_after_closure_creation(interp):
@@ -177,6 +182,10 @@ def test_resolver_stats_exposed(interp):
 
 
 def test_dict_engine_interp_has_no_resolver_stats():
-    interp = Interpreter(engine="dict")
-    interp.eval("(+ 1 2)")
-    assert "resolver.locals" not in interp.stats
+    # The dict-chain dialect runs without the resolver, so evaluating it
+    # leaves the resolver counters where they were.
+    interp = Interpreter()
+    before = {k: v for k, v in interp.stats.items() if k.startswith("resolver.")}
+    assert eval_raw_ir(interp, "(let ([x 1]) (+ x 2))") == [3]
+    after = {k: v for k, v in interp.stats.items() if k.startswith("resolver.")}
+    assert after == before

@@ -1,28 +1,29 @@
 """The quantum-batched run loop and its spill protocol.
 
-The batched loops (:func:`repro.machine.step.run_quantum`,
-:func:`~repro.machine.step.run_quantum_compiled`) hold the control
-registers in Python locals and only write them back to the task at
-spill points.  These tests pin the observable contract:
+The run loop (:func:`repro.machine.step.run_quantum_compiled`) holds
+the control registers in Python locals and only writes them back to
+the task at spill points.  An installed trace hook forces a spill
+before every transition — the loop then runs unbatched, one observable
+step at a time.  These tests pin the observable contract:
 
 * a capture that fires mid-quantum sees exactly the machine state a
   quantum-of-one machine would have shown it;
 * ``StepBudgetExceeded`` fires at *exactly* ``max_steps`` transitions,
-  batched or not, with any quantum;
+  batched or stepped, with any quantum;
 * a trace hook forces a per-step spill — it observes coherent task
   registers and step counters on every transition;
 * ``profile=True`` keeps the VM counters, ``profile=False`` costs
   nothing and leaves them untouched;
-* the unbatched ablation driver and the PR-2 apply path it installs
-  are behaviourally identical to the fast path.
+* stepped and batched runs are behaviourally identical on every cell
+  of the engine axis (``tests/engines.py``).
 """
 
 import pytest
 
 from repro import Interpreter
 from repro.errors import StepBudgetExceeded
-from repro.machine.scheduler import ENGINES
 from repro.machine.task import APPLY, EVAL, VALUE
+from tests.engines import ENGINES, eval_raw_ir, make_session
 
 LOOP = "(define (count n) (if (= n 0) 'done (count (- n 1))))"
 
@@ -32,12 +33,19 @@ LOOP = "(define (count n) (if (= n 0) 'done (count (- n 1))))"
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("batched", [True, False])
+def _stepped(machine):
+    """Install a no-op trace hook: the run loop spills every step."""
+    machine.trace_hook = lambda machine, task: None
+
+
+@pytest.mark.parametrize("stepped", [True, False])
 @pytest.mark.parametrize("quantum", [1, 16, 4096])
 @pytest.mark.parametrize("max_steps", [1, 7, 100])
-def test_budget_raises_at_exactly_max_steps(batched, quantum, max_steps):
-    interp = Interpreter(engine="compiled", quantum=quantum, batched=batched)
+def test_budget_raises_at_exactly_max_steps(stepped, quantum, max_steps):
+    interp = Interpreter(engine="compiled", quantum=quantum)
     interp.run(LOOP)
+    if stepped:
+        _stepped(interp.machine)
     interp.machine.steps_total = 0  # the budget covers the loop only
     interp.machine.max_steps = max_steps
     with pytest.raises(StepBudgetExceeded):
@@ -49,9 +57,9 @@ def test_budget_raises_at_exactly_max_steps(batched, quantum, max_steps):
 def test_budget_not_overshot_by_batching(engine):
     # A program that finishes within the budget must not raise even
     # when the quantum is far larger than the budget headroom.
-    interp = Interpreter(engine=engine, quantum=4096, max_steps=100000)
-    interp.run(LOOP)
-    assert interp.eval_to_string("(count 10)") == "done"
+    session = make_session(engine, quantum=4096, max_steps=100000)
+    session.run(LOOP)
+    assert session.eval_to_string("(count 10)") == "done"
 
 
 # ---------------------------------------------------------------------------
@@ -65,31 +73,33 @@ CAPTURE_PROGRAM = """
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("batched", [True, False])
-def test_mid_quantum_capture_frame_chain(engine, batched):
+@pytest.mark.parametrize("stepped", [True, False])
+def test_mid_quantum_capture_frame_chain(engine, stepped):
     results = {}
     for quantum in (1, 4096):
-        interp = Interpreter(engine=engine, quantum=quantum, batched=batched)
-        interp.run(CAPTURE_PROGRAM)
-        first = interp.eval("r")
+        session = make_session(engine, quantum=quantum)
+        if stepped:
+            _stepped(session.machine)
+        session.run(CAPTURE_PROGRAM)
+        first = session.eval("r")
         # Reinstating the saved continuation re-runs the additions
         # around the capture point: the frame chain spilled mid-quantum
         # must be the full (+ 1 (+ 2 _)) tower, re-binding r.
-        interp.eval("(if (< r 50) (saved 40) 'already)")
-        results[quantum] = (first, interp.eval("r"))
+        session.eval("(if (< r 50) (saved 40) 'already)")
+        results[quantum] = (first, session.eval("r"))
     assert results[1] == results[4096] == (13, 43)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_multi_shot_reinstatement_mid_quantum(engine):
-    interp = Interpreter(engine=engine, quantum=4096)
-    interp.run(CAPTURE_PROGRAM)
+    session = make_session(engine, quantum=4096)
+    session.run(CAPTURE_PROGRAM)
     # Fire the same captured continuation twice from inside a quantum:
     # each shot re-runs the (+ 1 (+ 2 _)) tower and re-binds r.
-    interp.eval("(if (< r 100) (saved 100) 'already)")
-    assert interp.eval("r") == 103
-    interp.eval("(if (< r 200) (saved 200) 'already)")
-    assert interp.eval("r") == 203
+    session.eval("(if (< r 100) (saved 100) 'already)")
+    assert session.eval("r") == 103
+    session.eval("(if (< r 200) (saved 200) 'already)")
+    assert session.eval("r") == 203
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +108,10 @@ def test_multi_shot_reinstatement_mid_quantum(engine):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("batched", [True, False])
-def test_trace_hook_sees_every_transition(engine, batched):
-    interp = Interpreter(engine=engine, quantum=4096, batched=batched)
-    interp.run(LOOP)
+@pytest.mark.parametrize("profile", [True, False])
+def test_trace_hook_sees_every_transition(engine, profile):
+    session = make_session(engine, quantum=4096, profile=profile)
+    session.run(LOOP)
     seen = []
 
     def hook(machine, task):
@@ -112,21 +122,25 @@ def test_trace_hook_sees_every_transition(engine, batched):
         assert machine.steps_total == len(seen)
         seen.append(task.tag)
 
-    interp.machine.steps_total = 0
-    interp.machine.trace_hook = hook
-    interp.eval("(count 20)")
-    interp.machine.trace_hook = None
-    assert len(seen) == interp.machine.steps_total
+    session.machine.steps_total = 0
+    session.machine.trace_hook = hook
+    session.eval("(count 20)")
+    session.machine.trace_hook = None
+    assert len(seen) == session.machine.steps_total
     # Engines fuse differently (codegen's self-call inlining runs two
     # loop iterations per step); any real run of the loop still takes
     # a healthy number of transitions.
     assert len(seen) > 10
+    if profile:
+        assert session.stats["vm.spill_trace"] >= len(seen)
 
 
 def test_trace_hook_count_is_batching_invariant():
+    # However many steps one quantum batches, the hook sees the same
+    # transitions.
     counts = {}
-    for batched in (True, False):
-        interp = Interpreter(engine="compiled", quantum=16, batched=batched)
+    for quantum in (1, 16, 4096):
+        interp = Interpreter(engine="compiled", quantum=quantum)
         interp.run(LOOP)
         calls = [0]
 
@@ -135,8 +149,8 @@ def test_trace_hook_count_is_batching_invariant():
 
         interp.machine.trace_hook = hook
         interp.eval("(count 50)")
-        counts[batched] = calls[0]
-    assert counts[True] == counts[False]
+        counts[quantum] = calls[0]
+    assert len(set(counts.values())) == 1, counts
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +187,7 @@ def test_profile_counts_trace_spills():
 
 
 # ---------------------------------------------------------------------------
-# The unbatched ablation driver and the PR-2 apply path
+# Stepped runs and the apply paths
 # ---------------------------------------------------------------------------
 
 APPLY_SHAPES = [
@@ -191,32 +205,28 @@ APPLY_SHAPES = [
 @pytest.mark.parametrize("source,expected", APPLY_SHAPES)
 @pytest.mark.parametrize("engine", ENGINES)
 def test_unbatched_apply_path_is_equivalent(engine, source, expected):
-    fast = Interpreter(engine=engine, batched=True)
-    slow = Interpreter(engine=engine, batched=False)
+    # With every step spilled, each application goes through the same
+    # apply path with the registers written back first.
+    fast = make_session(engine)
+    slow = make_session(engine)
+    _stepped(slow.machine)
     assert fast.eval_to_string(source) == slow.eval_to_string(source) == expected
-
-
-def test_unbatched_machine_installs_ablation_seam():
-    from repro.machine.ablation import (
-        apply_deliver_unbatched,
-        apply_procedure_unbatched,
-    )
-    from repro.machine.step import apply_deliver, apply_procedure
-
-    fast = Interpreter(engine="compiled", batched=True).machine
-    slow = Interpreter(engine="compiled", batched=False).machine
-    assert fast._apply_procedure is apply_procedure
-    assert fast._apply_deliver is apply_deliver
-    assert slow._apply_procedure is apply_procedure_unbatched
-    assert slow._apply_deliver is apply_deliver_unbatched
 
 
 def test_arity_errors_agree_across_apply_paths():
     from repro.errors import ArityError
 
-    for batched in (True, False):
-        interp = Interpreter(engine="compiled", batched=batched)
+    # Slot-rib closures (compiled thunks, codegen's inline dispatch) and
+    # dict-rib closures (the unresolved dialect on the raw-IR fallback).
+    for engine in ("compiled", "codegen"):
+        interp = Interpreter(engine=engine)
         with pytest.raises(ArityError):
             interp.eval("((lambda (a b) a) 1)")
         with pytest.raises(ArityError):
             interp.eval("((lambda (a b) a) 1 2 3)")
+    for resolve in (True, False):
+        interp = Interpreter()
+        with pytest.raises(ArityError):
+            eval_raw_ir(interp, "((lambda (a b) a) 1)", resolve=resolve)
+        with pytest.raises(ArityError):
+            eval_raw_ir(interp, "((lambda (a b) a) 1 2 3)", resolve=resolve)

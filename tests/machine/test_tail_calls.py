@@ -2,6 +2,7 @@
 
 from repro import Interpreter
 from repro.machine.frames import frame_chain_length
+from tests.engines import eval_raw_ir
 
 
 def test_self_tail_call_constant_space(interp):
@@ -91,15 +92,17 @@ def test_deep_mutual_recursion_under_slot_ribs():
 
 
 def test_deep_mutual_recursion_dict_baseline():
-    """The same loop must also hold on the dict-engine ablation."""
-    interp = Interpreter(engine="dict")
-    interp.run(
+    """The same loop must also hold in the unresolved dialect: plain IR
+    over dict-chain ribs, run through the raw-IR fallback."""
+    interp = Interpreter()
+    eval_raw_ir(
+        interp,
         """
         (define (even? n) (if (= n 0) #t (odd? (- n 1))))
         (define (odd? n) (if (= n 0) #f (even? (- n 1))))
-        """
+        """,
     )
-    assert interp.eval("(even? 100000)") is True
+    assert eval_raw_ir(interp, "(even? 100000)") == [True]
 
 
 def test_tail_call_through_and_or(interp):

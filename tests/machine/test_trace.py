@@ -2,6 +2,7 @@
 
 from repro import Interpreter
 from repro.machine.trace import Tracer
+from tests.engines import ENGINES, make_session
 
 
 def test_fork_and_join_events():
@@ -103,9 +104,9 @@ def test_counted_equals_emitted_across_engines_and_quanta():
     tracer must emit exactly one event per counter unit — including
     under the batched loop at quantum 4096, where the hook fires once
     per quantum."""
-    for engine in ("dict", "resolved", "compiled"):
+    for engine in ENGINES:
         for quantum in (1, 16, 4096):
-            interp = Interpreter(engine=engine, quantum=quantum)
+            interp = make_session(engine, quantum=quantum)
             interp.load_paper_example("search-all")
             interp.run("(define t (list->tree '(5 2 8 1 3 7 9)))")
             with Tracer(interp.machine) as tracer:

@@ -41,7 +41,18 @@ def test_quantiles_return_bucket_upper_bounds():
     h.observe(1000)  # bucket upper bound 1023
     assert h.quantile(0.5) == 15
     assert h.quantile(0.99) == 15
-    assert h.quantile(1.0) == 1023
+    # The top bucket's bound (1023) is above every observation.
+    assert h.quantile(1.0) == 1000
+
+
+def test_quantiles_never_exceed_the_largest_observation():
+    h = Histogram()
+    for _ in range(10):
+        h.observe(20000)  # bucket upper bound 32767
+    assert h.quantile(0.5) == h.quantile(0.99) == h.max == 20000
+    summary = h.as_dict()
+    assert summary["p50"] == summary["p90"] == summary["p99"] == 20000
+    assert summary["buckets"] == {"32767": 10}
 
 
 def test_negative_values_clamp_to_zero_and_floats_truncate():

@@ -2,7 +2,7 @@
 
 The load-bearing invariant is *event conservation*: every unit of the
 machine's capture/reinstate counters corresponds to exactly one
-recorded event, across all three engines and all quanta, including
+recorded event, across the whole engine axis and all quanta, including
 runs that abort mid-quantum.  The span-tree shape (host.tick →
 session.pump → quantum → control events) and the export gates ride on
 top.
@@ -15,8 +15,8 @@ import pytest
 from repro import Host, Interpreter
 from repro.errors import StepBudgetExceeded
 from repro.obs import Recorder, validate_chrome_trace
+from tests.engines import ENGINES, make_session
 
-ENGINES = ["dict", "resolved", "compiled"]
 QUANTA = [1, 16, 4096]
 
 CHURN = """
@@ -29,7 +29,7 @@ CHURN = """
 """
 
 
-def _conservation(interp: Interpreter) -> tuple[int, int, int, int]:
+def _conservation(interp) -> tuple[int, int, int, int]:
     rec = interp.recorder
     return (
         interp.stats["captures"],
@@ -44,7 +44,7 @@ def _conservation(interp: Interpreter) -> tuple[int, int, int, int]:
 def test_counted_equals_emitted_across_engines_and_quanta(engine, quantum):
     """The ISSUE acceptance criterion: counted == emitted for
     capture/reinstate at quantum ∈ {1, 16, 4096} on every engine."""
-    interp = Interpreter(engine=engine, quantum=quantum, record=True)
+    interp = make_session(engine, quantum=quantum, record=True)
     interp.load_paper_example("search-all")
     interp.run("(define t (list->tree '(5 2 8 1 3 7 9)))")
     interp.eval("(search-all t odd?)")
@@ -59,7 +59,7 @@ def test_conservation_survives_budget_abort(engine):
     """Events must not be lost when the evaluation aborts right after
     a control operation (the seed Tracer's loss mode)."""
     for budget in range(1, 40):
-        interp = Interpreter(engine=engine, quantum=16, record=True)
+        interp = make_session(engine, quantum=16, record=True)
         try:
             interp.eval("(spawn (lambda (c) (c (lambda (k) k))))", max_steps=budget)
         except StepBudgetExceeded:

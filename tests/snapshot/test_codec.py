@@ -9,8 +9,7 @@ import pytest
 from repro import Session
 from repro.errors import SnapshotError, SnapshotFormatError
 from repro.snapshot import FORMAT_VERSION, MAGIC, restore_session, snapshot_session
-
-ENGINES = ["dict", "resolved", "compiled", "codegen"]
+from tests.engines import ENGINES, make_session
 
 
 def drained(session: Session) -> Session:
@@ -26,7 +25,7 @@ def drained(session: Session) -> Session:
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_idle_roundtrip_preserves_output_and_stats(engine):
-    s = Session(engine=engine)
+    s = make_session(engine)
     s.drive(s.submit("(define (sq n) (* n n)) (display (sq 12))"))
     blob = s.snapshot()
     r = Session.restore(blob)
@@ -39,7 +38,7 @@ def test_idle_roundtrip_preserves_output_and_stats(engine):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_restored_session_continues_computing(engine):
-    s = Session(engine=engine)
+    s = make_session(engine)
     s.drive(s.submit("(define (fact n) (if (= n 0) 1 (* n (fact (- n 1)))))"))
     r = Session.restore(s.snapshot())
     h = r.submit("(fact 10)")
@@ -103,10 +102,10 @@ def test_suspended_mid_pcall_resumes_identically(engine):
         "(define (loop n) (if (= n 0) 0 (loop (- n 1))))"
         "(display (pcall + (loop 40) (loop 60) (loop 25)))"
     )
-    ref = Session(engine=engine, quantum=8)
+    ref = make_session(engine, quantum=8)
     ref.drive(ref.submit(prog))
 
-    s = Session(engine=engine, quantum=8)
+    s = make_session(engine, quantum=8)
     s.submit(prog)
     s.pump(5)  # suspend with the pcall branches mid-flight
     r = Session.restore(s.snapshot())
@@ -118,7 +117,7 @@ def test_suspended_mid_pcall_resumes_identically(engine):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_parked_future_survives_snapshot(engine):
-    s = Session(engine=engine, quantum=16)
+    s = make_session(engine, quantum=16)
     s.drive(
         s.submit(
             "(define (loop n) (if (= n 0) 7 (loop (- n 1))))"
@@ -189,7 +188,7 @@ def test_counter_watermarks_advance_on_restore():
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_idle_snapshot_is_deterministic(engine):
-    s = Session(engine=engine)
+    s = make_session(engine)
     s.drive(s.submit("(define z (list 1 2 3)) (display z)"))
     blob = s.snapshot()
     assert s.snapshot() == blob  # stable under repetition

@@ -21,7 +21,12 @@ import sys
 import pytest
 
 from repro import Session
+from tests.engines import make_session
 
+# Not codegen: a restored closure's body is re-emitted on its own,
+# without the self-call inlining its defining form gave it, so a
+# restored run legitimately takes more steps (and tasks) than the
+# straight one.
 ENGINES = ["dict", "resolved", "compiled"]
 QUANTA = [1, 16, 4096]
 
@@ -86,7 +91,7 @@ def run_reference(
     ``tasks_created`` on the compiled engine — a tiny budget can force
     a spill that materializes a task the batched driver would have
     avoided."""
-    s = Session(engine=engine, quantum=quantum, seed=seed)
+    s = make_session(engine, quantum=quantum, seed=seed)
     s.submit(program)
     for budget in prefix:
         if s.idle:
@@ -103,7 +108,7 @@ def test_interrupt_snapshot_resume_matches_straight_run(engine, quantum):
         program = gen_program(seed)
         ref = run_reference(program, engine, quantum, seed=5, prefix=[7])
 
-        s = Session(engine=engine, quantum=quantum, seed=5)
+        s = make_session(engine, quantum=quantum, seed=5)
         s.submit(program)
         s.pump(7)  # interrupt mid-capture / mid-pcall / futures in flight
         blob = s.snapshot()
@@ -118,7 +123,7 @@ def test_repeated_interruption(engine):
     """Snapshot/restore at *every* few quanta of progress — the
     composition of many round trips still matches one straight run."""
     program = gen_program(31)
-    s = Session(engine=engine, quantum=16, seed=2)
+    s = make_session(engine, quantum=16, seed=2)
     s.submit(program)
     rounds = 0
     for _ in range(50):
@@ -157,7 +162,7 @@ def test_restore_in_fresh_process(tmp_path, engine):
     program = gen_program(47)
     ref = run_reference(program, engine, 16, seed=9, prefix=[7])
 
-    s = Session(engine=engine, quantum=16, seed=9)
+    s = make_session(engine, quantum=16, seed=9)
     s.submit(program)
     s.pump(7)
     blob_path = tmp_path / "session.rsnp"
