@@ -58,6 +58,7 @@ from repro.errors import (
     ShardDied,
 )
 from repro.host.handle import HandleState
+from repro.host.session import prelude_image
 
 __all__ = ["Cluster", "ClusterResult"]
 
@@ -296,6 +297,10 @@ class Cluster:
         #: session id -> pinned shard (set by migrate); else hashed.
         self._placement: dict[str, int] = {}
         self._closed = False
+        if self.session_defaults.get("prelude", True):
+            # Built before the fork, so every worker (respawns
+            # included) inherits it instead of reading the prelude.
+            prelude_image()
         if workers == 0:
             self.shards: list[Any] = [_InlineShard(0)]
             self._nshards = 1

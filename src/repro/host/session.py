@@ -39,11 +39,14 @@ survive.
 from __future__ import annotations
 
 import itertools
+import threading
 from collections import deque
+from dataclasses import fields
+from fractions import Fraction
 from time import monotonic as _monotonic
 from typing import Any
 
-from repro.datum import scheme_repr
+from repro.datum import Char, Nil, Symbol, Unspecified, scheme_repr
 from repro.errors import (
     DeadlineExceeded,
     HostSaturated,
@@ -69,6 +72,7 @@ from repro.ir import (
     compile_program,
     resolve_program,
 )
+from repro.ir.nodes import Const, Node
 from repro.lib import PRELUDE, paper_examples
 from repro.lib.derived import LIBRARIES
 from repro.machine.environment import GlobalEnv
@@ -77,9 +81,60 @@ from repro.obs.recorder import Recorder
 from repro.primitives import OutputBuffer, install_primitives
 from repro.reader import read_all
 
-__all__ = ["Session"]
+__all__ = ["Session", "prelude_image"]
 
 _session_ids = itertools.count()
+
+#: Constant types the prelude image may hold: atoms no session can
+#: mutate, so sharing them between sessions shares no state.
+_IMMUTABLE_ATOMS = frozenset(
+    {bool, int, float, complex, Fraction, str, Char, Symbol, Nil, Unspecified}
+)
+
+_prelude_image: tuple[tuple[Node, ...], dict[Symbol, Any]] | None = None
+_prelude_lock = threading.Lock()
+
+
+def prelude_image() -> tuple[tuple[Node, ...], dict[Symbol, Any]]:
+    """The process-wide prelude image: :data:`PRELUDE` read and expanded
+    once in a fresh ``ExpandEnv``, as (expanded top-level nodes, the
+    macro entries that expansion defined).  Every prelude session boots
+    from it, and a cluster front builds it before forking its workers.
+
+    Expansion depends only on the macros in scope, so the image is valid
+    only for a fresh ``ExpandEnv``.  It is shared, so it must be
+    immutable: the resolver rebuilds every node except ``Const``, whose
+    values are checked here to be immutable atoms."""
+    global _prelude_image
+    image = _prelude_image
+    if image is None:
+        with _prelude_lock:
+            image = _prelude_image
+            if image is None:
+                env = ExpandEnv()
+                nodes = tuple(expand_program(read_all(PRELUDE), env))
+                _check_immutable(nodes)
+                image = _prelude_image = (nodes, dict(env.macros))
+    return image
+
+
+def _check_immutable(nodes: tuple[Node, ...]) -> None:
+    stack: list[Any] = list(nodes)
+    while stack:
+        node = stack.pop()
+        if type(node) is Const:
+            if type(node.value) not in _IMMUTABLE_ATOMS:
+                raise TypeError(
+                    f"prelude constant {scheme_repr(node.value)} is mutable; "
+                    "a shared prelude image may hold only immutable atoms"
+                )
+            continue
+        for field in fields(node):
+            child = getattr(node, field.name)
+            if isinstance(child, Node):
+                stack.append(child)
+            elif isinstance(child, tuple):
+                stack.extend(c for c in child if isinstance(c, Node))
 
 #: Ordering for backlog_classification: higher = more demanding.
 _CLASS_RANK = {"pure": 0, "unknown": 1, "capture-heavy": 2, "spawning": 3}
@@ -156,10 +211,14 @@ class Session:
         self._in_pump = False
         self.metrics = SessionMetrics()
         if prelude:
-            self.drive(self.submit(PRELUDE))
-            self.metrics = SessionMetrics()  # the prelude is not user traffic
-            if self.machine.recorder is not None:
-                self.machine.recorder.clear()  # nor are its events
+            nodes, macros = prelude_image()
+            self.expand_env.macros.update(macros)
+            # The prelude is not user traffic: its events are never
+            # recorded and its metrics are dropped.
+            recorder, self.machine.recorder = self.machine.recorder, None
+            self.drive(self._enqueue(list(nodes)))
+            self.machine.recorder = recorder
+            self.metrics = SessionMetrics()
         self.machine.steps_total = 0
         self.machine.max_steps = max_steps
 
@@ -200,10 +259,27 @@ class Session:
                 f"session {self.name}: submit queue full "
                 f"({self.queue_depth}/{self.max_pending})"
             )
-        nodes, report = self._frontend(source)
+        return self._enqueue(
+            expand_program(read_all(source), self.expand_env),
+            max_steps=max_steps,
+            deadline=deadline,
+            tenant=tenant,
+        )
+
+    def _enqueue(
+        self,
+        nodes: list[Node],
+        *,
+        max_steps: int | None = None,
+        deadline: float | None = None,
+        tenant: str | None = None,
+    ) -> EvalHandle:
+        """Resolve, analyse and compile expanded ``nodes`` against this
+        session's globals, and queue them as one evaluation."""
+        code, report = self._compile(nodes)
         handle = EvalHandle(
             self,
-            nodes,
+            code,
             max_steps=max_steps,
             deadline_at=None if deadline is None else _monotonic() + deadline,
             tenant=tenant,
@@ -224,9 +300,7 @@ class Session:
             self.metrics.max_queue_depth = depth
         return handle
 
-    def _frontend(self, source: str) -> tuple[list[Any], Any]:
-        forms = read_all(source)
-        nodes = expand_program(forms, self.expand_env)
+    def _compile(self, nodes: list[Node]) -> tuple[list[Any], Any]:
         nodes = resolve_program(nodes, self.globals, self.resolver_stats)
         report = None
         if self.analysis:

@@ -10,6 +10,7 @@ through one driver seam, so the contract cannot drift per-tier."""
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 
 import pytest
@@ -34,6 +35,11 @@ class _SessionFront:
         """Run until the handle is terminal; never raises."""
         while not handle.done():
             self.session.pump(1 << 14)
+
+    def held(self):
+        """A context in which the front starts no work: nothing runs
+        here until the caller pumps."""
+        return contextlib.nullcontext()
 
     def submit_fn(self):
         return self.session.submit
@@ -70,6 +76,9 @@ class _HostFront:
         while not handle.done():
             self.host.tick()
 
+    def held(self):
+        return contextlib.nullcontext()
+
     def submit_fn(self):
         return self.host.submit
 
@@ -90,6 +99,12 @@ class _ClusterFront:
 
     def drive(self, handle):
         handle.wait(30.0)
+
+    def held(self):
+        """Hold the front's op lock: the dispatcher may take the first
+        request off the queue, but parks on the lock before any shard
+        round-trip, so every later request stays queued."""
+        return self.cluster._op_lock
 
     def submit_fn(self):
         return self.cluster.submit_async
@@ -159,17 +174,19 @@ def test_handle_failure_is_terminal_failed(front):
     assert handle.exception() is not None
 
 
-def test_cancel_while_queued_is_cancelled_with_session_cancelled(tight_front):
-    blocker = tight_front.submit(LOOP, max_steps=50_000)
-    # Saturated: queue another and cancel it before it can run.  With
-    # max_pending=1 the second submit is refused, so cancel the
-    # *blocker* instead — queued or running, every tier must land it
-    # in CANCELLED with a SessionCancelled recorded.
-    assert blocker.cancel() or blocker.done()
-    if blocker.state is HandleState.CANCELLED:
-        assert isinstance(blocker.exception(), SessionCancelled)
-    tight_front.drive(blocker)
+def test_cancel_while_queued_is_cancelled_with_session_cancelled(front):
+    # While the front cannot start work, a request submitted behind a
+    # blocker is provably still queued when it is cancelled.
+    with front.held():
+        blocker = front.submit(LOOP, max_steps=50_000)
+        queued = front.submit("(+ 1 1)")
+        assert queued.state is HandleState.PENDING
+        assert queued.cancel() is True
+        assert queued.state is HandleState.CANCELLED
+        assert isinstance(queued.exception(), SessionCancelled)
+    front.drive(blocker)
     assert blocker.done()
+    assert queued.state is HandleState.CANCELLED
 
 
 def test_cancel_of_terminal_handle_returns_false(front):

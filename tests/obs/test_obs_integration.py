@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Host, Interpreter
+from repro import Host, Interpreter, Session
 from repro.errors import StepBudgetExceeded
 from repro.obs import Recorder, validate_chrome_trace
 from tests.engines import ENGINES, make_session
@@ -130,3 +130,14 @@ def test_session_brought_recorder_not_overridden_by_host():
 def test_prelude_events_are_cleared():
     interp = Interpreter(record=True)  # prelude on
     assert len(interp.recorder) == 0
+
+
+def test_booting_a_prelude_session_keeps_a_shared_recorders_events():
+    host = Host(record=True)
+    host.submit(host.session("a", prelude=False), "(+ 1 2)")
+    host.run_until_idle()
+    before = host.recorder.events
+    assert before
+    b = Session(name="b", record=host.recorder)  # prelude on
+    assert b.recorder is host.recorder
+    assert host.recorder.events == before
