@@ -6,7 +6,9 @@
     PYTHONPATH=src python benchmarks/bench_gateway.py --out x.json
 
 Two phases against one in-process :class:`~repro.gateway.Gateway` over
-a :class:`~repro.host.Host` backend (real sockets, loopback):
+a :class:`~repro.host.Host` backend (real sockets, loopback), driven by
+a load generator in a child process so that it does not share the
+gateway's interpreter lock:
 
 * **Closed loop** — N concurrent connections, each running submit →
   result back to back for a fixed duration.  Measures the sustainable
@@ -61,6 +63,7 @@ import os
 import signal
 import sys
 import time
+from typing import Any
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.isdir(os.path.join(_ROOT, "src")):
@@ -160,10 +163,10 @@ async def _one_request(
 
 
 async def _closed_loop(
-    gw: Gateway, connections: int, sessions: int, duration: float
+    address: tuple[str, int], connections: int, sessions: int, duration: float
 ) -> dict[str, object]:
     clients = await asyncio.gather(
-        *(GatewayClient.connect(gw.host, gw.port) for _ in range(connections))
+        *(GatewayClient.connect(*address) for _ in range(connections))
     )
     tally = Tally()
     stop_at = time.perf_counter() + duration
@@ -200,14 +203,14 @@ async def _closed_loop(
 
 
 async def _open_loop(
-    gw: Gateway,
+    address: tuple[str, int],
     pool_size: int,
     sessions: int,
     rate: float,
     duration: float,
 ) -> dict[str, object]:
     clients = await asyncio.gather(
-        *(GatewayClient.connect(gw.host, gw.port) for _ in range(pool_size))
+        *(GatewayClient.connect(*address) for _ in range(pool_size))
     )
     tally = Tally()
     tasks: list[asyncio.Task] = []
@@ -247,6 +250,44 @@ async def _open_loop(
         "served_rps": round(tally.ok / elapsed, 1) if elapsed else 0.0,
         **_summary(tally.latencies),
     }
+
+
+def _load_main(
+    address: tuple[str, int], connections: int, sessions: int, duration: float, out: Any
+) -> None:
+    """Child-process entry: the closed loop, then the open loop at 2x
+    the closed loop's throughput; sends both results through ``out``."""
+
+    async def phases() -> tuple[dict[str, object], dict[str, object]]:
+        closed = await _closed_loop(address, connections, sessions, duration)
+        offered = max(50.0, 2.0 * float(closed["throughput_rps"]))  # type: ignore[arg-type]
+        open_ = await _open_loop(
+            address, min(connections, 64), sessions, offered, duration
+        )
+        return closed, open_
+
+    out.send(asyncio.run(phases()))
+
+
+async def _load_phases(
+    gw: Gateway, connections: int, sessions: int, duration: float
+) -> tuple[dict[str, object], dict[str, object]]:
+    """Run :func:`_load_main` in a spawned child against ``gw``.  A
+    generator sharing the gateway's process would share its interpreter
+    lock, and under overload its own backlog — invisible to admission
+    control — would dominate the latencies measured."""
+    ctx = multiprocessing.get_context("spawn")
+    results, out = ctx.Pipe(duplex=False)
+    child = ctx.Process(
+        target=_load_main, args=((gw.host, gw.port), connections, sessions, duration, out)
+    )
+    child.start()
+    out.close()
+    try:
+        return await asyncio.get_running_loop().run_in_executor(None, results.recv)
+    finally:
+        results.close()
+        child.join(timeout=30.0)
 
 
 async def _failover_phase(duration: float) -> dict[str, object]:
@@ -484,25 +525,20 @@ async def _run(args: argparse.Namespace) -> dict[str, object]:
     limits = GatewayLimits(max_inflight=64, tenant_max_inflight=32)
     host = Host(max_pending=256, quantum=2048)
     async with Gateway(host, limits=limits) as gw:
+        closed, open_ = await _load_phases(gw, connections, sessions, duration)
         print(
             f"\n=== closed loop ({connections} connections, "
             f"{sessions} sessions, {duration:.0f}s) ==="
         )
-        closed = await _closed_loop(gw, connections, sessions, duration)
         print(
             f"  {closed['throughput_rps']:8.0f} req/s  "
             f"p50={closed['p50_ms']:.2f}ms p99={closed['p99_ms']:.2f}ms  "
             f"shed={closed['shed']} errors={closed['protocol_errors']}"
         )
 
-        sustainable = float(closed["throughput_rps"])  # type: ignore[arg-type]
-        offered = max(50.0, 2.0 * sustainable)
         print(
-            f"\n=== open loop (2x overload: {offered:.0f} req/s offered, "
-            f"{duration:.0f}s) ==="
-        )
-        open_ = await _open_loop(
-            gw, min(connections, 64), sessions, offered, duration
+            f"\n=== open loop (2x overload: {open_['offered_rps']:.0f} req/s "
+            f"offered, {duration:.0f}s) ==="
         )
         print(
             f"  sent={open_['sent']} ok={open_['requests_ok']} "

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-import queue as queue_mod
 import threading
 import zlib
 from collections import deque
@@ -63,9 +62,6 @@ from repro.host.session import prelude_image
 __all__ = ["Cluster", "ClusterResult"]
 
 _cluster_ids = itertools.count()
-
-#: Seconds between liveness checks while waiting on a shard reply.
-_POLL_INTERVAL = 0.05
 
 #: Default seconds :meth:`Cluster.close` waits for the dispatcher
 #: thread to finish its in-flight shard round-trip before abandoning
@@ -116,38 +112,41 @@ class _InlineShard:
 
 
 class _ProcessShard:
-    """A shard worker process plus its command/result queues."""
+    """A shard worker process plus its two one-way pipes: commands
+    front → worker, replies worker → front."""
 
     def __init__(self, index: int, ctx: Any):
         self.index = index
         self.ctx = ctx
-        self._request_ids = itertools.count()
         self._spawn()
 
     def _spawn(self) -> None:
-        self.cmd_queue = self.ctx.Queue()
-        self.result_queue = self.ctx.Queue()
+        commands_in, self._commands = self.ctx.Pipe(duplex=False)
+        self._replies, replies_out = self.ctx.Pipe(duplex=False)
         self.process = self.ctx.Process(
             target=shard_main,
-            args=(self.index, self.cmd_queue, self.result_queue),
+            args=(self.index, commands_in, replies_out),
             daemon=True,
             name=f"repro-shard-{self.index}",
         )
         self.process.start()
+        # A later fork must not inherit the worker's ends: a killed
+        # worker's reply pipe would then never read as EOF.
+        commands_in.close()
+        replies_out.close()
 
     def alive(self) -> bool:
         return self.process.is_alive()
 
     def respawn(self) -> None:
-        """Fresh process, fresh queues (the old queue may hold replies
-        from the dead worker's past life).
+        """Fresh process, fresh pipes: nothing from the dead worker's
+        life can be read by the next one.
 
-        The old queues' pipe FDs and the old process's sentinel are
-        closed *explicitly* before the new ones are created: a wedged
-        worker that survives the 1s ``join`` would otherwise orphan
-        four pipe ends per respawn and leak the front out of file
-        descriptors under repeated worker churn (gated by the
-        50-respawn FD test in ``tests/cluster``).
+        The old pipe ends and the old process's sentinel are closed
+        *explicitly* before the new ones are created: a wedged worker
+        that survives the 1s ``join`` would otherwise orphan them and
+        leak the front out of file descriptors under repeated worker
+        churn (gated by the 50-respawn FD test in ``tests/cluster``).
         """
         if self.process.is_alive():
             self.process.terminate()
@@ -159,54 +158,37 @@ class _ProcessShard:
         self._spawn()
 
     def _release_resources(self) -> None:
-        """Close both pipe ends of both queues plus the process
-        sentinel — every front-side FD the dead worker's plumbing
-        held."""
-        for q in (self.cmd_queue, self.result_queue):
-            try:
-                q.close()
-                q.join_thread()
-            except (OSError, ValueError):  # pragma: no cover - defensive
-                pass
-            # close() only closes the reader; the writer is closed by
-            # the feeder thread, which never ran for a queue this
-            # process only read from.  Close both ends regardless
-            # (Connection.close is idempotent).
-            for conn in (getattr(q, "_reader", None), getattr(q, "_writer", None)):
-                try:
-                    if conn is not None:
-                        conn.close()
-                except OSError:  # pragma: no cover - defensive
-                    pass
+        """Close the front's pipe ends plus the process sentinel —
+        every front-side FD the worker's plumbing held."""
+        self._commands.close()
+        self._replies.close()
         try:
             self.process.close()  # releases the sentinel FD
         except ValueError:  # pragma: no cover - still alive; GC reclaims
             pass
 
     def request(self, op: str, payload: dict[str, Any]) -> dict[str, Any]:
-        """Send one command and wait for its reply, polling worker
-        liveness; raises :class:`ShardDied` if the process exits (or is
-        killed) before replying."""
-        request_id = next(self._request_ids)
-        self.cmd_queue.put((request_id, op, payload))
-        while True:
-            try:
-                got_id, status, reply = self.result_queue.get(timeout=_POLL_INTERVAL)
-            except queue_mod.Empty:
-                if not self.process.is_alive():
-                    raise ShardDied(
-                        f"shard {self.index} (pid {self.process.pid}) died "
-                        f"while serving {op!r}"
-                    ) from None
-                continue
-            if got_id != request_id:
-                # A reply from a previous life of this shard index;
-                # drop it (queues are replaced on respawn, so this is
-                # belt-and-braces).
-                continue
-            if status == "err":
-                raise ClusterError(f"shard {self.index}: {reply}")
-            return reply
+        """Send one command and block until its reply or the worker's
+        exit, whichever comes first; raises :class:`ShardDied` if the
+        process exits (or is killed) before replying."""
+        # Imported here: in-process users of repro need not load it.
+        from multiprocessing.connection import wait
+
+        try:
+            self._commands.send((op, payload))
+            wait([self._replies, self.process.sentinel])
+            # Reply first: a worker that replied and then exited makes
+            # both ready, and its reply still counts.
+            if self._replies.poll():
+                status, reply = self._replies.recv()
+                if status == "err":
+                    raise ClusterError(f"shard {self.index}: {reply}")
+                return reply
+        except (EOFError, OSError):  # a closed or half-written pipe
+            pass
+        raise ShardDied(
+            f"shard {self.index} (pid {self.process.pid}) died while serving {op!r}"
+        )
 
     def shutdown(self) -> None:
         try:
@@ -215,8 +197,10 @@ class _ProcessShard:
             return
         if alive:
             try:
-                self.cmd_queue.put((next(self._request_ids), "shutdown", {}))
+                self._commands.send(("shutdown", {}))
                 self.process.join(timeout=2.0)
+            except OSError:  # pragma: no cover - died meanwhile
+                pass
             finally:
                 if self.process.is_alive():  # pragma: no cover - stuck worker
                     self.process.terminate()
@@ -451,7 +435,7 @@ class Cluster:
                 handle = self._queue.popleft()
                 if handle.done():  # pragma: no cover - cancel raced the pop
                     continue
-                handle.state = HandleState.RUNNING
+                handle._start()
                 self._inflight = handle
             try:
                 self._execute(handle)

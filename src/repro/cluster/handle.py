@@ -1,9 +1,9 @@
 """The :class:`ClusterHandle`: one cluster request, as a value.
 
 ``Cluster.submit_async`` returns one of these instead of blocking.  It
-moves through the *same* state machine as the host tier's
-:class:`~repro.host.handle.EvalHandle` (literally the same
-:class:`~repro.host.handle.HandleState` enum)::
+shares its base, :class:`~repro.host.handle.Handle`, with the host
+tier's :class:`~repro.host.handle.EvalHandle`: the *same* state
+machine, reported to the same kind of listener::
 
     PENDING ──▶ RUNNING ──▶ DONE
         │          └──────▶ FAILED      (eval error / infra failure)
@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.counters import SerialCounter
 from repro.errors import ClusterEvalError
-from repro.host.handle import HandleState
+from repro.host.handle import Handle, HandleState, Listener
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster, ClusterResult
@@ -40,10 +40,8 @@ __all__ = ["ClusterHandle"]
 
 _handle_ids = SerialCounter()
 
-_TERMINAL = (HandleState.DONE, HandleState.FAILED, HandleState.CANCELLED)
 
-
-class ClusterHandle:
+class ClusterHandle(Handle):
     """A submitted cluster request; resolved by the front's dispatcher
     thread.  Thread-safe: any thread may poll, wait or cancel."""
 
@@ -56,10 +54,7 @@ class ClusterHandle:
         "deadline_at",
         "tenant",
         "submitted_at",
-        "state",
-        "steps",
         "_result",
-        "_exception",
         "_done",
         "_resolve_lock",
     )
@@ -74,6 +69,7 @@ class ClusterHandle:
         deadline: float | None = None,
         tenant: str | None = None,
     ):
+        super().__init__()
         self.uid = next(_handle_ids)
         self.cluster = cluster
         self.session_id = session_id
@@ -87,27 +83,11 @@ class ClusterHandle:
         self.deadline_at = None if deadline is None else now + deadline
         self.tenant = tenant
         self.submitted_at = now
-        self.state = HandleState.PENDING
-        self.steps = 0
         self._result: "ClusterResult | None" = None
-        self._exception: BaseException | None = None
         self._done = threading.Event()
         self._resolve_lock = threading.Lock()
 
     # -- inspection ------------------------------------------------------
-
-    def done(self) -> bool:
-        """True once the handle is in a terminal state."""
-        return self.state in _TERMINAL
-
-    def exception(self) -> BaseException | None:
-        """The failure that ended this request, or None (never blocks).
-
-        Infrastructure failures (:class:`~repro.errors.ShardDied`, a
-        closed cluster) appear as themselves; shard-side evaluation
-        errors as :class:`~repro.errors.ClusterEvalError`.
-        """
-        return self._exception
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until terminal (or ``timeout`` seconds); returns
@@ -154,7 +134,22 @@ class ClusterHandle:
         terminal one is immutable — both return False."""
         return self.cluster._cancel_async(self)
 
+    def subscribe(self, listener: Listener) -> None:
+        """As :meth:`Handle.subscribe`, under the resolve lock (the
+        dispatcher, a canceller or ``Cluster.close`` may move the
+        handle); a finished request reports its output first."""
+        with self._resolve_lock:
+            if self._result is not None and self._result.output:
+                listener(None, self._result.output)
+            super().subscribe(listener)
+
     # -- internal (dispatcher-thread side) -------------------------------
+
+    def _start(self) -> None:
+        """PENDING → RUNNING, as the dispatcher takes the request."""
+        with self._resolve_lock:
+            if not self._done.is_set():
+                self._move(HandleState.RUNNING)
 
     def _resolve(
         self,
@@ -165,6 +160,8 @@ class ClusterHandle:
         """Record the outcome and wake waiters.  Exactly one of
         ``result``/``exc`` is set; in-band error results also surface
         as a :class:`ClusterEvalError` so the parity path raises.
+
+        The request's output is reported before its terminal state.
 
         Idempotent — the *first* resolution wins and later ones are
         no-ops.  This is what lets :meth:`Cluster.close` force an
@@ -178,18 +175,20 @@ class ClusterHandle:
             if result is not None:
                 self._result = result
                 self.steps = result.steps
+                self._output(result.output)
                 if result.ok:
-                    self.state = HandleState.DONE
+                    self._move(HandleState.DONE)
                 else:
-                    self.state = HandleState.FAILED
-                    self._exception = ClusterEvalError(
-                        f"session {self.session_id!r}: {result.error}",
-                        error_type=result.error_type,
+                    self._move(
+                        HandleState.FAILED,
+                        ClusterEvalError(
+                            f"session {self.session_id!r}: {result.error}",
+                            error_type=result.error_type,
+                        ),
                     )
             else:
                 assert exc is not None
-                self._exception = exc
-                self.state = state if state is not None else HandleState.FAILED
+                self._move(state if state is not None else HandleState.FAILED, exc)
             self._done.set()
 
     def __repr__(self) -> str:

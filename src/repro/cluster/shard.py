@@ -13,7 +13,7 @@ worker process loop (:func:`shard_main`) and the cluster's in-process
 ``workers=0`` mode, so inline tests exercise exactly the code the
 processes run.
 
-Everything crossing the queues is picklable by construction: command
+Everything crossing the pipes is picklable by construction: command
 tuples of scalars/bytes, and reply dicts of scalars/bytes.  Evaluated
 values cross as their printed representation — live machine values
 (closures, continuations, placeholders) never leave the shard except
@@ -162,24 +162,26 @@ class ShardRuntime:
         return reply
 
 
-def shard_main(index: int, cmd_queue: Any, result_queue: Any) -> None:
-    """Worker-process entry point: serve commands until ``shutdown``.
+def shard_main(index: int, commands: Any, replies: Any) -> None:
+    """Worker-process entry point: serve commands until ``shutdown``
+    or end-of-file, over the worker's ends of two one-way pipes.
 
-    Wire protocol: commands are ``(request_id, op, payload)``; replies
-    are ``(request_id, "ok", reply_dict)`` or ``(request_id, "err",
-    repr(exception))``.  Only infrastructure failures take the ``err``
-    shape — evaluation errors ride inside an ``ok`` reply's
-    ``status`` field.
+    Commands are ``(op, payload)``; replies are ``("ok", reply_dict)``
+    or ``("err", repr(exception))`` (``shutdown`` gets none).  Only
+    infrastructure failures take the ``err`` shape — evaluation errors
+    ride inside an ``ok`` reply's ``status`` field.
     """
     runtime = ShardRuntime(index)
     while True:
-        request_id, op, payload = cmd_queue.get()
+        try:
+            op, payload = commands.recv()
+        except EOFError:
+            return
         if op == "shutdown":
-            result_queue.put((request_id, "ok", None))
             return
         try:
             reply = runtime.handle(op, payload)
         except BaseException as exc:  # noqa: BLE001 - must not kill the loop
-            result_queue.put((request_id, "err", f"{type(exc).__name__}: {exc}"))
+            replies.send(("err", f"{type(exc).__name__}: {exc}"))
         else:
-            result_queue.put((request_id, "ok", reply))
+            replies.send(("ok", reply))

@@ -73,6 +73,8 @@ class GatewayClient:
         self._ids = itertools.count(1)
         self._pending: dict[int, asyncio.Future[dict[str, Any]]] = {}
         self._events: dict[int, asyncio.Queue[dict[str, Any]]] = {}
+        #: frame id -> event queue of a ``stream`` submit not yet acked.
+        self._streams: dict[int, asyncio.Queue[dict[str, Any]]] = {}
         self._write_lock = asyncio.Lock()
         self._closed = False
         self._reader_task = asyncio.ensure_future(self._read_loop())
@@ -131,6 +133,11 @@ class GatewayClient:
                     if queue is not None:
                         queue.put_nowait(frame)
                     continue
+                queue = self._streams.pop(frame.get("id"), None)
+                if queue is not None and frame.get("ok"):
+                    # A stream submit's events may follow its ack in
+                    # the same read: route them from here on.
+                    self._events[frame["request"]] = queue
                 fut = self._pending.pop(frame.get("id"), None)
                 if fut is not None and not fut.done():
                     fut.set_result(frame)
@@ -149,6 +156,7 @@ class GatewayClient:
             if not fut.done():
                 fut.set_exception(exc)
         self._pending.clear()
+        self._streams.clear()
         for queue in self._events.values():
             queue.put_nowait({"event": "state", "state": "lost", "error": str(exc)})
 
@@ -164,6 +172,8 @@ class GatewayClient:
         frame.update((k, v) for k, v in fields.items() if v is not None)
         fut: asyncio.Future[dict[str, Any]] = asyncio.get_running_loop().create_future()
         self._pending[fid] = fut
+        if op == "submit" and fields.get("stream"):
+            self._streams[fid] = asyncio.Queue()
         async with self._write_lock:
             self._writer.write(encode_frame(frame))
             await self._writer.drain()
@@ -206,9 +216,6 @@ class GatewayClient:
         With ``stream=True`` the server pushes each handle-state
         transition; consume them via :meth:`events`.
         """
-        if stream:
-            # Register the queue *before* the reply can race in.
-            pre: asyncio.Queue[dict[str, Any]] = asyncio.Queue()
         reply = await self.call(
             "submit",
             session=session,
@@ -218,10 +225,7 @@ class GatewayClient:
             tenant=tenant,
             stream=True if stream else None,
         )
-        rid = reply["request"]
-        if stream:
-            self._events[rid] = pre
-        return rid
+        return reply["request"]
 
     async def poll(self, request: int) -> dict[str, Any]:
         """The request's current state: ``{"state": ..., "steps": ...}``

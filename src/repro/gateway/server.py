@@ -14,10 +14,15 @@ whole design:
   synchronous and not thread-safe (ROADMAP: the machine stays
   synchronous; concurrency lives in the continuation algebra), so all
   backend calls — submit, cancel, stats, ``host.tick()`` — run here,
-  fed by a command queue.  The same thread scans in-flight handles for
-  state transitions and marshals them back to the loop with
-  ``call_soon_threadsafe``.  A Cluster backend brings its own
-  dispatcher thread, so its pump only scans.
+  fed by a command queue.  Between commands it ticks a Host backend
+  while the host has work; otherwise it blocks on the queue.  A Cluster
+  backend brings its own dispatcher thread, so its pump only runs
+  commands.
+
+Nobody polls a request: the gateway subscribes to each handle at
+submit (:meth:`~repro.host.handle.Handle.subscribe`), and the listener
+marshals each reported transition or output delta to the loop, which
+holds them until the submit ack is written.
 
 Backpressure is structural: a submit is either *admitted* (counted
 against the tenant's and the gateway's inflight caps, token bucket
@@ -53,12 +58,6 @@ __all__ = ["Gateway"]
 
 _gateway_ids = itertools.count()
 
-#: Pump-thread nap while completely idle (no commands, no busy backend,
-#: no tracked handles) — the latency floor for a cold submit.
-_IDLE_WAIT = 0.002
-
-_TERMINAL = (HandleState.DONE, HandleState.FAILED, HandleState.CANCELLED)
-
 
 def _failure_info(exc: BaseException) -> dict[str, str]:
     return {"type": type(exc).__name__, "message": str(exc)}
@@ -68,8 +67,6 @@ class _HostBackend:
     """Adapter: a :class:`Host` as a gateway backend.  Every method
     runs on the pump thread (the host is not thread-safe); unknown
     session names auto-create a session from ``session_defaults``."""
-
-    needs_pump = True
 
     def __init__(self, host: Host, session_defaults: dict[str, Any] | None):
         self.host = host
@@ -91,31 +88,6 @@ class _HostBackend:
             session, source, max_steps=max_steps, deadline=deadline, tenant=tenant
         )
 
-    def pump(self) -> bool:
-        if self.host.idle:
-            return False
-        self.host.tick()
-        return True
-
-    def cancel(self, handle: EvalHandle) -> bool:
-        return handle.cancel()
-
-    def state_of(self, handle: EvalHandle) -> tuple[HandleState, int]:
-        return handle.state, handle.steps
-
-    def output_mark(self, handle: EvalHandle) -> int:
-        """The session's output cursor at submit time: parts already
-        produced belong to *earlier* requests, not this one."""
-        return len(handle.session.output.parts)
-
-    def drain_output(self, handle: EvalHandle, cursor: int) -> tuple[str, int]:
-        """Output produced since ``cursor``, plus the new cursor.  The
-        host runs in-process, so deltas stream *during* execution."""
-        parts = handle.session.output.parts
-        if len(parts) <= cursor:
-            return "", cursor
-        return "".join(parts[cursor:]), len(parts)
-
     def outcome(self, handle: EvalHandle) -> dict[str, Any]:
         """Terminal payload fields: printed value or failure info."""
         if handle.state is HandleState.DONE:
@@ -136,9 +108,7 @@ class _HostBackend:
 class _ClusterBackend:
     """Adapter: a :class:`Cluster` as a gateway backend.  The cluster
     front is thread-safe (its own dispatcher thread does the blocking
-    shard round-trips), so the pump thread only scans handles."""
-
-    needs_pump = False
+    shard round-trips), so the pump thread only forwards commands."""
 
     def __init__(self, cluster: Cluster):
         self.cluster = cluster
@@ -155,28 +125,6 @@ class _ClusterBackend:
         return self.cluster.submit_async(
             session, source, max_steps=max_steps, deadline=deadline, tenant=tenant
         )
-
-    def pump(self) -> bool:  # pragma: no cover - trivial
-        return False
-
-    def cancel(self, handle: ClusterHandle) -> bool:
-        return handle.cancel()
-
-    def state_of(self, handle: ClusterHandle) -> tuple[HandleState, int]:
-        return handle.state, handle.steps
-
-    def output_mark(self, handle: ClusterHandle) -> int:
-        return 0
-
-    def drain_output(self, handle: ClusterHandle, cursor: int) -> tuple[str, int]:
-        """Session output for this request.  The shard protocol returns
-        the output delta *with* the result, so there is exactly one
-        drain — once the in-band result lands, just before the terminal
-        state event reaches the wire."""
-        result = handle._result
-        if cursor == 0 and result is not None and result.output:
-            return result.output, 1
-        return "", cursor
 
     def outcome(self, handle: ClusterHandle) -> dict[str, Any]:
         result = handle._result
@@ -224,8 +172,7 @@ class _Request:
         "stream",
         "conn",
         "handle",
-        "last_state",
-        "output_cursor",
+        "held",
         "admitted_ts",
         "waiters",
         "terminal",
@@ -238,8 +185,8 @@ class _Request:
         self.stream = stream
         self.conn: "_Connection | None" = conn
         self.handle: Any = None
-        self.last_state = HandleState.PENDING
-        self.output_cursor = 0  # backend-defined position in the session output
+        # Events that arrived before the submit ack was written (then None).
+        self.held: list[tuple[HandleState | None, str]] | None = []
         self.admitted_ts = perf_counter()
         self.waiters: list[asyncio.Future] = []  # blocking `result` ops
         self.terminal: dict[str, Any] | None = None  # final state payload
@@ -346,9 +293,8 @@ class Gateway:
         self._rids = itertools.count(1)
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._cmds: queue_mod.Queue[Callable[[], None]] = queue_mod.Queue()
+        self._cmds: queue_mod.Queue[Callable[[], None] | None] = queue_mod.Queue()
         self._pump: threading.Thread | None = None
-        self._stop = threading.Event()
         self._closed = False
 
     # -- lifecycle -------------------------------------------------------
@@ -381,7 +327,7 @@ class Gateway:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        self._stop.set()
+        self._cmds.put(None)
         if self._pump is not None:
             await asyncio.get_running_loop().run_in_executor(None, self._pump.join)
 
@@ -398,57 +344,20 @@ class Gateway:
     # -- the pump thread -------------------------------------------------
 
     def _pump_loop(self) -> None:
-        backend = self.backend
-        while not self._stop.is_set():
-            worked = False
-            while True:
-                try:
-                    self._cmds.get_nowait()()
-                    worked = True
-                except queue_mod.Empty:
-                    break
-            if backend.needs_pump and backend.pump():
-                worked = True
-            if self._scan():
-                worked = True
-            if not worked:
-                # Idle: block on the command queue so a fresh submit
-                # wakes us immediately instead of after a sleep.
-                try:
-                    self._cmds.get(timeout=_IDLE_WAIT)()
-                except queue_mod.Empty:
-                    pass
-
-    def _scan(self) -> bool:
-        """Detect handle-state transitions and marshal them to the
-        loop.  Runs on the pump thread; the registry dict itself is
-        only *mutated* on the loop thread, and iteration over a
-        snapshot tolerates concurrent removal."""
-        changed = False
-        for req in list(self._requests.values()):
-            handle = req.handle
-            if handle is None or req.terminal is not None:
+        """Run commands as they come.  While a Host backend has work,
+        drain the queue without blocking and tick the host between
+        drains; otherwise block until the next command."""
+        host = self.backend.host if isinstance(self.backend, _HostBackend) else None
+        while True:
+            busy = host is not None and not host.idle
+            try:
+                command = self._cmds.get(block=not busy)
+            except queue_mod.Empty:
+                host.tick()  # type: ignore[union-attr]  # busy implies a host
                 continue
-            state, steps = self.backend.state_of(handle)
-            if req.stream and req.conn is not None:
-                # Drain *after* reading the state: if the state read saw
-                # terminal, the session has finished writing, so this
-                # drain is complete and its event is queued to the loop
-                # ahead of the terminal state event below.
-                text, cursor = self.backend.drain_output(handle, req.output_cursor)
-                if text:
-                    req.output_cursor = cursor
-                    changed = True
-                    self._call_soon(self._on_output, req, text)
-            if state is req.last_state:
-                continue
-            req.last_state = state
-            changed = True
-            payload: dict[str, Any] = {"state": state.value, "steps": steps}
-            if state in _TERMINAL:
-                payload.update(self.backend.outcome(handle))
-            self._call_soon(self._on_state, req, payload)
-        return changed
+            if command is None:
+                return
+            command()
 
     def _call_soon(self, fn: Callable[..., None], *args: Any) -> None:
         loop = self._loop
@@ -488,6 +397,14 @@ class Gateway:
 
     # -- state delivery (loop thread) ------------------------------------
 
+    def _on_event(self, req: _Request, state: HandleState | None, text: str) -> None:
+        if req.held is not None:
+            req.held.append((state, text))  # the submit ack is not out yet
+        elif state is None:
+            self._on_output(req, text)
+        else:
+            self._on_state(req, state)
+
     def _on_output(self, req: _Request, text: str) -> None:
         """Forward a session-output delta as an ``output`` event frame."""
         conn = req.conn
@@ -498,16 +415,21 @@ class Gateway:
             conn.send({"event": "output", "request": req.rid, "text": text})
         )
 
-    def _on_state(self, req: _Request, payload: dict[str, Any]) -> None:
-        terminal = payload["state"] in ("done", "failed", "cancelled")
-        if terminal:
+    def _on_state(self, req: _Request, state: HandleState) -> None:
+        handle = req.handle
+        payload: dict[str, Any] = {"state": state.value, "steps": handle.steps}
+        if state.terminal:
+            payload.update(self.backend.outcome(handle))
             req.terminal = payload
+            # The payload is all an answered record needs; dropping the
+            # handle also breaks the record -> handle -> listener cycle.
+            req.handle = None
             self._finish(req, payload)
         conn = req.conn
         if req.stream and conn is not None and not conn.closed:
             event = {"event": "state", "request": req.rid, **payload}
             asyncio.ensure_future(conn.send(event))
-        if terminal:
+        if state.terminal:
             # `result` ops wait for a terminal state only; intermediate
             # transitions are observable via poll/stream.
             for fut in req.waiters:
@@ -616,7 +538,7 @@ class Gateway:
                 handle = req.handle
                 if handle is not None:
                     self.metrics.disconnect_cancels += 1
-                    self._cmds.put(lambda h=handle: self.backend.cancel(h))
+                    self._cmds.put(handle.cancel)
         conn.requests.clear()
 
     async def _dispatch(self, conn: _Connection, frame: dict[str, Any]) -> None:
@@ -687,10 +609,14 @@ class Gateway:
         req = _Request(rid, tenant, stream, conn)
         deadline = None if deadline_ms is None else deadline_ms / 1000.0
 
-        def _do_submit() -> tuple[Any, int]:
-            # One pump-thread round trip: submit *and* mark the output
-            # cursor, so output the session produced before this request
-            # (or during the gap) is never replayed to this client.
+        def listener(state: HandleState | None, text: str) -> None:
+            # Runs on whichever thread moved the handle: only marshal.
+            if stream or (state is not None and state.terminal):
+                self._call_soon(self._on_event, req, state, text)
+
+        def _do_submit() -> Any:
+            # Subscribed before a Host backend can tick it; a Cluster
+            # request may have moved already, and reports where it is.
             handle = self.backend.submit(
                 session,
                 source,
@@ -698,10 +624,11 @@ class Gateway:
                 deadline=deadline,
                 tenant=tenant,
             )
-            return handle, self.backend.output_mark(handle)
+            handle.subscribe(listener)
+            return handle
 
         try:
-            req.handle, req.output_cursor = await self._run_on_pump(_do_submit)
+            req.handle = await self._run_on_pump(_do_submit)
         except HostSaturated as exc:
             # The backend itself refused: same shed contract as a
             # quota refusal — structured busy, nothing buffered.
@@ -725,9 +652,14 @@ class Gateway:
         self.metrics.submits += 1
         self._requests[rid] = req
         conn.requests.add(rid)
-        await conn.send(
-            {"id": fid, "ok": True, "request": rid, "state": req.last_state.value}
-        )
+        try:
+            await conn.send(
+                {"id": fid, "ok": True, "request": rid, "state": HandleState.PENDING.value}
+            )
+        finally:  # release what the handle reported meanwhile, in order
+            held, req.held = req.held, None
+            for state, text in held:
+                self._on_event(req, state, text)
 
     def _lookup(self, frame: dict[str, Any]) -> _Request:
         rid = frame.get("request")
@@ -745,8 +677,8 @@ class Gateway:
         if req.terminal is not None:
             payload = req.terminal
         else:
-            state, steps = self.backend.state_of(req.handle)
-            payload = {"state": state.value, "steps": steps}
+            handle = req.handle
+            payload = {"state": handle.state.value, "steps": handle.steps}
         await conn.send({"id": fid, "ok": True, "request": req.rid, **payload})
 
     async def _op_result(
@@ -774,14 +706,16 @@ class Gateway:
             except asyncio.TimeoutError:
                 if fut in req.waiters:
                     req.waiters.remove(fut)
-                state, steps = self.backend.state_of(req.handle)
+                payload = req.terminal  # it may have landed since the timeout
+            if payload is None:
+                handle = req.handle
                 await conn.send(
                     {
                         "id": fid,
                         "ok": True,
                         "request": req.rid,
-                        "state": state.value,
-                        "steps": steps,
+                        "state": handle.state.value,
+                        "steps": handle.steps,
                         "timeout": True,
                     }
                 )
@@ -803,7 +737,7 @@ class Gateway:
             )
             return
         handle = req.handle
-        cancelled = await self._run_on_pump(lambda: self.backend.cancel(handle))
+        cancelled = await self._run_on_pump(handle.cancel)
         await conn.send(
             {"id": fid, "ok": True, "request": req.rid, "cancelled": bool(cancelled)}
         )

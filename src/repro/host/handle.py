@@ -1,33 +1,37 @@
-"""The :class:`EvalHandle`: one submitted evaluation, as a value.
+"""Request handles: one submitted evaluation, as a value.
 
-A handle is created by :meth:`Session.submit` and moves through a
+A handle is created by a frontend's ``submit`` and moves through a
 small state machine::
 
     PENDING ──▶ RUNNING ──▶ DONE
         │          │  └────▶ FAILED      (error / deadline / budget)
         └──────────┴───────▶ CANCELLED   (cooperative cancel)
 
-The terminal states are exactly those three; :meth:`EvalHandle.done`
-tests for them.  The handle carries the evaluation's per-request cost
-bounds (``max_steps``, a step budget relative to this evaluation, and
-``deadline_at``, an absolute wall-clock timestamp started at submit —
-queueing time counts against a request's deadline, as in any serving
-system), the per-form values produced so far, and the failure if one
-occurred.
+The terminal states are exactly those three; :meth:`Handle.done`
+tests for them.  :class:`Handle`, the base of every tier's handle,
+assigns the state in one place, :meth:`Handle._move`, which reports
+each change to the handle's listener — nobody has to poll a handle.
+
+:class:`EvalHandle`, the session/host tier's handle, carries the
+evaluation's per-request cost bounds (``max_steps``, a step budget
+relative to this evaluation, and ``deadline_at``, an absolute
+wall-clock timestamp started at submit — queueing time counts against
+a request's deadline, as in any serving system) and the per-form
+values produced so far.
 """
 
 from __future__ import annotations
 
 import enum
 from time import monotonic
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.counters import SerialCounter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.host.session import Session
 
-__all__ = ["EvalHandle", "HandleState"]
+__all__ = ["EvalHandle", "Handle", "HandleState", "Listener"]
 
 _handle_ids = SerialCounter()
 
@@ -39,11 +43,64 @@ class HandleState(enum.Enum):
     FAILED = "failed"  # an error, deadline or step budget ended it
     CANCELLED = "cancelled"  # cooperatively cancelled
 
+    @property
+    def terminal(self) -> bool:
+        return self in _TERMINAL
 
-_TERMINAL = (HandleState.DONE, HandleState.FAILED, HandleState.CANCELLED)
+
+_TERMINAL = frozenset((HandleState.DONE, HandleState.FAILED, HandleState.CANCELLED))
+
+#: ``(state, "")`` for a transition, ``(None, text)`` for output.
+Listener = Callable[[HandleState | None, str], None]
 
 
-class EvalHandle:
+class Handle:
+    """The state machine every request handle shares, with one
+    listener slot (:meth:`subscribe`).  The listener runs on whichever
+    thread moves the handle, so it should only hand the event on."""
+
+    __slots__ = ("state", "steps", "_exception", "_listener")
+
+    def __init__(self) -> None:
+        self.steps = 0
+        self._exception: BaseException | None = None
+        self._listener: Listener | None = None
+        self._move(HandleState.PENDING)
+
+    def done(self) -> bool:
+        """True once the handle is in a terminal state."""
+        return self.state in _TERMINAL
+
+    def exception(self) -> BaseException | None:
+        """The failure that ended this request, or None (also None
+        while still pending/running — this never blocks)."""
+        return self._exception
+
+    def subscribe(self, listener: Listener) -> None:
+        """Attach ``listener`` (replacing any earlier one).  A handle
+        that has already left PENDING reports its current state to the
+        new listener at once, so no transition can fall between a
+        submit returning and its caller subscribing."""
+        self._listener = listener
+        if self.state is not HandleState.PENDING:
+            listener(self.state, "")
+
+    def _move(self, state: HandleState, exc: BaseException | None = None) -> None:
+        """The only state assignment: record ``state`` (and the failure
+        that caused it) and report it to the listener."""
+        if exc is not None:
+            self._exception = exc
+        self.state = state
+        if self._listener is not None:
+            self._listener(state, "")
+
+    def _output(self, text: str) -> None:
+        """Report an output delta this request produced."""
+        if self._listener is not None and text:
+            self._listener(None, text)
+
+
+class EvalHandle(Handle):
     """A submitted evaluation; resolved by pumping its session."""
 
     __slots__ = (
@@ -53,13 +110,10 @@ class EvalHandle:
         "max_steps",
         "deadline_at",
         "tenant",
-        "state",
         "values",
-        "steps",
         "submitted_at",
         "report",
         "classification",
-        "_exception",
         "_cancel_requested",
         "_node_index",
         "_node_running",
@@ -74,15 +128,14 @@ class EvalHandle:
         deadline_at: float | None = None,
         tenant: str | None = None,
     ):
+        super().__init__()
         self.uid = next(_handle_ids)
         self.session = session
         self.nodes = nodes
         self.max_steps = max_steps
         self.deadline_at = deadline_at
         self.tenant = tenant  # attribution label (gateway quota accounting)
-        self.state = HandleState.PENDING
         self.values: list[Any] = []  # one value per completed top-level form
-        self.steps = 0  # machine steps spent on this evaluation
         self.submitted_at = monotonic()  # for request-latency histograms
         # Capture/effect analysis results (repro.analysis.effects): the
         # ProgramReport from submit (transient — not serialized) and the
@@ -90,21 +143,9 @@ class EvalHandle:
         # with analysis off).
         self.report: Any = None
         self.classification: str = "unknown"
-        self._exception: BaseException | None = None
         self._cancel_requested = False
         self._node_index = 0  # next form to evaluate
         self._node_running = False  # a tree for nodes[_node_index] is in flight
-
-    # -- inspection ------------------------------------------------------
-
-    def done(self) -> bool:
-        """True once the handle is in a terminal state."""
-        return self.state in _TERMINAL
-
-    def exception(self) -> BaseException | None:
-        """The failure that ended this evaluation, or None (also None
-        while still pending/running — this never blocks)."""
-        return self._exception
 
     def result(self) -> Any:
         """The value of the evaluation's *last* form.
@@ -121,20 +162,12 @@ class EvalHandle:
             raise self._exception
         return self.values[-1] if self.values else None
 
-    # -- control ---------------------------------------------------------
-
     def cancel(self) -> bool:
         """Request cooperative cancellation; returns True if the handle
         was still cancellable.  A queued handle is cancelled on the
         spot; an in-flight one is discarded at the next quantum
         boundary (immediately when called between pumps)."""
         return self.session.cancel(self)
-
-    # -- internal --------------------------------------------------------
-
-    def _fail(self, exc: BaseException, state: HandleState = HandleState.FAILED) -> None:
-        self._exception = exc
-        self.state = state
 
     def __repr__(self) -> str:
         return (

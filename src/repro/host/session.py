@@ -209,6 +209,7 @@ class Session:
         self._pending: deque[EvalHandle] = deque()
         self._active: EvalHandle | None = None
         self._in_pump = False
+        self._output_from = 0  # active handle's unreported output.parts
         self.metrics = SessionMetrics()
         if prelude:
             nodes, macros = prelude_image()
@@ -399,8 +400,9 @@ class Session:
                     if not self._pending:
                         break
                     handle = self._pending.popleft()
-                    handle.state = HandleState.RUNNING
                     self._active = handle
+                    self._output_from = len(self.output.parts)
+                    handle._move(HandleState.RUNNING)
                 served = True
                 if handle._cancel_requested:
                     self._abort_active(
@@ -421,7 +423,8 @@ class Session:
                     )
                     continue
                 if handle._node_index >= len(handle.nodes):
-                    handle.state = HandleState.DONE
+                    self._flush_output(handle)
+                    handle._move(HandleState.DONE)
                     self.metrics.evals_completed += 1
                     self._finish_request(handle)
                     self._active = None
@@ -513,11 +516,24 @@ class Session:
             self._in_pump = False
             if served:
                 self.metrics.quanta_served += 1
+            if self._active is not None:
+                self._flush_output(self._active)
 
     def _account(self, handle: EvalHandle, taken: int) -> int:
         handle.steps += taken
         self.metrics.steps_served += taken
         return taken
+
+    def _flush_output(self, handle: EvalHandle) -> None:
+        """Report output written since the mark to ``handle``, the
+        running request; a handle without a listener keeps its mark."""
+        if handle._listener is None:
+            return
+        parts = self.output.parts
+        if len(parts) > self._output_from:
+            text = "".join(parts[self._output_from:])
+            self._output_from = len(parts)
+            handle._output(text)
 
     def _finish_request(self, handle: EvalHandle) -> None:
         """Observe a request reaching *any* terminal state into the
@@ -533,12 +549,12 @@ class Session:
         every tick."""
         while self._pending:
             handle = self._pending.popleft()
-            handle._fail(
+            handle._move(
+                HandleState.CANCELLED,
                 SessionCancelled(
                     f"session {self.name}: evaluation {handle.uid} abandoned "
                     f"after session-fatal fault: {fault}"
                 ),
-                HandleState.CANCELLED,
             )
             self.metrics.evals_failed += 1
             self.metrics.cancellations += 1
@@ -554,8 +570,10 @@ class Session:
             self.machine.quantum_grant = None
             self.machine.abort_tree()
             handle._node_running = False
-        state = HandleState.CANCELLED if kind == "cancel" else HandleState.FAILED
-        handle._fail(exc, state)
+        self._flush_output(handle)
+        handle._move(
+            HandleState.CANCELLED if kind == "cancel" else HandleState.FAILED, exc
+        )
         self.metrics.evals_failed += 1
         if kind == "deadline":
             self.metrics.deadline_misses += 1
@@ -591,11 +609,11 @@ class Session:
                 )
             return True
         self._pending.remove(handle)
-        handle._fail(
+        handle._move(
+            HandleState.CANCELLED,
             SessionCancelled(
                 f"session {self.name}: evaluation {handle.uid} cancelled while queued"
             ),
-            HandleState.CANCELLED,
         )
         self.metrics.evals_failed += 1
         self.metrics.cancellations += 1

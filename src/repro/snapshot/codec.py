@@ -1297,6 +1297,7 @@ def _fill_handle(dec: _Decoder, r: Reader, handle: EvalHandle) -> None:
     handle.steps = rv(r)
     handle.submitted_at = dec.now - rv(r)
     handle._exception = None
+    handle._listener = None  # listeners are process-local, never encoded
     handle._cancel_requested = rv(r)
     handle._node_index = rv(r)
     handle._node_running = rv(r)

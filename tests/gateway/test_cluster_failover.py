@@ -41,22 +41,21 @@ _LONG_SOURCE = (
 
 def _suicidal_shard_main(flag_path: str):
     """A ``shard_main`` that SIGKILLs itself *after* computing a
-    submit whose source carries the die marker but *before* putting
+    submit whose source carries the die marker but *before* sending
     the reply — exactly the post-result-pre-reply window.  The flag
     file makes the death one-shot, so the replay on the respawned
     worker survives."""
 
-    def main(index, cmd_queue, result_queue):
+    def main(index, commands, replies):
         runtime = ShardRuntime(index)
         while True:
-            request_id, op, payload = cmd_queue.get()
+            op, payload = commands.recv()
             if op == "shutdown":
-                result_queue.put((request_id, "ok", None))
                 return
             try:
                 reply = runtime.handle(op, payload)
             except BaseException as exc:  # noqa: BLE001 - mirror shard_main
-                result_queue.put((request_id, "err", f"{type(exc).__name__}: {exc}"))
+                replies.send(("err", f"{type(exc).__name__}: {exc}"))
                 continue
             if (
                 op == "submit"
@@ -66,7 +65,7 @@ def _suicidal_shard_main(flag_path: str):
                 with open(flag_path, "w"):
                     pass
                 os.kill(os.getpid(), signal.SIGKILL)
-            result_queue.put((request_id, "ok", reply))
+            replies.send(("ok", reply))
 
     return main
 

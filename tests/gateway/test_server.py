@@ -246,7 +246,7 @@ def test_no_output_events_without_stream():
     run(main())
 
 
-def test_output_cursor_skips_prior_session_output():
+def test_stream_output_skips_prior_session_output():
     """A second streamed request on the same session sees only its own
     output, not the backlog the first request produced."""
 
@@ -264,6 +264,109 @@ def test_output_cursor_skips_prior_session_output():
             assert "".join(output) == "second"
 
     run(main())
+
+
+def test_stream_output_goes_to_the_request_that_wrote_it():
+    """Two streamed requests queued on one session: each one's output
+    events carry exactly what it displayed while it ran, even though
+    the second was submitted before the first had written anything."""
+
+    async def main():
+        async with serving() as (_, client):
+            await client.eval("s", "(define (spin n) (if (= n 0) 0 (spin (- n 1))))")
+            rid_a = await client.submit(
+                "s", '(spin 40000) (display "late-A")', stream=True
+            )
+            rid_b = await client.submit("s", '(display "B")', stream=True)
+
+            async def output_of(rid):
+                return [
+                    ev["text"]
+                    async for ev in client.events(rid)
+                    if ev.get("event") == "output"
+                ]
+
+            out_a, out_b = await asyncio.gather(output_of(rid_a), output_of(rid_b))
+            assert "".join(out_a) == "late-A"
+            assert "".join(out_b) == "B"
+
+    run(main())
+
+
+def test_stream_reports_running_even_within_one_tick():
+    """A request that starts and finishes inside one host tick still
+    streams both of its transitions."""
+
+    async def main():
+        async with serving() as (_, client):
+            rid = await client.submit("s", "(+ 2 3)", stream=True)
+            states = [ev["state"] async for ev in client.events(rid)]
+            assert states == ["running", "done"]
+
+    run(main())
+
+
+def test_every_streamed_cluster_request_ends_in_a_terminal_event():
+    """The cluster dispatcher can finish a request before its submit
+    ack is written; the gateway holds those events until the ack is out,
+    so no stream loses its terminal event."""
+
+    async def main():
+        cluster = Cluster(workers=0, session_defaults={"prelude": False})
+        try:
+            async with Gateway(cluster) as gw:
+                client = await GatewayClient.connect(gw.host, gw.port)
+                try:
+                    rids = [
+                        await client.submit(
+                            f"c{i % 4}", f"(+ {i} 1)", tenant=f"t{i % 4}", stream=True
+                        )
+                        for i in range(100)
+                    ]
+
+                    async def last_state(rid):
+                        return [ev async for ev in client.events(rid)][-1]["state"]
+
+                    finals = await asyncio.wait_for(
+                        asyncio.gather(*(last_state(r) for r in rids)), 5.0
+                    )
+                    assert finals == ["done"] * 100
+                finally:
+                    await client.close()
+        finally:
+            cluster.close()
+
+    run(main())
+
+
+@pytest.mark.parametrize("backend", ["host", "cluster"])
+def test_idle_pump_blocks_on_its_command_queue(backend):
+    """An idle gateway's pump thread sleeps in one blocking ``get``
+    instead of waking up to look for work."""
+
+    async def main(gw):
+        async with gw:
+            await asyncio.sleep(0.05)  # let the pump reach its queue
+            calls = 0
+            get = gw._cmds.get
+
+            def counting_get(*args, **kwargs):
+                nonlocal calls
+                calls += 1
+                return get(*args, **kwargs)
+
+            gw._cmds.get = counting_get
+            await asyncio.sleep(0.5)
+            assert calls <= 2
+
+    if backend == "host":
+        run(main(Gateway(Host())))
+    else:
+        cluster = Cluster(workers=0, session_defaults={"prelude": False})
+        try:
+            run(main(Gateway(cluster)))
+        finally:
+            cluster.close()
 
 
 def test_events_requires_stream_submit():
