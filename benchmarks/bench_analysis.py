@@ -119,7 +119,7 @@ def bench_overhead(repeats: int) -> dict[str, object]:
     # systematically favour one), and the per-stage minimum estimates
     # its true cost.  The gate compares the pipeline with and without
     # the analyze stage from the *same* measurements.
-    from repro.analysis.effects import AnalysisStats, annotate_program
+    from repro.analysis.effects import ANALYSIS_METRICS, annotate_program
     from repro.expander import ExpandEnv, expand_program
     from repro.ir.compile import compile_program
     from repro.ir.resolve import resolve_program
@@ -148,7 +148,7 @@ def bench_overhead(repeats: int) -> dict[str, object]:
         compile_program(resolved)
         best["compile"] = min(best["compile"], time.process_time() - t0)
         t0 = time.process_time()
-        annotate_program(resolved, session.globals, AnalysisStats())
+        annotate_program(resolved, session.globals, ANALYSIS_METRICS())
         best["analyze"] = min(best["analyze"], time.process_time() - t0)
     front = sum(best[stage] for stage in stages if stage != "analyze")
     ratio = (front + best["analyze"]) / front if front else 1.0

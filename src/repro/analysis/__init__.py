@@ -35,7 +35,7 @@ paper's criticism of it.
 """
 
 from repro.analysis.effects import (
-    AnalysisStats,
+    ANALYSIS_METRICS,
     EffectInfo,
     FormFacts,
     ProgramReport,
@@ -51,7 +51,7 @@ from repro.analysis.escape import (
 )
 
 __all__ = [
-    "AnalysisStats",
+    "ANALYSIS_METRICS",
     "EffectInfo",
     "FormFacts",
     "ProgramReport",

@@ -81,12 +81,13 @@ from repro.ir.nodes import (
 )
 from repro.machine.environment import UNBOUND
 from repro.machine.values import Closure, ControlPrimitive, MachineApplicable, Primitive
+from repro.obs.metrics import COUNTER, Metrics, declare
 
 __all__ = [
     "EffectInfo",
     "FormFacts",
     "ProgramReport",
-    "AnalysisStats",
+    "ANALYSIS_METRICS",
     "GRANT_QUANTUM",
     "annotate_program",
     "single_task_form",
@@ -198,44 +199,20 @@ class EffectInfo:
         return f"EffectInfo({', '.join(flags) if flags else 'bottom'})"
 
 
-@dataclass
-class AnalysisStats:
-    """Counters for the analysis phase, merged into ``Session.stats``
-    under the ``analysis.`` namespace (mirrors ``ResolverStats``)."""
-
-    #: Top-level forms analyzed (prelude included).
-    forms: int = 0
-    #: Lambda nodes stamped with an :class:`EffectInfo`.
-    lambdas: int = 0
-    #: Of those, how many proved capture-free / spawn-free / known-total.
-    capture_free: int = 0
-    spawn_free: int = 0
-    known_total: int = 0
-    #: Spawn sites seen across analyzed forms.
-    spawn_sites: int = 0
-    #: Worklist recomputations of program-local defines (each is one
-    #: walk of that define's body under the current assumptions).
-    fixpoint_passes: int = 0
-    #: Forms granted an enlarged quantum by the pump-time validator.
-    grants: int = 0
-
-    # Field order is the snapshot codec's wire order for the stats tuple.
-    _FIELDS = (
-        "forms",
-        "lambdas",
-        "capture_free",
-        "spawn_free",
-        "known_total",
-        "spawn_sites",
-        "fixpoint_passes",
-        "grants",
-    )
-
-    def as_dict(self) -> dict[str, int]:
-        # Prefixed like ResolverStats.as_dict, so Session.stats can both
-        # namespace them (``analysis.forms``) and keep a flat alias
-        # (``analysis_forms``) without colliding with machine counters.
-        return {f"analysis_{name}": getattr(self, name) for name in self._FIELDS}
+#: Counters for the analysis phase (``analysis.*`` in ``stats``).
+ANALYSIS_METRICS = declare(
+    "analysis",
+    [
+        ("forms", COUNTER, "top-level forms analyzed, prelude included"),
+        ("lambdas", COUNTER, "lambdas stamped with an EffectInfo"),
+        ("capture_free", COUNTER, "stamped lambdas proven capture-free"),
+        ("spawn_free", COUNTER, "stamped lambdas proven spawn-free"),
+        ("known_total", COUNTER, "stamped lambdas proven known-total"),
+        ("spawn_sites", COUNTER, "spawn sites seen across analyzed forms"),
+        ("fixpoint_passes", COUNTER, "walks of a program-local define's body by the worklist"),
+        ("grants", COUNTER, "forms granted an enlarged quantum by the pump-time validator"),
+    ],
+)
 
 
 @dataclass
@@ -333,7 +310,7 @@ _EXIT = _ExitLambda()
 class _Analyzer:
     """One :func:`annotate_program` run over a resolved program."""
 
-    def __init__(self, globals_: Any, stats: AnalysisStats) -> None:
+    def __init__(self, globals_: Any, stats: Metrics) -> None:
         self.globals = globals_
         self.stats = stats
         # Program-local (define name (lambda ...)) bindings: cell -> lambdas.
@@ -594,7 +571,7 @@ def _classify(facts: tuple, n_sites: int) -> str:
 
 
 def annotate_program(
-    nodes: list[Node], globals_: Any, stats: AnalysisStats | None = None
+    nodes: list[Node], globals_: Any, stats: Metrics | None = None
 ) -> ProgramReport:
     """Analyze a resolved program, stamping facts onto its lambdas.
 
@@ -606,7 +583,7 @@ def annotate_program(
     (see :func:`single_task_form`).
     """
     if stats is None:
-        stats = AnalysisStats()
+        stats = ANALYSIS_METRICS()
     analyzer = _Analyzer(globals_, stats)
     analyzer.prepass(nodes)
     analyzer.fixpoint()

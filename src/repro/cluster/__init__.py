@@ -11,14 +11,12 @@ when a shard process dies.  See ``docs/CLUSTER.md``.
 
 from repro.cluster.cluster import Cluster, ClusterResult
 from repro.cluster.handle import ClusterHandle
-from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.shard import ShardRuntime, shard_main
 from repro.cluster.store import DirectoryStore, MemoryStore, SnapshotStore
 
 __all__ = [
     "Cluster",
     "ClusterHandle",
-    "ClusterMetrics",
     "ClusterResult",
     "DirectoryStore",
     "MemoryStore",

@@ -46,7 +46,6 @@ from typing import Any, Callable
 
 from repro.clock import MONOTONIC
 from repro.cluster.handle import ClusterHandle
-from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.shard import ShardRuntime, shard_main
 from repro.cluster.store import MemoryStore, SnapshotStore
 from repro.errors import (
@@ -58,8 +57,32 @@ from repro.errors import (
 )
 from repro.host.handle import HandleState
 from repro.host.session import prelude_image
+from repro.obs.metrics import COUNTER, HISTOGRAM, declare
+from repro.obs.recorder import as_recorder
 
-__all__ = ["Cluster", "ClusterResult"]
+__all__ = ["CLUSTER_METRICS", "Cluster", "ClusterResult"]
+
+#: Front-side counters and distributions (``cluster.*`` in ``stats``).
+CLUSTER_METRICS = declare(
+    "cluster",
+    [
+        ("submits", COUNTER, "requests accepted by the front"),
+        ("completed", COUNTER, "requests that returned ok"),
+        ("failed", COUNTER, "requests that failed: evaluation error, deadline or infrastructure"),
+        ("saturations", COUNTER, "submits refused by the bounded front queue"),
+        ("cancellations", COUNTER, "requests cancelled while queued, or abandoned at close"),
+        ("snapshots", COUNTER, "blobs persisted to the store"),
+        ("restores", COUNTER, "sessions rehydrated onto a shard"),
+        ("migrations", COUNTER, "explicit session moves between shards"),
+        ("recoveries", COUNTER, "requests replayed after a shard death"),
+        ("respawns", COUNTER, "worker processes restarted"),
+        ("evictions", COUNTER, "sessions snapshotted out of shard memory"),
+        ("snapshot_bytes", HISTOGRAM, "blob size per snapshot"),
+        ("snapshot_us", HISTOGRAM, "snapshot encode latency, measured on the shard, in µs"),
+        ("restore_us", HISTOGRAM, "snapshot decode latency, measured on the shard, in µs"),
+        ("request_us", HISTOGRAM, "front-side submit round-trip, in µs"),
+    ],
+)
 
 _cluster_ids = itertools.count()
 
@@ -258,7 +281,7 @@ class Cluster:
         self.store = store if store is not None else MemoryStore()
         self.session_defaults = dict(session_defaults or {})
         self.max_pending = max(1, max_pending)
-        self.metrics = ClusterMetrics()
+        self.metrics = CLUSTER_METRICS()
         # The dispatcher thread serializes shard round-trips; the op
         # lock additionally serializes them against mobility calls
         # (evict/migrate/snapshot_now) from the caller's thread, so
@@ -268,14 +291,7 @@ class Cluster:
         self._queue: deque[ClusterHandle] = deque()
         self._inflight: ClusterHandle | None = None
         self._dispatcher: threading.Thread | None = None
-        if record is True:
-            from repro.obs.recorder import Recorder
-
-            self.recorder = Recorder()
-        elif record is False:
-            self.recorder = None
-        else:
-            self.recorder = record
+        self.recorder = as_recorder(record)
         #: session id -> shard index where the session is live in RAM.
         self._resident: dict[str, int] = {}
         #: session id -> pinned shard (set by migrate); else hashed.
@@ -446,41 +462,45 @@ class Cluster:
     def _execute(self, handle: ClusterHandle) -> None:
         """One request, start to terminal state (dispatcher thread)."""
         t0 = perf_counter()
+        result: ClusterResult | None = None
+        failure: BaseException | None = None
         deadline: float | None = None
         if handle.deadline_at is not None:
             deadline = handle.deadline_at - self._clock()
-            if deadline <= 0:
-                self.metrics.failed += 1
-                handle._resolve(
-                    exc=DeadlineExceeded(
-                        f"cluster {self.name}: request {handle.uid} missed its "
-                        "wall-clock deadline while queued",
-                        steps=0,
-                    )
-                )
-                return
-        rec = self.recorder
-        try:
-            with self._op_lock:
-                if rec is not None and rec.enabled:
-                    with rec.span("cluster.submit", handle.session_id, track="cluster"):
+        if deadline is not None and deadline <= 0:
+            failure = DeadlineExceeded(
+                f"cluster {self.name}: request {handle.uid} missed its "
+                "wall-clock deadline while queued",
+                steps=0,
+            )
+        else:
+            rec = self.recorder
+            try:
+                with self._op_lock:
+                    if rec is not None and rec.enabled:
+                        with rec.span("cluster.submit", handle.session_id, track="cluster"):
+                            result = self._submit_once(
+                                handle.session_id, handle.source, handle.max_steps, deadline
+                            )
+                    else:
                         result = self._submit_once(
                             handle.session_id, handle.source, handle.max_steps, deadline
                         )
-                else:
-                    result = self._submit_once(
-                        handle.session_id, handle.source, handle.max_steps, deadline
-                    )
-        except BaseException as exc:  # noqa: BLE001 - resolve, never kill the loop
-            self.metrics.failed += 1
-            handle._resolve(exc=exc)
-            return
-        self.metrics.request_us.observe((perf_counter() - t0) * 1e6)
-        if result.ok:
-            self.metrics.completed += 1
-        else:
-            self.metrics.failed += 1
-        handle._resolve(result=result)
+            except BaseException as exc:  # noqa: BLE001 - resolve, never kill the loop
+                failure = exc
+        with self._cv:
+            # close() may have abandoned the request meanwhile; the
+            # resolution that wins is the only outcome counted, and it
+            # is counted before the handle wakes anyone.
+            if handle.done():
+                return
+            if result is not None:
+                self.metrics.request_us.observe((perf_counter() - t0) * 1e6)
+            if result is not None and result.ok:
+                self.metrics.completed += 1
+            else:
+                self.metrics.failed += 1
+            handle._resolve(result=result, exc=failure)
 
     def _submit_once(
         self,
@@ -676,20 +696,21 @@ class Cluster:
         if dispatcher is not None:
             dispatcher.join(timeout=join_timeout)
         # A wedged shard can hold the dispatcher past the join timeout;
-        # the caller still gets the terminal-state guarantee.  Handle
-        # resolution is idempotent (first wins), so if the round-trip
-        # does eventually return, the dispatcher's resolve is a no-op.
+        # the caller still gets the terminal-state guarantee.  Both
+        # sides resolve under the condition lock and only a handle that
+        # is not yet terminal, so if the round-trip does eventually
+        # return, the dispatcher neither resolves nor counts it again.
         with self._cv:
             inflight = self._inflight
-        if inflight is not None and not inflight.done():
-            self.metrics.cancellations += 1
-            inflight._resolve(
-                exc=SessionCancelled(
-                    f"cluster {self.name}: request {inflight.uid} abandoned "
-                    "in flight at close"
-                ),
-                state=HandleState.CANCELLED,
-            )
+            if inflight is not None and not inflight.done():
+                self.metrics.cancellations += 1
+                inflight._resolve(
+                    exc=SessionCancelled(
+                        f"cluster {self.name}: request {inflight.uid} abandoned "
+                        "in flight at close"
+                    ),
+                    state=HandleState.CANCELLED,
+                )
         for shard in self.shards:
             shard.shutdown()
 

@@ -10,7 +10,6 @@ See ``docs/SERVING.md`` for the wire protocol and shed contract.
 """
 
 from repro.gateway.client import GatewayClient, GatewayClientPool
-from repro.gateway.metrics import GatewayMetrics
 from repro.gateway.protocol import (
     ERROR_CODES,
     MAX_FRAME_BYTES,
@@ -28,7 +27,6 @@ __all__ = [
     "GatewayClient",
     "GatewayClientPool",
     "GatewayLimits",
-    "GatewayMetrics",
     "MAX_FRAME_BYTES",
     "OPS",
     "QuotaTable",

@@ -47,14 +47,46 @@ from repro.clock import MONOTONIC
 from repro.cluster.cluster import Cluster
 from repro.cluster.handle import ClusterHandle
 from repro.errors import FrameError, GatewayError, HostSaturated, ShardDied
-from repro.gateway.metrics import GatewayMetrics
 from repro.gateway.protocol import OPS, decode_frame, encode_frame, error_frame
 from repro.gateway.quota import GatewayLimits, QuotaTable
 from repro.host.handle import EvalHandle, HandleState
 from repro.host.host import Host
-from repro.obs.recorder import Recorder
+from repro.obs.metrics import COUNTER, HISTOGRAM, declare
+from repro.obs.recorder import Recorder, as_recorder
 
-__all__ = ["Gateway"]
+__all__ = ["GATEWAY_METRICS", "Gateway", "RECOVERY_METRICS"]
+
+#: Gateway counters and latencies (``gateway.*`` in ``stats``).  Mutated
+#: only on the asyncio thread — terminal states are marshalled there
+#: before they are counted — so reads from that thread need no lock.
+GATEWAY_METRICS = declare(
+    "gateway",
+    [
+        ("connections", COUNTER, "connections accepted"),
+        ("disconnects", COUNTER, "connections ended, for any reason"),
+        ("frames", COUNTER, "client frames parsed"),
+        ("submits", COUNTER, "submits admitted to the backend"),
+        ("completed", COUNTER, "admitted requests that reached DONE"),
+        ("failed", COUNTER, "admitted requests that reached FAILED"),
+        ("cancelled", COUNTER, "admitted requests that reached CANCELLED"),
+        ("shed", COUNTER, "submits refused with a busy reply"),
+        ("protocol_errors", COUNTER, "bad-frame, oversize, unknown-op and invalid replies"),
+        ("disconnect_cancels", COUNTER, "requests cancelled because their client left"),
+        ("output_events", COUNTER, "streamed session-output event frames sent"),
+        ("request_us", HISTOGRAM, "admission to terminal state, per request, in µs"),
+        ("result_wait_us", HISTOGRAM, "time a blocking result op waited, in µs"),
+    ],
+)
+
+#: The failure-transparency counters (``gateway.recovery.*``, the
+#: wire-visible contract of docs/SERVING.md).
+RECOVERY_METRICS = declare(
+    "gateway.recovery",
+    [
+        ("replays", COUNTER, "terminal answers recovered by snapshot replay"),
+        ("failures", COUNTER, "shard deaths answered with recovered: false"),
+    ],
+)
 
 _gateway_ids = itertools.count()
 
@@ -281,13 +313,9 @@ class Gateway:
         self.host = host
         self.port = port
         self.limits = limits if limits is not None else GatewayLimits()
-        self.metrics = GatewayMetrics()
-        if record is True:
-            self.recorder: Recorder | None = Recorder()
-        elif record is False:
-            self.recorder = None
-        else:
-            self.recorder = record
+        self.metrics = GATEWAY_METRICS()
+        self.recovery = RECOVERY_METRICS()
+        self.recorder = as_recorder(record)
         self.quota = QuotaTable(self.limits, clock=clock)
         self._requests: dict[int, _Request] = {}
         self._rids = itertools.count(1)
@@ -457,9 +485,9 @@ class Gateway:
         if recovered is True:
             # A shard died under this request and a snapshot replay on
             # a respawned worker still produced the answer.
-            self.metrics.recovery_replays += 1
+            self.recovery.replays += 1
         elif recovered is False:
-            self.metrics.recovery_failures += 1
+            self.recovery.failures += 1
         dur = perf_counter() - req.admitted_ts
         self.metrics.request_us.observe(dur * 1e6)
         rec = self.recorder
@@ -743,10 +771,8 @@ class Gateway:
         )
 
     async def _op_stats(self, conn: _Connection, fid: Any) -> None:
-        backend_stats = await self._run_on_pump(self.backend.stats)
-        stats = dict(backend_stats)
-        stats.update(self.metrics.as_dict())
-        stats["gateway.inflight"] = self.quota.inflight
+        stats = await self._run_on_pump(self.backend.stats)
+        stats.update(self.stats)
         await conn.send({"id": fid, "ok": True, "stats": stats})
 
     # -- introspection ---------------------------------------------------
@@ -756,6 +782,7 @@ class Gateway:
         """Gateway counters (``gateway.*``); backend stats stay on the
         backend object (or come over the wire via the ``stats`` op)."""
         out = self.metrics.as_dict()
+        out.update(self.recovery.as_dict())
         out["gateway.inflight"] = self.quota.inflight
         out["gateway.tracked_requests"] = len(self._requests)
         return out

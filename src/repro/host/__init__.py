@@ -17,7 +17,6 @@ for a complete multi-tenant demo.
 from repro.errors import DeadlineExceeded, HostError, HostSaturated, SessionCancelled
 from repro.host.handle import EvalHandle, HandleState
 from repro.host.host import DEFICIT_CAP_TICKS, Host, HostPolicy
-from repro.host.metrics import HostMetrics, SessionMetrics
 from repro.host.session import Session
 
 __all__ = [
@@ -27,10 +26,8 @@ __all__ = [
     "HandleState",
     "Host",
     "HostError",
-    "HostMetrics",
     "HostPolicy",
     "HostSaturated",
     "Session",
     "SessionCancelled",
-    "SessionMetrics",
 ]

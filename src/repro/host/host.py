@@ -38,11 +38,26 @@ from typing import Any, Iterator
 
 from repro.errors import HostSaturated, ReproError
 from repro.host.handle import EvalHandle
-from repro.host.metrics import HostMetrics
-from repro.host.session import Session
-from repro.obs.recorder import Recorder
+from repro.host.session import SESSION_METRICS, Session
+from repro.obs.metrics import COUNTER, HISTOGRAM, declare
+from repro.obs.recorder import Recorder, as_recorder
 
-__all__ = ["DEFICIT_CAP_TICKS", "Host", "HostPolicy"]
+__all__ = ["DEFICIT_CAP_TICKS", "HOST_METRICS", "Host", "HostPolicy"]
+
+#: Host-level counters (``host.*`` in ``stats``); the sessions' own
+#: roll up separately, under ``host.sessions.*``.
+HOST_METRICS = declare(
+    "host",
+    [
+        ("ticks", COUNTER, "scheduling rounds run"),
+        ("submits", COUNTER, "evaluations accepted host-wide"),
+        ("saturations", COUNTER, "submits refused by the host-wide or a per-session bound"),
+        ("steps_served", COUNTER, "machine steps executed across all sessions"),
+        ("session_faults", COUNTER, "pumps that surfaced a session-fatal error"),
+        ("tick_us", HISTOGRAM, "wall-clock duration per tick, in µs"),
+        ("steps_per_tick", HISTOGRAM, "machine steps per tick"),
+    ],
+)
 
 _host_ids = itertools.count()
 
@@ -114,13 +129,8 @@ class Host:
         self.sessions: list[Session] = []
         self._by_name: dict[str, Session] = {}
         self._deficit: dict[str, int] = {}
-        self.metrics = HostMetrics()
-        if record is True:
-            self.recorder: Recorder | None = Recorder()
-        elif record is False:
-            self.recorder = None
-        else:
-            self.recorder = record
+        self.metrics = HOST_METRICS()
+        self.recorder = as_recorder(record)
 
     # -- membership ------------------------------------------------------
 
@@ -237,7 +247,7 @@ class Host:
         else:
             total = self._tick()
         self.metrics.tick_us.observe((_perf_counter() - t0) * 1e6)
-        self.metrics.tick_steps.observe(total)
+        self.metrics.steps_per_tick.observe(total)
         return total
 
     def _tick(self) -> int:
@@ -298,17 +308,13 @@ class Host:
 
     @property
     def stats(self) -> dict[str, int]:
-        """Host counters (``host.*``) plus per-session rollups of the
-        serving counters (summed across sessions, ``host.sessions.*``)."""
+        """Host counters (``host.*``) plus the sessions' serving
+        counters rolled up under ``host.sessions.*``: summed, except
+        the high-water ``max_queue_depth``, which is the largest."""
         out = self.metrics.as_dict()
         out["host.sessions"] = len(self.sessions)
-        rollup: dict[str, int] = {}
-        for session in self.sessions:
-            for key, value in session.metrics.as_dict().items():
-                short = key.split(".", 1)[1]
-                rollup[short] = rollup.get(short, 0) + value
-        for key, value in sorted(rollup.items()):
-            out[f"host.sessions.{key}"] = value
+        rollup = SESSION_METRICS.rollup(session.metrics for session in self.sessions)
+        out.update(rollup.as_dict("host.sessions"))
         return out
 
     def session_stats(self) -> dict[str, dict[str, int]]:
@@ -322,7 +328,7 @@ class Host:
         ``BENCH_results.json``)."""
         out: dict[str, Any] = self.metrics.histograms()
         for session in self.sessions:
-            out.update(session.metrics.histograms(prefix=f"session.{session.name}"))
+            out.update(session.metrics.histograms(f"session.{session.name}"))
         return out
 
     def __repr__(self) -> str:

@@ -55,19 +55,18 @@ from repro.errors import (
     StepBudgetExceeded,
 )
 from repro.analysis.effects import (
+    ANALYSIS_METRICS,
     GRANT_QUANTUM,
-    AnalysisStats,
     annotate_program,
     single_task_form,
 )
 from repro.expander import ExpandEnv, expand_program
 from repro.control import register_control_primitives
 from repro.host.handle import EvalHandle, HandleState
-from repro.host.metrics import SessionMetrics
 from repro.ir import (
-    CodegenStats,
-    CompileStats,
-    ResolverStats,
+    CODEGEN_METRICS,
+    COMPILE_METRICS,
+    RESOLVER_METRICS,
     codegen_program,
     compile_program,
     resolve_program,
@@ -77,11 +76,34 @@ from repro.lib import PRELUDE, paper_examples
 from repro.lib.derived import LIBRARIES
 from repro.machine.environment import GlobalEnv
 from repro.machine.scheduler import Engine, Machine, SchedulerPolicy, normalize_engine
+from repro.obs.metrics import COUNTER, HIGH_WATER, HISTOGRAM, declare
 from repro.obs.recorder import Recorder
 from repro.primitives import OutputBuffer, install_primitives
 from repro.reader import read_all
 
-__all__ = ["Session", "prelude_image"]
+__all__ = ["SESSION_METRICS", "Session", "prelude_image"]
+
+#: A session's serving counters (``session.*`` in ``stats``), updated
+#: by its submit path and pump loop.
+SESSION_METRICS = declare(
+    "session",
+    [
+        ("submits", COUNTER, "evaluations accepted into the queue"),
+        ("evals_completed", COUNTER, "handles that reached DONE"),
+        ("evals_failed", COUNTER, "handles that reached FAILED or CANCELLED"),
+        ("deadline_misses", COUNTER, "step-budget or wall-clock expiries"),
+        ("cancellations", COUNTER, "cooperative cancels, queued or in flight"),
+        ("saturations", COUNTER, "submits refused by the queue bound"),
+        ("quanta_served", COUNTER, "pump calls that found work"),
+        ("steps_served", COUNTER, "machine steps executed on behalf of evaluations"),
+        ("max_queue_depth", HIGH_WATER, "peak of queued plus in-flight evaluations"),
+        ("submits_pure", COUNTER, "submits the analysis classified pure"),
+        ("submits_capture_heavy", COUNTER, "submits the analysis classified capture-heavy"),
+        ("submits_spawning", COUNTER, "submits the analysis classified spawning"),
+        ("latency_us", HISTOGRAM, "submit to terminal state, per request, in µs"),
+        ("steps_per_request", HISTOGRAM, "machine steps, per request"),
+    ],
+)
 
 _session_ids = itertools.count()
 
@@ -186,10 +208,10 @@ class Session:
         self.name = name if name is not None else f"session-{next(_session_ids)}"
         self.engine = engine
         self.analysis = bool(analysis)
-        self.analysis_stats = AnalysisStats()
-        self.resolver_stats = ResolverStats()
-        self.compile_stats = CompileStats()
-        self.codegen_stats = CodegenStats()
+        self.analysis_stats = ANALYSIS_METRICS()
+        self.resolver_stats = RESOLVER_METRICS()
+        self.compile_stats = COMPILE_METRICS()
+        self.codegen_stats = CODEGEN_METRICS()
         self.globals = GlobalEnv()
         self.output = install_primitives(self.globals, OutputBuffer(echo=echo_output))
         register_control_primitives(self.globals)
@@ -210,7 +232,7 @@ class Session:
         self._active: EvalHandle | None = None
         self._in_pump = False
         self._output_from = 0  # active handle's unreported output.parts
-        self.metrics = SessionMetrics()
+        self.metrics = SESSION_METRICS()
         if prelude:
             nodes, macros = prelude_image()
             self.expand_env.macros.update(macros)
@@ -219,7 +241,7 @@ class Session:
             recorder, self.machine.recorder = self.machine.recorder, None
             self.drive(self._enqueue(list(nodes)))
             self.machine.recorder = recorder
-            self.metrics = SessionMetrics()
+            self.metrics = SESSION_METRICS()
         self.machine.steps_total = 0
         self.machine.max_steps = max_steps
 
@@ -538,8 +560,8 @@ class Session:
     def _finish_request(self, handle: EvalHandle) -> None:
         """Observe a request reaching *any* terminal state into the
         session's latency and steps histograms."""
-        latency_us = (_monotonic() - handle.submitted_at) * 1e6
-        self.metrics.observe_request(latency_us, handle.steps)
+        self.metrics.latency_us.observe((_monotonic() - handle.submitted_at) * 1e6)
+        self.metrics.steps_per_request.observe(handle.steps)
 
     def _fail_pending(self, fault: BaseException) -> None:
         """Session-fatal fault containment: resolve every still-queued
@@ -746,23 +768,21 @@ class Session:
 
     @property
     def stats(self) -> dict[str, int]:
-        """Machine counters plus the compile-stage and VM counters,
-        namespaced (``resolver.*``, ``compile.*``, ``vm.*``,
-        ``session.*``).  Namespacing makes the merge collision-safe —
-        a namespaced key can never silently overwrite a machine
-        counter.  The pre-1.4 flat aliases (``resolver_locals``,
-        ``compile_nodes``, ``vm_quanta``, ...) are gone; see the 1.4.0
-        release note in README.md."""
+        """Machine counters plus the compile-stage, VM and serving
+        counters, namespaced (``resolver.*``, ``analysis.*``,
+        ``compile.*`` or ``codegen.*``, ``vm.*``, ``session.*``), so no
+        key can overwrite a machine counter."""
         out = dict(self.machine.stats)
-        _merge_namespaced(out, "resolver", self.resolver_stats.as_dict())
+        out.update(self.resolver_stats.as_dict())
         if self.analysis:
-            _merge_namespaced(out, "analysis", self.analysis_stats.as_dict())
+            out.update(self.analysis_stats.as_dict())
         if self.engine == "codegen":
-            _merge_namespaced(out, "codegen", self.codegen_stats.as_dict())
+            out.update(self.codegen_stats.as_dict())
         else:
-            _merge_namespaced(out, "compile", self.compile_stats.as_dict())
+            out.update(self.compile_stats.as_dict())
         if self.machine.profile:
-            _merge_namespaced(out, "vm", self.machine.vm_stats)
+            # The machine's own plain dict, keyed ``vm_<name>``.
+            out.update({k.replace("_", ".", 1): v for k, v in self.machine.vm_stats.items()})
         out.update(self.metrics.as_dict())
         return out
 
@@ -771,13 +791,3 @@ class Session:
             f"#<session {self.name} engine={self.engine} "
             f"depth={self.queue_depth} {'idle' if self.idle else 'busy'}>"
         )
-
-
-def _merge_namespaced(out: dict[str, int], prefix: str, counters: dict[str, int]) -> None:
-    """Merge ``counters`` under ``prefix.*`` (the stats records export
-    raw ``prefix_name`` keys; the namespaced form is the only public
-    spelling since 1.4.0)."""
-    marker = prefix + "_"
-    for key, value in counters.items():
-        short = key[len(marker):] if key.startswith(marker) else key
-        out[f"{prefix}.{short}"] = value

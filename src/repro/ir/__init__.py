@@ -30,15 +30,15 @@ from repro.ir.nodes import (
 from repro.ir.free_vars import free_variables
 from repro.ir.hashing import stable_hash
 from repro.ir.pretty import pretty
-from repro.ir.resolve import ResolverStats, resolve_node, resolve_program
+from repro.ir.resolve import RESOLVER_METRICS, resolve_node, resolve_program
 
 # Imported last: repro.ir.compile and repro.ir.codegen depend on
 # repro.machine (down to repro.machine.step, whose apply_deliver the
 # emitted code calls), which in turn imports repro.ir — by this point
 # every name above is bound, so importing repro.ir first (as the
 # package root does) resolves the cycle.
-from repro.ir.compile import CompileStats, compile_node, compile_program
-from repro.ir.codegen import CodegenStats, codegen_node, codegen_program
+from repro.ir.compile import COMPILE_METRICS, compile_node, compile_program
+from repro.ir.codegen import CODEGEN_METRICS, codegen_node, codegen_program
 
 __all__ = [
     "Node",
@@ -58,13 +58,13 @@ __all__ = [
     "free_variables",
     "pretty",
     "stable_hash",
-    "ResolverStats",
+    "RESOLVER_METRICS",
     "resolve_node",
     "resolve_program",
-    "CompileStats",
+    "COMPILE_METRICS",
     "compile_node",
     "compile_program",
-    "CodegenStats",
+    "CODEGEN_METRICS",
     "codegen_node",
     "codegen_program",
 ]

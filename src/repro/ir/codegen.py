@@ -78,15 +78,13 @@ entry (counted as a miss).  Stats: ``codegen.hits`` / ``misses`` /
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from time import perf_counter
 from types import CodeType
 from typing import Any, Callable
 
 from repro.datum import UNSPECIFIED
 from repro.errors import CompileError, UnboundVariableError
-from repro.ir.compile import compile_node
-from repro.ir.compile import CompileStats as _ScratchStats
+from repro.ir.compile import COMPILE_METRICS, compile_node
 from repro.ir.hashing import stable_hash
 from repro.ir.nodes import (
     App,
@@ -118,9 +116,10 @@ from repro.machine.step import apply_deliver
 from repro.machine.task import EVAL, VALUE, Task, TaskState
 from repro.machine.tree import replace_child
 from repro.machine.values import Closure, Primitive
+from repro.obs.metrics import COUNTER, Metrics, declare
 
 __all__ = [
-    "CodegenStats",
+    "CODEGEN_METRICS",
     "codegen_node",
     "codegen_program",
     "emitted_source",
@@ -166,57 +165,26 @@ _CACHE_CAPACITY = 256
 _CODE_CACHE: "OrderedDict[str, tuple[str, CodeType]]" = OrderedDict()
 
 
-@dataclass
-class CodegenStats:
-    """Counters accumulated across every ``codegen_program`` call of a
-    session (surfaced by ``,stats`` and the ``codegen.*`` namespace)."""
-
-    #: Code-cache hits (digest present and regenerated source matched).
-    hits: int = 0
-    #: Cache misses (first emit, or a source-verification mismatch).
-    misses: int = 0
-    #: LRU evictions.
-    evictions: int = 0
-    #: Total microseconds spent in ``codegen_node`` (emit + compile +
-    #: exec), cache hits included.
-    emit_us: int = 0
-    nodes_emitted: int = 0
-    lambdas_emitted: int = 0
-    #: Applications whose operator and every operand were evaluated and
-    #: dispatched inline (no AppFrame on the happy path).
-    apps_inlined: int = 0
-    #: ``if`` tests decided inline (trivial or primitive-guarded).
-    tests_inlined: int = 0
-    #: Primitive-guard inline sites (operands and tests of the shape
-    #: ``(global-op trivial...)``).
-    prims_inlined: int = 0
-    #: Direct-lambda (``let``-shaped) bodies inlined into their caller.
-    inline_bodies: int = 0
-    #: Self-call apply sites inlined one level behind a runtime
-    #: ``closure.body is <emitted-fn>`` identity guard.
-    self_inlines: int = 0
-    #: Inlined bodies whose S25 ``capture_free`` ∧ ``spawn_free`` proof
-    #: let the emitter elide the eager ``task.env`` spill.
-    spill_elisions: int = 0
-    #: Cold fallback thunks built with the closure compiler.
-    fallback_nodes: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "codegen_hits": self.hits,
-            "codegen_misses": self.misses,
-            "codegen_evictions": self.evictions,
-            "codegen_emit_us": self.emit_us,
-            "codegen_nodes": self.nodes_emitted,
-            "codegen_lambdas": self.lambdas_emitted,
-            "codegen_apps_inlined": self.apps_inlined,
-            "codegen_tests_inlined": self.tests_inlined,
-            "codegen_prims_inlined": self.prims_inlined,
-            "codegen_inline_bodies": self.inline_bodies,
-            "codegen_self_inlines": self.self_inlines,
-            "codegen_spill_elisions": self.spill_elisions,
-            "codegen_fallback_nodes": self.fallback_nodes,
-        }
+#: Counters accumulated across every ``codegen_program`` call of a
+#: session (``codegen.*`` in ``stats``).
+CODEGEN_METRICS = declare(
+    "codegen",
+    [
+        ("hits", COUNTER, "code-cache hits: digest present and regenerated source matched"),
+        ("misses", COUNTER, "code-cache misses: first emit, or a source-verification mismatch"),
+        ("evictions", COUNTER, "code-cache LRU evictions"),
+        ("emit_us", COUNTER, "µs in codegen_node (emit + compile + exec), hits included"),
+        ("nodes", COUNTER, "IR nodes emitted"),
+        ("lambdas", COUNTER, "lambdas emitted"),
+        ("apps_inlined", COUNTER, "applications evaluated and dispatched inline (no AppFrame)"),
+        ("tests_inlined", COUNTER, "if tests decided inline (trivial or primitive-guarded)"),
+        ("prims_inlined", COUNTER, "primitive-guard inline sites: (global-op trivial...)"),
+        ("inline_bodies", COUNTER, "direct-lambda (let-shaped) bodies inlined into their caller"),
+        ("self_inlines", COUNTER, "self-call sites inlined one level behind a body guard"),
+        ("spill_elisions", COUNTER, "inlined capture- and spawn-free bodies: env spill elided"),
+        ("fallback_nodes", COUNTER, "cold fallback thunks built with the closure compiler"),
+    ],
+)
 
 
 def clear_cache() -> None:
@@ -318,7 +286,7 @@ class _Emitter:
         "_self_depth",
     )
 
-    def __init__(self, stats: CodegenStats):
+    def __init__(self, stats: Metrics):
         self.stats = stats
         self.fns: list[str] = []
         self.fn_meta: list[tuple[str, Node]] = []
@@ -328,7 +296,7 @@ class _Emitter:
         self._fn_memo: dict[int, str] = {}
         self._fb_memo: dict[int, str] = {}
         self._in_progress: set[str] = set()
-        self._scratch = _ScratchStats()
+        self._scratch = COMPILE_METRICS()
         self._nf = 0
         self._nk = 0
         self._nenv = 0
@@ -456,7 +424,7 @@ class _Emitter:
                 f"codegen requires resolved IR; lambda {node.name or ''!s} "
                 "has no nslots (run repro.ir.resolve first)"
             )
-        self.stats.lambdas_emitted += 1
+        self.stats.lambdas += 1
         bodyf = self.emit_fn(node.body)
         self.lambda_body_fn[id(node)] = bodyf
         params = self.bind(node.params, w)
@@ -519,7 +487,7 @@ class _Emitter:
     def emit_tail(self, node: Node, env: _Env, w: _Fn, ind: int) -> None:
         """Emit statements that finish the step for ``node``: every
         control path ends in ``return``."""
-        self.stats.nodes_emitted += 1
+        self.stats.nodes += 1
         kind = type(node)
         expr = self.emit_value(node, env, w, ind)
         if expr is not None:
@@ -1035,7 +1003,7 @@ def _build_triv(
     return None
 
 
-def _emit(node: Node, stats: CodegenStats) -> tuple[_Emitter, str, str]:
+def _emit(node: Node, stats: Metrics) -> tuple[_Emitter, str, str]:
     em = _Emitter(stats)
     if (
         type(node) is DefineTop
@@ -1049,18 +1017,18 @@ def _emit(node: Node, stats: CodegenStats) -> tuple[_Emitter, str, str]:
     return em, main, "\n\n".join(em.fns)
 
 
-def emitted_source(node: Node, stats: CodegenStats | None = None) -> str:
+def emitted_source(node: Node, stats: Metrics | None = None) -> str:
     """The Python source codegen emits for ``node`` (REPL ``,codegen``
     preview; no compile, exec or cache interaction)."""
-    _, _, source = _emit(node, stats if stats is not None else CodegenStats())
+    _, _, source = _emit(node, stats if stats is not None else CODEGEN_METRICS())
     return source
 
 
-def codegen_node(node: Node, stats: CodegenStats | None = None) -> Callable:
+def codegen_node(node: Node, stats: Metrics | None = None) -> Callable:
     """Emit, compile (or fetch by ``ir-hash-v1`` digest) and
     instantiate the code thunk for one resolved top-level node."""
     if stats is None:
-        stats = CodegenStats()
+        stats = CODEGEN_METRICS()
     t0 = perf_counter()
     try:
         em, main, source = _emit(node, stats)
@@ -1089,7 +1057,7 @@ def codegen_node(node: Node, stats: CodegenStats | None = None) -> Callable:
         stats.emit_us += int((perf_counter() - t0) * 1_000_000)
 
 
-def codegen_program(nodes: list[Node], stats: CodegenStats | None = None) -> list:
+def codegen_program(nodes: list[Node], stats: Metrics | None = None) -> list:
     """Emit a resolved program (a list of top-level nodes).
 
     Like :func:`repro.ir.compile.compile_program`, the input must be
@@ -1097,5 +1065,5 @@ def codegen_program(nodes: list[Node], stats: CodegenStats | None = None) -> lis
     runs on — emitted code captures global cells by identity.
     """
     if stats is None:
-        stats = CodegenStats()
+        stats = CODEGEN_METRICS()
     return [codegen_node(node, stats) for node in nodes]

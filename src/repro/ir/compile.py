@@ -56,7 +56,6 @@ expander and resolver already impose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.datum import UNSPECIFIED
@@ -91,8 +90,9 @@ from repro.machine.step import apply_deliver
 from repro.machine.task import EVAL, VALUE, Task, TaskState
 from repro.machine.tree import replace_child
 from repro.machine.values import Closure
+from repro.obs.metrics import COUNTER, Metrics, declare
 
-__all__ = ["Code", "CompileStats", "compile_node", "compile_program"]
+__all__ = ["COMPILE_METRICS", "Code", "compile_node", "compile_program"]
 
 #: A compiled node: ``code(machine, task)`` performs one (fused)
 #: machine transition and returns the next control registers as a
@@ -103,25 +103,17 @@ __all__ = ["Code", "CompileStats", "compile_node", "compile_program"]
 Code = Callable[[Any, Task], "tuple[Any, Any] | None"]
 
 
-@dataclass
-class CompileStats:
-    """Counters accumulated across every ``compile_program`` call of an
-    interpreter (surfaced by the REPL's ``,stats``)."""
-
-    nodes_compiled: int = 0
-    lambdas_compiled: int = 0
-    #: Fully trivial applications collapsed into a single frameless step.
-    apps_inlined: int = 0
-    #: ``if`` tests folded into a direct branch jump (no ``IfFrame``).
-    tests_inlined: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "compile_nodes": self.nodes_compiled,
-            "compile_lambdas": self.lambdas_compiled,
-            "compile_apps_inlined": self.apps_inlined,
-            "compile_tests_inlined": self.tests_inlined,
-        }
+#: Counters accumulated across every ``compile_program`` call of a
+#: session (``compile.*`` in ``stats``).
+COMPILE_METRICS = declare(
+    "compile",
+    [
+        ("nodes", COUNTER, "IR nodes compiled"),
+        ("lambdas", COUNTER, "lambdas compiled"),
+        ("apps_inlined", COUNTER, "fully trivial applications collapsed into one frameless step"),
+        ("tests_inlined", COUNTER, "if tests folded into a direct branch jump (no IfFrame)"),
+    ],
+)
 
 
 def _finish(run: Code, node: Node, triv: Callable[[Any], Any] | None) -> Code:
@@ -133,11 +125,11 @@ def _finish(run: Code, node: Node, triv: Callable[[Any], Any] | None) -> Code:
 class _Compiler:
     __slots__ = ("stats",)
 
-    def __init__(self, stats: CompileStats):
+    def __init__(self, stats: Metrics):
         self.stats = stats
 
     def compile(self, node: Node) -> Code:
-        self.stats.nodes_compiled += 1
+        self.stats.nodes += 1
         kind = type(node)
         method = _COMPILE_DISPATCH.get(kind)
         if method is None:
@@ -220,7 +212,7 @@ class _Compiler:
                 f"closure compiler requires resolved IR; lambda {node.name or ''!s} "
                 "has no nslots (run repro.ir.resolve first)"
             )
-        self.stats.lambdas_compiled += 1
+        self.stats.lambdas += 1
         body = self.compile(node.body)
         params, rest, name, nslots = node.params, node.rest, node.name, node.nslots
         effects = node.effects
@@ -634,13 +626,13 @@ _COMPILE_DISPATCH: dict[type, Callable[[_Compiler, Any], Code]] = {
 }
 
 
-def compile_node(node: Node, stats: CompileStats | None = None) -> Code:
+def compile_node(node: Node, stats: Metrics | None = None) -> Code:
     """Compile one resolved top-level node to a code thunk."""
-    return _Compiler(stats if stats is not None else CompileStats()).compile(node)
+    return _Compiler(stats if stats is not None else COMPILE_METRICS()).compile(node)
 
 
 def compile_program(
-    nodes: list[Node], stats: CompileStats | None = None
+    nodes: list[Node], stats: Metrics | None = None
 ) -> list[Code]:
     """Compile a resolved program (a list of top-level nodes).
 
@@ -652,6 +644,6 @@ def compile_program(
     ``GlobalEnv`` the resolver interned into.
     """
     if stats is None:
-        stats = CompileStats()
+        stats = COMPILE_METRICS()
     compiler = _Compiler(stats)
     return [compiler.compile(node) for node in nodes]

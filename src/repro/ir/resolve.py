@@ -35,7 +35,6 @@ passes any pre-existing ``effects`` through unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.datum import Symbol
@@ -55,31 +54,25 @@ from repro.ir.nodes import (
     SetBang,
     Var,
 )
+from repro.obs.metrics import COUNTER, Metrics, declare
+
 if TYPE_CHECKING:  # pragma: no cover - avoids an ir <-> machine cycle
     from repro.machine.environment import GlobalEnv
 
-__all__ = ["ResolverStats", "resolve_program", "resolve_node"]
+__all__ = ["RESOLVER_METRICS", "resolve_program", "resolve_node"]
 
-
-@dataclass
-class ResolverStats:
-    """Counters accumulated across every ``resolve_program`` call of an
-    interpreter (surfaced by the REPL's ``,stats``)."""
-
-    locals_resolved: int = 0
-    globals_resolved: int = 0
-    lambdas_resolved: int = 0
-    cells_interned: int = 0
-    cell_cache_hits: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "resolver_locals": self.locals_resolved,
-            "resolver_globals": self.globals_resolved,
-            "resolver_lambdas": self.lambdas_resolved,
-            "resolver_cells_interned": self.cells_interned,
-            "resolver_cell_cache_hits": self.cell_cache_hits,
-        }
+#: Counters accumulated across every ``resolve_program`` call of a
+#: session (``resolver.*`` in ``stats``).
+RESOLVER_METRICS = declare(
+    "resolver",
+    [
+        ("locals", COUNTER, "references and assignments given a (depth, index) slot address"),
+        ("globals", COUNTER, "references and assignments bound to a global cell"),
+        ("lambdas", COUNTER, "lambdas resolved"),
+        ("cells_interned", COUNTER, "global cells created by resolution"),
+        ("cell_cache_hits", COUNTER, "global names whose cell already existed"),
+    ],
+)
 
 
 class _Resolver:
@@ -88,7 +81,7 @@ class _Resolver:
 
     __slots__ = ("globals", "stats", "scope")
 
-    def __init__(self, globals_: "GlobalEnv", stats: ResolverStats):
+    def __init__(self, globals_: "GlobalEnv", stats: Metrics):
         self.globals = globals_
         self.stats = stats
         self.scope: list[dict[Symbol, int]] = []
@@ -120,9 +113,9 @@ class _Resolver:
         if kind is Var:
             address = self._local_address(node.name)
             if address is not None:
-                self.stats.locals_resolved += 1
+                self.stats.locals += 1
                 return LocalRef(address[0], address[1], node.name)
-            self.stats.globals_resolved += 1
+            self.stats.globals += 1
             return GlobalRef(self._global_cell(node.name))
         if kind is Lambda:
             return self._resolve_lambda(node)
@@ -140,9 +133,9 @@ class _Resolver:
             expr = self.resolve(node.expr)
             address = self._local_address(node.name)
             if address is not None:
-                self.stats.locals_resolved += 1
+                self.stats.locals += 1
                 return LocalSet(address[0], address[1], expr, node.name)
-            self.stats.globals_resolved += 1
+            self.stats.globals += 1
             return GlobalSet(self._global_cell(node.name), expr)
         if kind is Seq:
             return Seq(tuple(self.resolve(e) for e in node.exprs))
@@ -157,7 +150,7 @@ class _Resolver:
         raise TypeError(f"resolver: unknown IR node: {node!r}")
 
     def _resolve_lambda(self, node: Lambda) -> Lambda:
-        self.stats.lambdas_resolved += 1
+        self.stats.lambdas += 1
         nslots = len(node.params) + (1 if node.rest is not None else 0)
         if nslots == 0:
             # A thunk allocates no rib, so it contributes no depth.
@@ -175,16 +168,16 @@ class _Resolver:
 
 
 def resolve_node(
-    node: Node, globals_: "GlobalEnv", stats: ResolverStats | None = None
+    node: Node, globals_: "GlobalEnv", stats: Metrics | None = None
 ) -> Node:
     """Resolve one top-level node (see :func:`resolve_program`)."""
-    return _Resolver(globals_, stats if stats is not None else ResolverStats()).resolve(
+    return _Resolver(globals_, stats if stats is not None else RESOLVER_METRICS()).resolve(
         node
     )
 
 
 def resolve_program(
-    nodes: list[Node], globals_: "GlobalEnv", stats: ResolverStats | None = None
+    nodes: list[Node], globals_: "GlobalEnv", stats: Metrics | None = None
 ) -> list[Node]:
     """Resolve a whole program (a list of top-level nodes).
 
@@ -193,6 +186,6 @@ def resolve_program(
     the wrong store, so resolve against the machine's own globals.
     """
     if stats is None:
-        stats = ResolverStats()
+        stats = RESOLVER_METRICS()
     resolver = _Resolver(globals_, stats)
     return [resolver.resolve(node) for node in nodes]

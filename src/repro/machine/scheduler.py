@@ -26,10 +26,10 @@ from typing import Any, Callable, Iterator
 from repro.errors import DeadlineExceeded, MachineError, StepBudgetExceeded
 from repro.ir import Node
 from repro.machine.environment import Environment, GlobalEnv
-from repro.machine.links import HaltLink, Join, Label, LabelLink
+from repro.machine.links import HaltLink, Join, Label, LabelLink, PromptLabel
 from repro.machine.step import run_quantum_compiled
 from repro.machine.task import EVAL, Task, TaskState
-from repro.obs.recorder import Recorder
+from repro.obs.recorder import Recorder, as_recorder
 
 __all__ = ["ENGINES", "Engine", "Machine", "SchedulerPolicy", "normalize_engine"]
 
@@ -166,12 +166,7 @@ class Machine:
         # passes one recorder down through every session's machine so
         # spans from all layers land in one stream).  None — the
         # default — keeps every emit site on its zero-cost path.
-        if record is True:
-            self.recorder: Recorder | None = Recorder()
-        elif record is False:
-            self.recorder = None
-        else:
-            self.recorder = record
+        self.recorder = as_recorder(record)
 
     # -- scheduler interface used by step/tree/control ----------------------
 
@@ -214,7 +209,9 @@ class Machine:
         self.stats["label_pops"] += 1
         rec = self.recorder
         if rec is not None and rec.enabled:
-            rec.emit("label-pop", str(link.label), step=self.steps_total)
+            label = link.label
+            name = "prompt-pop" if isinstance(label, PromptLabel) else "label-pop"
+            rec.emit(name, label.name, step=self.steps_total)
 
     def notify_join_fire(self, join: Join) -> None:
         self.stats["join_fires"] += 1

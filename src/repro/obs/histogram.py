@@ -8,10 +8,13 @@ serving path — and quantiles come back as bucket upper bounds (never
 above the largest observation), which is the right fidelity for "p99
 latency is under 2^k µs" style gates.
 
-Used by :class:`~repro.host.metrics.SessionMetrics` (per-request
-latency in µs, per-request steps) and
-:class:`~repro.host.metrics.HostMetrics` (per-tick duration and steps),
-and surfaced into ``BENCH_results.json`` by the benchmark drivers.
+A histogram is one of the three kinds a metrics declaration names
+(:mod:`repro.obs.metrics`): the session declares per-request latency
+in µs and steps, the host per-tick duration and steps, the cluster
+front snapshot sizes and encode/decode/request latencies, and the
+gateway request and ``result``-wait latencies.  Each tier's
+``histograms()`` exports them, and the benchmark scripts fold that into
+``BENCH_results.json``.
 """
 
 from __future__ import annotations
@@ -82,6 +85,19 @@ class Histogram:
                 bound = (1 << idx) - 1 if idx else 0
                 break
         return min(bound, self.max)
+
+    def state(self) -> tuple[list[int], int, int, int, int]:
+        """The raw contents — ``(counts, count, total, min, max)`` — as
+        a session snapshot carries them."""
+        return (list(self.counts), self.count, self.total, self.min, self.max)
+
+    @classmethod
+    def from_state(cls, state: tuple[list[int], int, int, int, int]) -> "Histogram":
+        """The histogram :meth:`state` described."""
+        h = cls()
+        counts, h.count, h.total, h.min, h.max = state
+        h.counts = list(counts)
+        return h
 
     @property
     def mean(self) -> float:

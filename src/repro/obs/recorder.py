@@ -42,7 +42,7 @@ from contextlib import contextmanager
 from time import perf_counter
 from typing import Any, Iterator
 
-__all__ = ["ObsEvent", "Recorder"]
+__all__ = ["ObsEvent", "Recorder", "as_recorder"]
 
 #: Default ring capacity: large enough for several host ticks of dense
 #: control traffic, small enough (a few MB of events) to pin forever.
@@ -117,6 +117,9 @@ class Recorder:
         self.enabled = enabled
         self.clock = perf_counter
         self.dropped = 0
+        #: Events appended over the recorder's life (never reset): a
+        #: reading of it marks a position for :meth:`events_since`.
+        self.appended = 0
         self._ring: deque[ObsEvent] = deque(maxlen=self.capacity)
         self._span_ids = itertools.count(1)
         self._stack: list[int] = []  # open span ids, innermost last
@@ -130,6 +133,7 @@ class Recorder:
         if len(ring) == self.capacity:
             self.dropped += 1
         ring.append(event)
+        self.appended += 1
 
     def emit(self, name: str, detail: str = "", step: int = 0) -> None:
         """Record an instant event under the innermost open span."""
@@ -217,6 +221,14 @@ class Recorder:
     def events_of(self, name: str) -> list[ObsEvent]:
         return [e for e in self._ring if e.name == name]
 
+    def events_since(self, mark: int) -> list[ObsEvent]:
+        """The buffered events appended after ``mark`` (an earlier
+        reading of :attr:`appended`), oldest first; those already
+        evicted or cleared are gone."""
+        newer = self.appended - mark
+        ring = self._ring
+        return list(ring)[max(0, len(ring) - newer):] if newer > 0 else []
+
     def clear(self) -> None:
         """Drop all buffered events (open spans stay open)."""
         self._ring.clear()
@@ -243,3 +255,14 @@ class Recorder:
             f"#<recorder {state} {len(self._ring)}/{self.capacity} events"
             f"{f' dropped={self.dropped}' if self.dropped else ''}>"
         )
+
+
+def as_recorder(record: "Recorder | bool | None") -> Recorder | None:
+    """The ``record=`` argument every layer takes: ``True`` builds a
+    fresh :class:`Recorder`, ``False`` or None means none, and an
+    existing recorder is shared as it is."""
+    if record is True:
+        return Recorder()
+    if record is False:
+        return None
+    return record

@@ -46,7 +46,6 @@ state — snapshotting from inside :meth:`Session.pump` raises
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from fractions import Fraction
 from time import monotonic as _monotonic
@@ -64,9 +63,7 @@ from repro.errors import SnapshotError, SnapshotFormatError
 from repro.expander.syntax_rules import Macro, Rule
 from repro.host.handle import EvalHandle, HandleState
 from repro.host.session import Session
-from repro.ir import codegen_node, compile_node, stable_hash
-from repro.ir.codegen import CodegenStats
-from repro.ir.compile import CompileStats
+from repro.ir import CODEGEN_METRICS, COMPILE_METRICS, codegen_node, compile_node, stable_hash
 from repro.ir.nodes import (
     App,
     Const,
@@ -106,7 +103,7 @@ from repro.machine.scheduler import _NO_HALT  # the halt-register sentinel
 from repro.machine.task import APPLY, EVAL, HOLE, VALUE, Task, TaskState
 from repro.machine.tree import Capture
 from repro.machine.values import Closure, ControlPrimitive, Primitive
-from repro.obs.histogram import Histogram
+from repro.obs.metrics import Metrics
 from repro.snapshot.wire import Reader, Writer
 
 __all__ = ["FORMAT_VERSION", "MAGIC", "restore_session", "snapshot_session"]
@@ -114,9 +111,9 @@ __all__ = ["FORMAT_VERSION", "MAGIC", "restore_session", "snapshot_session"]
 MAGIC = b"RSNP"
 #: Bump on any wire-format change; restore refuses other versions.
 #: v2: capture/effect analysis — Lambda/Closure effects bitmasks, the
-#: handle classification, AnalysisStats roots, the analysis header flag
-#: and the three submits_* session counters.
-#: v3: codegen engine — the CodegenStats root tuple (written for every
+#: handle classification, the analysis-metrics root, the analysis header
+#: flag and the three submits_* session counters.
+#: v3: codegen engine — the codegen-metrics root tuple (written for every
 #: engine, zeros when codegen never ran).
 FORMAT_VERSION = 3
 
@@ -518,35 +515,8 @@ class _Encoder:
         wv(w, [(name, macro) for name, macro in session.expand_env.macros.items()])
         wv(w, sorted(session._loaded_examples))
         wv(w, list(session.output.parts))
-        rs = session.resolver_stats
-        wv(
-            w,
-            (
-                rs.locals_resolved,
-                rs.globals_resolved,
-                rs.lambdas_resolved,
-                rs.cells_interned,
-                rs.cell_cache_hits,
-            ),
-        )
-        cs = session.compile_stats
-        wv(
-            w,
-            (cs.nodes_compiled, cs.lambdas_compiled, cs.apps_inlined, cs.tests_inlined),
-        )
-        gs = session.codegen_stats
-        wv(w, tuple(getattr(gs, f.name) for f in dataclasses.fields(gs)))
-        ast = session.analysis_stats
-        wv(w, tuple(getattr(ast, name) for name in ast._FIELDS))
-        m = session.metrics
-        wv(
-            w,
-            (
-                tuple(getattr(m, c) for c in m._COUNTERS),
-                _hist_tuple(m.latency_us),
-                _hist_tuple(m.steps_hist),
-            ),
-        )
+        for record in _metric_roots(session):
+            wv(w, record.snapshot())
         wv(w, list(session._pending))
         wv(w, session._active)
         return w.getvalue()
@@ -596,8 +566,15 @@ def _node_children(item: Any) -> tuple[list, list]:
     return [source], []
 
 
-def _hist_tuple(h: Histogram) -> tuple:
-    return (list(h.counts), h.count, h.total, h.min, h.max)
+def _metric_roots(session: Session) -> tuple[Metrics, ...]:
+    """The session's metric records, in wire order."""
+    return (
+        session.resolver_stats,
+        session.compile_stats,
+        session.codegen_stats,
+        session.analysis_stats,
+        session.metrics,
+    )
 
 
 def _counter_watermarks() -> tuple[int, int, int, int, int, int]:
@@ -856,8 +833,8 @@ class _Decoder:
         self.objects: list[Any] = []
         self.nodes: list[Any] = []
         self.code_cache: dict[str, Any] = {}
-        self.scratch_compile_stats = CompileStats()
-        self.scratch_codegen_stats = CodegenStats()
+        self.scratch_compile_stats = COMPILE_METRICS()
+        self.scratch_codegen_stats = CODEGEN_METRICS()
         self.now = _monotonic()
         self.session: Session | None = None
         self.globals = None
@@ -1074,11 +1051,8 @@ class _Decoder:
         macros = rv(r)
         loaded = rv(r)
         parts = rv(r)
-        resolver = rv(r)
-        compile_counts = rv(r)
-        codegen_counts = rv(r)
-        analysis_counts = rv(r)
-        metrics = rv(r)
+        for record in _metric_roots(session):
+            record.restore(rv(r))
         pending = rv(r)
         active = rv(r)
 
@@ -1088,33 +1062,6 @@ class _Decoder:
         for macro_name, macro in macros:
             session.expand_env.macros[macro_name] = macro
         session._loaded_examples = set(loaded)
-        rs = session.resolver_stats
-        (
-            rs.locals_resolved,
-            rs.globals_resolved,
-            rs.lambdas_resolved,
-            rs.cells_interned,
-            rs.cell_cache_hits,
-        ) = resolver
-        cs = session.compile_stats
-        (
-            cs.nodes_compiled,
-            cs.lambdas_compiled,
-            cs.apps_inlined,
-            cs.tests_inlined,
-        ) = compile_counts
-        gs = session.codegen_stats
-        for field, value in zip(dataclasses.fields(gs), codegen_counts):
-            setattr(gs, field.name, value)
-        ast = session.analysis_stats
-        for field, value in zip(ast._FIELDS, analysis_counts):
-            setattr(ast, field, value)
-        counters, latency, steps_hist = metrics
-        m = session.metrics
-        for field, value in zip(m._COUNTERS, counters):
-            setattr(m, field, value)
-        _fill_hist(m.latency_us, latency)
-        _fill_hist(m.steps_hist, steps_hist)
         session._pending = deque(pending)
         session._active = active
         for handle in session._pending:
@@ -1123,15 +1070,6 @@ class _Decoder:
             active.session = session
         _advance_counters(watermarks)
         return session
-
-
-def _fill_hist(h: Histogram, data: tuple) -> None:
-    counts, count, total, mn, mx = data
-    h.counts = list(counts)
-    h.count = count
-    h.total = total
-    h.min = mn
-    h.max = mx
 
 
 # -- per-type makers / fillers ------------------------------------------

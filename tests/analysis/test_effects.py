@@ -16,7 +16,7 @@ Three layers of coverage:
 import pytest
 
 from repro import EffectInfo, Interpreter, analyze
-from repro.analysis import AnalysisStats, annotate_program, single_task_form
+from repro.analysis import ANALYSIS_METRICS, annotate_program, single_task_form
 from repro.analysis.effects import GRANT_QUANTUM
 from repro.expander import expand_program
 from repro.host.host import Host
@@ -177,7 +177,7 @@ def test_program_classification_is_worst_form():
 def test_annotate_stamps_lambdas_and_counts():
     sess = Session()
     nodes = _resolved(sess, "(define (sq x) (* x x)) (sq 3)")
-    stats = AnalysisStats()
+    stats = ANALYSIS_METRICS()
     report = annotate_program(nodes, sess.globals, stats)
     assert stats.forms == 2
     assert stats.lambdas == report.lambdas >= 1
@@ -414,10 +414,7 @@ def test_effects_and_analysis_state_survive_snapshot():
     blob = snapshot_session(sess)
     restored = restore_session(blob)
     assert restored.analysis is True
-    for name in AnalysisStats._FIELDS:
-        assert getattr(restored.analysis_stats, name) == getattr(
-            sess.analysis_stats, name
-        )
+    assert restored.analysis_stats.as_dict() == sess.analysis_stats.as_dict()
     from repro.datum import intern
 
     closure = restored.globals.cells[intern("sq")].value

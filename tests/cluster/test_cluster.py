@@ -192,6 +192,41 @@ def test_close_force_resolves_wedged_inflight_handle():
         handle.result()
 
 
+def test_request_abandoned_at_close_is_counted_once():
+    """A request force-cancelled by ``close()`` whose shard round-trip
+    returns afterwards counts as one cancellation, not also as a
+    completion: submits == completed + failed + cancellations."""
+    import threading
+
+    from repro.host.handle import HandleState
+
+    c = Cluster(workers=0, session_defaults={"prelude": False})
+    shard = c.shards[0]
+    release = threading.Event()
+    request = shard.request
+
+    def held_request(op, payload):
+        release.wait(10.0)
+        return request(op, payload)
+
+    shard.request = held_request
+    handle = c.submit_async("s", "(+ 1 2)")
+    deadline = time.monotonic() + 10.0
+    while handle.state is not HandleState.RUNNING:
+        assert time.monotonic() < deadline, "request never dispatched"
+        time.sleep(0.005)
+    c.close(join_timeout=0.01)
+    assert handle.state is HandleState.CANCELLED
+    release.set()  # the round-trip now returns to a closed front
+    c._dispatcher.join(10.0)
+    assert not c._dispatcher.is_alive()
+    stats = c.stats
+    outcomes = [stats[f"cluster.{k}"] for k in ("completed", "failed", "cancellations")]
+    assert stats["cluster.submits"] == sum(outcomes) == 1
+    assert outcomes == [0, 0, 1]
+    assert c.histograms()["cluster.request_us"]["count"] == 0
+
+
 def test_close_cancels_queued_handles():
     """Queued (never dispatched) handles also reach a terminal state."""
     from repro.host.handle import HandleState

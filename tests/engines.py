@@ -23,7 +23,7 @@ from repro import Session
 from repro.expander import expand_program
 from repro.ir import resolve_program
 from repro.machine.scheduler import SchedulerPolicy
-from repro.obs import Recorder
+from repro.obs import as_recorder
 from repro.reader import read_all
 
 #: Every cell of the engine axis: the two engines, then the two
@@ -106,9 +106,8 @@ def make_session(
     if name is None:
         name = f"legacy-{engine}-{next(_names)}"
     session = Session.restore(legacy_blob(engine), name=name)
-    if record is True:
-        record = Recorder()
-    if isinstance(record, Recorder):
+    record = as_recorder(record)
+    if record is not None:
         session.attach_recorder(record)
     machine = session.machine
     machine.policy = SchedulerPolicy(policy)

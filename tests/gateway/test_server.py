@@ -439,12 +439,16 @@ def test_backend_type_checked():
 
 def test_stats_op_merges_backend_and_gateway():
     async def main():
-        async with serving() as (_, client):
+        async with serving() as (gw, client):
             await client.eval("s", "(+ 1 1)")
             stats = await client.stats()
             assert stats["gateway.submits"] == 1
             assert stats["gateway.inflight"] == 0
             assert stats["host.ticks"] > 0
+            # The op's gateway part is Gateway.stats, every counter of it.
+            gateway_part = {k: v for k, v in stats.items() if k.startswith("gateway.")}
+            assert gateway_part == gw.stats
+            assert gateway_part["gateway.tracked_requests"] == 1
 
     run(main())
 

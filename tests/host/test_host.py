@@ -338,8 +338,8 @@ def test_request_histograms_observe_every_terminal_state():
     assert queued.state is HandleState.CANCELLED
     # done + failed + cancelled all land in the distributions.
     assert sess.metrics.latency_us.count == 3
-    assert sess.metrics.steps_hist.count == 3
-    assert sess.metrics.steps_hist.max >= 100
+    assert sess.metrics.steps_per_request.count == 3
+    assert sess.metrics.steps_per_request.max >= 100
 
 
 def test_host_histogram_rollup():
@@ -348,7 +348,7 @@ def test_host_histogram_rollup():
     host.submit(sess, _spin(300))
     host.run_until_idle(max_ticks=50)
     assert host.metrics.tick_us.count == host.metrics.ticks
-    assert host.metrics.tick_steps.count == host.metrics.ticks
+    assert host.metrics.steps_per_tick.count == host.metrics.ticks
     hists = host.histograms()
     assert "host.tick_us" in hists
     assert "host.steps_per_tick" in hists

@@ -13,7 +13,7 @@ from repro import Interpreter, Session
 from repro.datum import intern, scheme_repr
 from repro.errors import CompileError, UnboundVariableError
 from repro.expander import ExpandEnv, expand_program
-from repro.ir import CompileStats, Const, Lambda, compile_node, compile_program
+from repro.ir import COMPILE_METRICS, Const, Lambda, compile_node, compile_program
 from repro.ir import resolve_program
 from repro.machine.scheduler import ENGINES, Machine, normalize_engine
 from repro.reader import read_all
@@ -89,13 +89,13 @@ def test_compile_stats_counters():
         read_all("(define (f x) (if x 0 (+ x 1))) (f 3)"), ExpandEnv()
     )
     nodes = resolve_program(nodes, machine.globals)
-    stats = CompileStats()
+    stats = COMPILE_METRICS()
     compile_program(nodes, stats)
     counters = stats.as_dict()
-    assert counters["compile_nodes"] > 0
-    assert counters["compile_lambdas"] == 1
-    assert counters["compile_apps_inlined"] >= 1  # (+ x 1) is fully trivial
-    assert counters["compile_tests_inlined"] >= 1  # x is a trivial test
+    assert counters["compile.nodes"] > 0
+    assert counters["compile.lambdas"] == 1
+    assert counters["compile.apps_inlined"] >= 1  # (+ x 1) is fully trivial
+    assert counters["compile.tests_inlined"] >= 1  # x is a trivial test
 
 
 def test_interpreter_stats_include_compile_counters():

@@ -175,3 +175,24 @@ def test_capture_events_name_the_capturing_task():
     (reinstate,) = tracer.events_of_kind("reinstate")
     assert "task" in capture.detail
     assert "task" in reinstate.detail
+
+
+def test_tracer_views_a_host_recorder_window():
+    """On a session whose machine shares a Host's recorder, the tracer
+    is a window onto that recorder: the host keeps every capture and
+    reinstate, and the tracer sees only those inside its block."""
+    from repro import Host
+
+    host = Host(record=True)
+    session = host.session("s")
+    program = "(spawn (lambda (c) (+ 1 (c (lambda (k) (k 10))))))"
+    session.eval(program)
+    with Tracer(session.machine) as tracer:
+        session.eval(program)
+    session.eval(program)
+    assert session.machine.recorder is host.recorder
+    assert session.stats["captures"] == session.stats["reinstatements"] == 3
+    assert len(host.recorder.events_of("capture")) == 3
+    assert len(host.recorder.events_of("reinstate")) == 3
+    assert tracer.kinds().count("capture") == tracer.kinds().count("reinstate") == 1
+    assert len(tracer.events_of_kind("label-pop")) == 2

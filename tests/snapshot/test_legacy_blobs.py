@@ -90,6 +90,80 @@ def test_restored_closures_keep_the_old_dialect(engine):
     assert s.eval_to_string("(map (lambda (x) (* x x)) '(1 2 3))") == "(1 4 9)"
 
 
+def _counts(namespace: str, **nonzero: int) -> dict[str, int]:
+    return {f"{namespace}.{name}": value for name, value in nonzero.items()}
+
+
+_RESOLVED_IDLE = {
+    **_counts(
+        "resolver", locals=153, globals=113, lambdas=46, cells_interned=28, cell_cache_hits=113
+    ),
+    **_counts(
+        "analysis",
+        forms=28,
+        lambdas=46,
+        capture_free=21,
+        spawn_free=21,
+        known_total=17,
+        fixpoint_passes=32,
+        grants=28,
+    ),
+}
+
+#: What each fixture's metric records hold once restored; every other
+#: declared metric is zero.  A declaration reordered against the wire
+#: order puts these values under the wrong names.
+LEGACY_METRICS = {
+    ("dict", "idle"): {},
+    ("dict", "mid-pcall"): _counts(
+        "session", submits=1, quanta_served=20, steps_served=39, max_queue_depth=1
+    ),
+    ("resolved", "idle"): _RESOLVED_IDLE,
+    ("resolved", "mid-pcall"): {
+        **_counts(
+            "resolver", locals=11, globals=15, lambdas=4, cells_interned=3, cell_cache_hits=15
+        ),
+        **_counts(
+            "analysis",
+            forms=4,
+            lambdas=4,
+            capture_free=3,
+            spawn_free=3,
+            known_total=2,
+            fixpoint_passes=2,
+            grants=3,
+        ),
+        **_counts(
+            "session",
+            submits=1,
+            quanta_served=18,
+            steps_served=37,
+            max_queue_depth=1,
+            submits_spawning=1,
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("engine, kind", sorted(LEGACY_METRICS))
+def test_fixture_metrics_restore_in_declaration_order(engine, kind):
+    s = Session.restore(legacy_blob(engine, kind))
+    restored: dict[str, int] = {}
+    for record in (
+        s.resolver_stats,
+        s.compile_stats,
+        s.codegen_stats,
+        s.analysis_stats,
+        s.metrics,
+    ):
+        restored.update(record.as_dict())
+    assert restored == {**dict.fromkeys(restored, 0), **LEGACY_METRICS[engine, kind]}
+    assert {name: h["count"] for name, h in s.metrics.histograms().items()} == {
+        "session.latency_us": 0,
+        "session.steps_per_request": 0,
+    }
+
+
 def test_reserved_flag_bit_is_ignored_on_read():
     # Written set; a blob with it clear (a pre-1.5 ``batched=False``
     # session) restores all the same.
