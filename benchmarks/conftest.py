@@ -9,9 +9,23 @@ absolute 1990 numbers.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro import Interpreter
+
+
+@pytest.fixture(autouse=True)
+def quiet_collector():
+    """Move what earlier benchmarks left on the heap out of the
+    collector's reach: a full collection would otherwise re-scan all of
+    it, and one such pause inside a timed loop dwarfs the μs-scale cost
+    a shape check compares."""
+    gc.collect()
+    gc.freeze()
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture

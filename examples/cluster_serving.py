@@ -18,8 +18,8 @@ on any shard.  This demo exercises the whole lifecycle:
 
 Run:  python examples/cluster_serving.py
 
-Exits non-zero if any reply is wrong at any stage — the CI
-cluster-smoke step runs this as an acceptance check.
+Exits non-zero if any reply is wrong at any stage — CI runs this as
+an acceptance check.
 """
 
 import os

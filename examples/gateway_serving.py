@@ -23,8 +23,8 @@ end-to-end over real loopback sockets:
 
 Run:  python examples/gateway_serving.py
 
-Exits non-zero if any reply is wrong at any stage — the CI
-gateway-smoke step runs this as an acceptance check.
+Exits non-zero if any reply is wrong at any stage — CI runs this as
+an acceptance check.
 """
 
 import asyncio

@@ -14,8 +14,8 @@ while their neighbours' results come out exact.
 Run:  python examples/host_serving.py
 
 Exits non-zero if any well-behaved tenant's result is wrong or any
-doomed tenant fails to die with the right error — the CI host-smoke
-step runs this as an acceptance check.
+doomed tenant fails to die with the right error — CI runs this as an
+acceptance check.
 """
 
 import sys

@@ -79,8 +79,8 @@ class Interpreter:
         fast path — resolved IR is emitted as straight-line Python
         source, ``compile()``d once and cached by ``ir-hash-v1`` digest
         (:mod:`repro.ir.codegen`, DESIGN.md S26).  Both run on one run
-        loop and agree on every program — ``benchmarks/run_all.py``
-        runs the engine A/B.
+        loop and agree on every program
+        (``tests/integration/test_engine_matrix.py``).
     profile:
         Keep VM run-loop counters (quanta, spill causes, write-backs
         avoided) in ``machine.vm_stats``; surfaced through
@@ -102,8 +102,8 @@ class Interpreter:
         forms proven single-task run with an enlarged scheduler
         quantum.  On by default; ``analysis=False`` (the REPL's
         ``--no-analysis``) is the ablation baseline.  Semantics are
-        identical either way —
-        ``benchmarks/bench_analysis.py`` gates on it.
+        identical either way (the analysis-ablation matrix of
+        ``tests/integration/test_engine_matrix.py``).
     max_pending:
         Bound on queued + in-flight :meth:`submit` evaluations (passed
         to the underlying :class:`~repro.host.session.Session`);

@@ -528,6 +528,10 @@ class Cluster:
         try:
             reply = self.shards[index].request("submit", payload)
         except ShardDied:
+            if self._closed:
+                # close() stopped the worker under us; respawning it now
+                # would race close() for the same pipes.
+                raise
             reply = self._recover(index, session_id, payload)
             recovered = True
         return self._finish(reply, recovered=recovered)

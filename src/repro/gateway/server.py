@@ -30,8 +30,9 @@ debited) or *shed* with a ``busy`` reply carrying ``retry_after_ms`` —
 including when the backend itself refuses with
 :class:`~repro.errors.HostSaturated`.  The gateway never buffers work
 it has not admitted, so memory stays bounded no matter the offered
-load.  See ``docs/SERVING.md`` for the wire contract and
-``benchmarks/bench_gateway.py`` for the overload harness.
+load, and a connection keeps only its last :data:`ANSWERED_WINDOW`
+answered requests for a later ``poll`` or ``result``.  See
+``docs/SERVING.md`` for the wire contract.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import asyncio
 import itertools
 import queue as queue_mod
 import threading
+from collections import deque
 from time import perf_counter
 from typing import Any, Callable
 
@@ -54,7 +56,12 @@ from repro.host.host import Host
 from repro.obs.metrics import COUNTER, HISTOGRAM, declare
 from repro.obs.recorder import Recorder, as_recorder
 
-__all__ = ["GATEWAY_METRICS", "Gateway", "RECOVERY_METRICS"]
+__all__ = ["ANSWERED_WINDOW", "GATEWAY_METRICS", "Gateway", "RECOVERY_METRICS"]
+
+#: Answered requests one connection keeps for a later ``poll`` or
+#: ``result``; past it the oldest answered one is forgotten.  A request
+#: that has not reached a terminal state is never forgotten.
+ANSWERED_WINDOW = 256
 
 #: Gateway counters and latencies (``gateway.*`` in ``stats``).  Mutated
 #: only on the asyncio thread — terminal states are marshalled there
@@ -228,11 +235,12 @@ class _Request:
 class _Connection:
     """Per-connection state: the writer plus the requests it owns."""
 
-    __slots__ = ("writer", "requests", "closed", "lock")
+    __slots__ = ("writer", "requests", "answered", "closed", "lock")
 
     def __init__(self, writer: asyncio.StreamWriter):
         self.writer = writer
         self.requests: set[int] = set()
+        self.answered: deque[int] = deque()  # terminal ids, oldest first
         self.closed = False
         self.lock = asyncio.Lock()  # serialise interleaved writes
 
@@ -467,6 +475,17 @@ class Gateway:
             if conn is None or conn.closed:
                 # Nobody can ever fetch this result; drop the record.
                 self._requests.pop(req.rid, None)
+            else:
+                self._retire(conn, req.rid)
+
+    def _retire(self, conn: _Connection, rid: int) -> None:
+        """Keep an answered record within its connection's window,
+        forgetting the oldest answered one past it."""
+        conn.answered.append(rid)
+        if len(conn.answered) > ANSWERED_WINDOW:
+            oldest = conn.answered.popleft()
+            conn.requests.discard(oldest)
+            self._requests.pop(oldest, None)
 
     def _finish(self, req: _Request, payload: dict[str, Any]) -> None:
         """Terminal-state accounting: quota release, counters, obs."""

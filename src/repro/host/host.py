@@ -323,9 +323,7 @@ class Host:
 
     def histograms(self) -> dict[str, Any]:
         """Latency/steps distribution summaries: the host's tick
-        histograms plus each session's request histograms, JSON-ready
-        (this is what the benchmark drivers fold into
-        ``BENCH_results.json``)."""
+        histograms plus each session's request histograms, JSON-ready."""
         out: dict[str, Any] = self.metrics.histograms()
         for session in self.sessions:
             out.update(session.metrics.histograms(f"session.{session.name}"))

@@ -15,8 +15,8 @@ Ring eviction can orphan span halves: a long recording may retain an
 ``E`` whose ``B`` was evicted, or the process may stop with spans still
 open.  :func:`to_chrome_trace` repairs both — orphan ends are dropped
 and unclosed begins are auto-closed at the trace's end — so the export
-*always* satisfies :func:`validate_chrome_trace`, which the tests and
-``benchmarks/bench_obs.py`` use as the schema gate.
+*always* satisfies :func:`validate_chrome_trace`, which the tests use
+as the schema gate.
 """
 
 from __future__ import annotations

@@ -13,8 +13,7 @@ A histogram is one of the three kinds a metrics declaration names
 in µs and steps, the host per-tick duration and steps, the cluster
 front snapshot sizes and encode/decode/request latencies, and the
 gateway request and ``result``-wait latencies.  Each tier's
-``histograms()`` exports them, and the benchmark scripts fold that into
-``BENCH_results.json``.
+``histograms()`` exports them.
 """
 
 from __future__ import annotations

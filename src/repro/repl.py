@@ -294,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
         help="skip the capture/effect analysis phase (repro.analysis."
         "effects): no lambda facts, no request classification, no "
         "enlarged quanta for proven single-task forms — the ablation "
-        "baseline for benchmarks/bench_analysis.py",
+        "baseline",
     )
     parser.add_argument(
         "--profile",

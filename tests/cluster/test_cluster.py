@@ -142,6 +142,14 @@ def test_mp_migration(mp_cluster):
     assert after.shard == target
     assert c.metrics.migrations == 1
     assert c.stats["cluster.restores"] >= 1
+    # Bounce it between the two workers every request: each reply
+    # carries the state so far, from the shard it was moved to.
+    for hits in range(1, 5):
+        target = (target + 1) % 2
+        c.migrate("mover", target)
+        r = c.submit("mover", "(set! x (+ x 1)) x")
+        assert (r.value, r.shard) == (str(10 + hits), target)
+    assert c.metrics.migrations == 5
 
 
 def test_mp_sigkill_recovery(mp_cluster):
@@ -190,6 +198,10 @@ def test_close_force_resolves_wedged_inflight_handle():
     assert handle.state is HandleState.CANCELLED
     with pytest.raises(SessionCancelled):
         handle.result()
+    # The worker died because close() stopped it: nothing respawns it.
+    c._dispatcher.join(timeout=10.0)
+    assert not c._dispatcher.is_alive()
+    assert c.metrics.respawns == 0
 
 
 def test_request_abandoned_at_close_is_counted_once():

@@ -70,6 +70,15 @@ def _suicidal_shard_main(flag_path: str):
     return main
 
 
+async def _followers(client, sid):
+    """Frames accepted while the doomed request is outstanding: one on
+    the victim session, one on another."""
+    return [
+        await client.submit(sid, "(+ 2 3)"),
+        await client.submit("bystander", "(+ 1 1)"),
+    ]
+
+
 @pytest.mark.parametrize("snapshotted", [True, False], ids=["snapshot", "no-snapshot"])
 @pytest.mark.parametrize("kill_point", ["pre-dispatch", "mid-execute", "post-result"])
 def test_shard_death_transparency(kill_point, snapshotted, tmp_path, monkeypatch):
@@ -107,6 +116,7 @@ def test_shard_death_transparency(kill_point, snapshotted, tmp_path, monkeypatch
             source = "(* seed 2)" if snapshotted else "(+ 1 1)"
             expected = "66" if snapshotted else "2"
             rid = await client.submit(sid, source)
+            followers = await _followers(client, sid)
         elif kill_point == "mid-execute":
             expected = "42"
             rid = await client.submit(sid, _LONG_SOURCE)
@@ -114,10 +124,12 @@ def test_shard_death_transparency(kill_point, snapshotted, tmp_path, monkeypatch
             while (await client.poll(rid))["state"] == "pending":
                 assert time.monotonic() < deadline, "request never started"
                 await asyncio.sleep(0.002)
+            followers = await _followers(client, sid)
             os.kill(pid, signal.SIGKILL)
         else:  # post-result: the worker kills itself pre-reply
             expected = "42"
             rid = await client.submit(sid, '(display "die-post-result") (+ 40 2)')
+            followers = await _followers(client, sid)
 
         # The accepted frame always reaches a terminal answer — never
         # a hang (the timeout below is the no-hang gate).
@@ -139,9 +151,12 @@ def test_shard_death_transparency(kill_point, snapshotted, tmp_path, monkeypatch
             assert stats["gateway.recovery.failures"] == 1
             assert stats["gateway.recovery.replays"] == 0
         assert stats["cluster.respawns"] == 1
+        assert stats["gateway.protocol_errors"] == 0
 
-        # The cluster keeps serving the same session after the death.
-        assert await client.eval(sid, "(+ 2 3)", timeout=60) == "5"
+        # The frames accepted behind the doomed one are answered too,
+        # and the cluster keeps serving the same session.
+        answers = [await client.result(f, timeout=60) for f in followers]
+        assert answers == ["5", "2"]
 
     run(scenario())
 

@@ -1,12 +1,12 @@
 """The gateway error paths: malformed/oversize frames, unknown ops,
-disconnect mid-request, quota refusals, and backend fault containment.
-The shed contract under real overload is exercised end-to-end by
-``benchmarks/bench_gateway.py``."""
+disconnect mid-request, quota refusals, the shed contract under a burst
+past the inflight cap, and backend fault containment."""
 
 from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -233,6 +233,61 @@ def test_inflight_cap_sheds_with_retry_after():
             with pytest.raises(Exception):
                 await client.result(rid)
             assert await client.eval("s", "(+ 1 1)") == "2"
+
+    run(main())
+
+
+def test_overload_burst_answers_every_frame_exactly_once():
+    """Four connections burst sixteen submits past ``max_inflight``
+    while the pump is held: every frame gets one answer — a result or a
+    ``busy`` carrying ``retry_after_ms`` — with no protocol errors.
+
+    A connection's frames are handled in order, so while the pump is
+    held the two connections that won a slot wait on their first submit
+    and the other two are refused all four."""
+
+    async def main():
+        limits = GatewayLimits(max_inflight=2)
+        async with serving(Host(), limits=limits) as (gw, _):
+            clients = await asyncio.gather(
+                *(GatewayClient.connect(gw.host, gw.port) for _ in range(4))
+            )
+            release = threading.Event()
+            gw._cmds.put(release.wait)  # nothing admitted can finish yet
+
+            async def one(client, i):
+                try:
+                    rid = await client.submit(f"s{i % 4}", f"(+ {i} 1)")
+                except GatewayBusy as exc:
+                    assert exc.retry_after_ms >= 1
+                    return "busy"
+                return await client.result(rid)
+
+            async def refused():
+                while gw.stats["gateway.shed"] < 8:
+                    await asyncio.sleep(0.005)
+
+            try:
+                tasks = [
+                    asyncio.ensure_future(one(client, 4 * k + j))
+                    for k, client in enumerate(clients)
+                    for j in range(4)
+                ]
+                await asyncio.wait_for(refused(), 10.0)
+                release.set()
+                answers = await asyncio.wait_for(asyncio.gather(*tasks), 30.0)
+            finally:
+                release.set()
+                for client in clients:
+                    await client.close()
+            served = {i: a for i, a in enumerate(answers) if a != "busy"}
+            assert all(a == str(i + 1) for i, a in served.items())
+            stats = gw.stats
+            assert len(served) >= 2 and stats["gateway.shed"] >= 8
+            assert len(served) + stats["gateway.shed"] == 16
+            assert stats["gateway.completed"] == len(served)
+            assert stats["gateway.protocol_errors"] == 0
+            assert stats["gateway.inflight"] == 0
 
     run(main())
 

@@ -10,6 +10,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.errors import GatewayRequestError
 from repro.gateway import Gateway, GatewayClient, GatewayLimits
+from repro.gateway.server import ANSWERED_WINDOW
 from repro.host import Host
 from repro.obs import Recorder
 
@@ -449,6 +450,46 @@ def test_stats_op_merges_backend_and_gateway():
             gateway_part = {k: v for k, v in stats.items() if k.startswith("gateway.")}
             assert gateway_part == gw.stats
             assert gateway_part["gateway.tracked_requests"] == 1
+
+    run(main())
+
+
+def test_connection_keeps_a_bounded_window_of_answered_requests():
+    """A long-lived connection holds at most ``ANSWERED_WINDOW``
+    answered records: the oldest answered id is forgotten, the newest
+    still polls."""
+
+    async def main():
+        async with serving() as (gw, client):
+            rids = []
+            for i in range(3 * ANSWERED_WINDOW):
+                rids.append(await client.submit("s", f"(+ {i} 1)"))
+                assert await client.result(rids[-1]) == str(i + 1)
+            stats = gw.stats
+            assert stats["gateway.tracked_requests"] <= (
+                ANSWERED_WINDOW + stats["gateway.inflight"]
+            )
+            with pytest.raises(GatewayRequestError) as info:
+                await client.poll(rids[0])
+            assert info.value.code == "unknown-request"
+            assert (await client.poll(rids[-1]))["value"] == str(3 * ANSWERED_WINDOW)
+
+    run(main())
+
+
+def test_running_request_outlives_the_answered_window(monkeypatch):
+    """However many answers pass it, a request that has not finished
+    is never forgotten."""
+    monkeypatch.setattr("repro.gateway.server.ANSWERED_WINDOW", 4)
+
+    async def main():
+        async with serving() as (gw, client):
+            running = await client.submit("busy", LOOP)
+            for i in range(12):
+                assert await client.eval("s", f"(+ {i} 1)") == str(i + 1)
+            assert gw.stats["gateway.tracked_requests"] == 4 + 1
+            assert (await client.poll(running))["state"] in ("pending", "running")
+            assert await client.cancel(running) is True
 
     run(main())
 

@@ -219,13 +219,14 @@ def test_per_session_saturation_counted_by_host():
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("task_policy", ["round-robin", "serial"])
+@pytest.mark.parametrize("task_policy", ["round-robin", "serial", "random"])
 @pytest.mark.parametrize("quantum", [1, 4, 16])
 def test_step_budget_enforcement_is_engine_invariant(engine, task_policy, quantum):
     """Zero divergence gate: a per-request step budget is enforced at
     *exactly* the configured step count — same count, same exception —
-    whatever the engine, task policy or machine quantum.  This is the
-    property the CI host-smoke step asserts across the full matrix."""
+    and a zero wall-clock deadline runs *zero* steps, whatever the
+    engine, task policy or machine quantum.  The session serves the
+    next request after both misses."""
     session = make_session(engine, policy=task_policy, quantum=quantum)
     session.run(LOOP)
     handle = session.submit("(loop 0)", max_steps=333)
@@ -233,6 +234,11 @@ def test_step_budget_enforcement_is_engine_invariant(engine, task_policy, quantu
         session.pump(100)
     assert isinstance(handle.exception(), StepBudgetExceeded)
     assert handle.steps == 333
+    instant = session.submit("(loop 0)", deadline=0.0)
+    session.pump(1 << 20)
+    assert isinstance(instant.exception(), DeadlineExceeded)
+    assert instant.steps == 0
+    assert session.eval("(+ 40 2)") == 42
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -2,8 +2,9 @@
 
 Runs the paper's example programs (E1–E10 territory: call/cc products,
 spawn/exit, pcall trees, parallel-or, parallel search, futures,
-engines) and the resolver's equivalence programs under both execution
-engines × all three scheduler policies, asserting identical values —
+engines), pcall forks, call-heavy control-free programs and the
+resolver's equivalence programs under both execution engines × all
+three scheduler policies, asserting identical values —
 and, for schedule-deterministic programs, identical
 ``captures``/``reinstatements`` statistics.
 
@@ -111,6 +112,40 @@ CASES = [
         (define k2 (call/cc (lambda (k) k)))
         (set! cell (+ cell 1))
         (if (< cell 2) (k2 k2) cell)
+        """,
+    ),
+    # Forks whose branches each return a fixed value, so the sum is
+    # schedule-free however the branches interleave.
+    Case("pcall-fork", "(pcall + (pcall * 2 3) (pcall - 10 4) 100)"),
+    Case(
+        "pcall-tree",
+        "(pcall + (loop 40 0) (pcall + (loop 9 1) (loop 17 0)) (loop 3 2))",
+        setup="(define (loop n acc) (if (= n 0) acc (loop (- n 1) (+ acc 1))))",
+    ),
+    Case(
+        "spawn-future-mix",
+        "(list (spawn (lambda (c) (+ 1 (c (lambda (k) (k 10))))))"
+        " (touch (future (lambda () 32))))",
+    ),
+    # Call-heavy control-free programs, in one case to keep the matrix
+    # small: codegen's self-call inlining (fib), nested non-tail calls
+    # (tak), calls between two globals and list primitives.
+    Case(
+        "call-heavy",
+        """
+        (list (fib 12)
+              (tak 9 6 3)
+              (even2? 301)
+              (length (reverse (append (iota 30) (map add1 (iota 30))))))
+        """,
+        setup="""
+        (define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))
+        (define (tak x y z)
+          (if (not (< y x))
+              z
+              (tak (tak (- x 1) y z) (tak (- y 1) z x) (tak (- z 1) x y))))
+        (define (even2? n) (if (= n 0) #t (odd2? (- n 1))))
+        (define (odd2? n) (if (= n 0) #f (even2? (- n 1))))
         """,
     ),
     # Racy by construction: both parallel-or branches are truthy, so

@@ -84,6 +84,15 @@ def test_record_false_and_default_mean_no_recorder():
     assert Interpreter(record=False).recorder is None
 
 
+def test_disabled_recorder_attached_to_a_machine_records_nothing():
+    rec = Recorder(enabled=False)
+    interp = Interpreter(record=rec)
+    interp.definitions(CHURN)
+    interp.eval("(churn 5)")
+    assert interp.stats["captures"] == 5
+    assert len(rec) == 0
+
+
 def test_quantum_events_report_task_and_steps():
     interp = Interpreter(record=True, quantum=8)
     interp.eval("(+ 1 2)")
@@ -114,6 +123,12 @@ def test_host_span_tree_and_export():
     assert tick_b.track == "host"
     assert {e.track for e in pump_bs} == {"a", "b"}
     assert all(e.parent == tick_b.span for e in pump_bs)  # pumps nest in the tick
+
+    # Conservation holds for the shared stream too: the sessions'
+    # counters sum to the events recorded.
+    for counter, event in (("captures", "capture"), ("reinstatements", "reinstate")):
+        counted = sum(s.machine.stats[counter] for s in (a, b))
+        assert counted == len(rec.events_of(event)) > 0, counter
 
     assert validate_chrome_trace(rec.to_chrome_trace()) == []
 

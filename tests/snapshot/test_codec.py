@@ -188,12 +188,20 @@ def test_counter_watermarks_advance_on_restore():
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_idle_snapshot_is_deterministic(engine):
-    s = make_session(engine)
-    s.drive(s.submit("(define z (list 1 2 3)) (display z)"))
-    blob = s.snapshot()
-    assert s.snapshot() == blob  # stable under repetition
-    r = Session.restore(blob)
-    assert r.snapshot() == blob  # and under a restore cycle
+    fresh = make_session(engine)
+    warm = make_session(engine)  # user state and a macro
+    warm.drive(
+        warm.submit(
+            "(define z (list 1 2 3)) (display z)"
+            "(define-syntax swap! (syntax-rules ()"
+            " ((_ a b) (let ((t a)) (set! a b) (set! b t)))))"
+        )
+    )
+    for s in (fresh, warm):
+        blob = s.snapshot()
+        assert s.snapshot() == blob  # stable under repetition
+        r = Session.restore(blob)
+        assert r.snapshot() == blob  # and under a restore cycle
 
 
 def test_random_policy_rng_state_carried():

@@ -23,6 +23,13 @@ PROG = (
     "(display (pcall + (loop 40 0) (loop 60 0) (loop 25 0)))"
 )
 
+#: PROG with a future's tree running beside the pcall.
+FUTURE_PROG = (
+    "(define (loop n acc) (if (= n 0) acc (loop (- n 1) (+ acc n))))"
+    "(define parked (future (lambda () (loop 300 0))))"
+    "(display (pcall + (loop 40 0) (loop 60 0) (loop 25 0)))"
+)
+
 RESTORE_ENGINES = ["codegen", "compiled", "resolved", "dict"]
 
 
@@ -33,10 +40,10 @@ def drained(session: Session) -> Session:
     return session
 
 
-def _mid_pcall_codegen_blob():
-    s = Session(engine="codegen", quantum=8)
-    s.submit(PROG)
-    s.pump(5)  # suspend with the pcall branches mid-flight
+def _mid_pcall_blob(engine="codegen", prog=PROG, steps=5):
+    s = Session(engine=engine, quantum=8)
+    s.submit(prog)
+    s.pump(steps)  # suspend with the pcall branches mid-flight
     assert not s.idle
     return s.snapshot()
 
@@ -49,7 +56,7 @@ def test_mid_pcall_codegen_restores_under_any_engine(engine):
         prog, r = LEGACY_PROG, Session.restore(legacy_blob(engine, "mid-pcall"))
         assert r.engine == "compiled"
     else:
-        prog, r = PROG, Session.restore(_mid_pcall_codegen_blob(), engine=engine)
+        prog, r = PROG, Session.restore(_mid_pcall_blob(), engine=engine)
         assert r.engine == engine
     ref = Session(engine="codegen", quantum=8)
     ref.drive(ref.submit(prog))
@@ -59,7 +66,7 @@ def test_mid_pcall_codegen_restores_under_any_engine(engine):
 
 
 def test_cross_engine_values_byte_identical():
-    blob = _mid_pcall_codegen_blob()
+    blob = _mid_pcall_blob()
     outputs = {
         engine: drained(Session.restore(blob, engine=engine)).output_text()
         for engine in ENGINES
@@ -69,28 +76,31 @@ def test_cross_engine_values_byte_identical():
 
 def test_same_engine_restore_is_deterministic():
     # Restoring the same blob twice under the same engine must replay
-    # to identical values AND identical step totals.
-    blob = _mid_pcall_codegen_blob()
+    # to identical values AND identical step totals: the codegen blob,
+    # and the engine's own blob taken with a future in flight.
+    codegen_blob = _mid_pcall_blob()
     for engine in ENGINES:
-        a = drained(Session.restore(blob, engine=engine))
-        b = drained(Session.restore(blob, engine=engine))
-        assert a.output_text() == b.output_text()
-        assert a.machine.steps_total == b.machine.steps_total
-        assert a.machine.stats == b.machine.stats
+        own_blob = _mid_pcall_blob(engine, FUTURE_PROG, steps=20)
+        for blob in (codegen_blob, own_blob):
+            a = drained(Session.restore(blob, engine=engine))
+            b = drained(Session.restore(blob, engine=engine))
+            assert a.output_text() == b.output_text() == "2975"
+            assert a.machine.steps_total == b.machine.steps_total
+            assert a.machine.stats == b.machine.stats
 
 
 def test_restored_codegen_session_serves_new_code():
     # After a cross-engine round trip back to codegen, the session must
     # emit and run fresh forms (the code cache is module-level, so this
     # also exercises restore-time cache hits).
-    blob = _mid_pcall_codegen_blob()
+    blob = _mid_pcall_blob()
     r = Session.restore(blob, engine="codegen")
     drained(r)
     assert r.drive(r.submit("(loop 10 0)"))[-1] == 55
 
 
 def test_codegen_blob_under_compiled_serves_new_code():
-    r = Session.restore(_mid_pcall_codegen_blob(), engine="compiled")
+    r = Session.restore(_mid_pcall_blob(), engine="compiled")
     drained(r)
     assert r.drive(r.submit("(loop 10 0)"))[-1] == 55
 
