@@ -4,7 +4,8 @@ Every error raised by the library derives from :class:`ReproError`, so a
 host application can catch one type.  The hierarchy mirrors the
 subsystem structure:
 
-* :class:`ReaderError` — lexing / parsing an s-expression stream.
+* :class:`ReaderError` — reading an s-expression stream
+  (:class:`IncompleteInput` when the text ends inside a datum).
 * :class:`ExpandError` — macro expansion and core-form analysis.
 * :class:`MachineError` — runtime errors inside the abstract machine.
 * :class:`ControlError` — misuse of control operators; this is where
@@ -21,6 +22,7 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "ReaderError",
+    "IncompleteInput",
     "ExpandError",
     "CompileError",
     "MachineError",
@@ -70,6 +72,13 @@ class ReaderError(ReproError):
         if line is not None:
             message = f"{message} (line {line}, column {column})"
         super().__init__(message)
+
+
+class IncompleteInput(ReaderError):
+    """The text ends inside a datum, so more text could complete it:
+    an unterminated list, vector, string or block comment, or a
+    quotation prefix or ``#;`` with no datum after it.  The REPL reads
+    another line when it sees this."""
 
 
 class ExpandError(ReproError):

@@ -258,9 +258,9 @@ def prim_number_to_string(x: Any) -> str:
 def prim_string_to_number(s: Any) -> Any:
     if not isinstance(s, str):
         raise WrongTypeError(f"string->number: not a string: {s!r}")
-    from repro.reader.lexer import _parse_number
+    from repro.reader import parse_number
 
-    value = _parse_number(s)
+    value = parse_number(s)
     return value if value is not None else False
 
 

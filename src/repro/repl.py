@@ -37,8 +37,9 @@ from typing import Any
 
 from repro.api import Interpreter
 from repro.datum import UNSPECIFIED, scheme_repr
-from repro.errors import ReproError
+from repro.errors import IncompleteInput, ReaderError, ReproError
 from repro.lib import paper_examples
+from repro.reader import read_all
 
 __all__ = ["main", "Repl"]
 
@@ -72,31 +73,6 @@ class Repl:
 
     def _print(self, text: str = "") -> None:
         print(text, file=self.out)
-
-    def _balanced(self, text: str) -> bool:
-        """Cheap paren balance check for multi-line entry (strings and
-        comments handled)."""
-        depth = 0
-        in_string = False
-        index = 0
-        while index < len(text):
-            ch = text[index]
-            if in_string:
-                if ch == "\\":
-                    index += 1
-                elif ch == '"':
-                    in_string = False
-            elif ch == '"':
-                in_string = True
-            elif ch == ";":
-                while index < len(text) and text[index] != "\n":
-                    index += 1
-            elif ch in "([":
-                depth += 1
-            elif ch in ")]":
-                depth -= 1
-            index += 1
-        return depth <= 0 and not in_string
 
     # -- commands ---------------------------------------------------------
 
@@ -172,7 +148,6 @@ class Repl:
         from repro.expander import expand_program
         from repro.ir import resolve_program, stable_hash
         from repro.ir.codegen import cache_info, emitted_source, is_cached
-        from repro.reader import read_all
 
         session = self.interp.session
         try:
@@ -220,10 +195,15 @@ class Repl:
         if not self.buffer and line.strip().startswith(","):
             return self.handle_meta(line.strip())
         self.buffer += line + "\n"
-        if self._balanced(self.buffer):
-            source, self.buffer = self.buffer, ""
-            if source.strip():
-                self.eval_and_print(source)
+        try:
+            read_all(self.buffer)
+        except IncompleteInput:
+            return True  # the next line may finish the datum
+        except ReaderError:
+            pass  # evaluating the buffer reports the error
+        source, self.buffer = self.buffer, ""
+        if source.strip():
+            self.eval_and_print(source)
         return True
 
     def prompt(self) -> str:

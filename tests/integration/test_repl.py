@@ -47,6 +47,38 @@ def test_comment_with_parens(repl):
     assert "3" in text
 
 
+@pytest.mark.parametrize(
+    "line, shown",
+    [
+        ("(char->integer #\\()", "40"),
+        ('(string #\\")', '"\\""'),
+        ("(quote #| ( |# x)", "x"),
+    ],
+)
+def test_complete_line_with_delimiter_in_char_or_comment(repl, line, shown):
+    instance, out = repl
+    instance.feed_line(line)
+    assert out.getvalue().strip() == shown
+    assert instance.prompt() == ">>> "
+
+
+def test_buffers_until_the_reader_can_finish_a_datum(repl):
+    instance, out = repl
+    for line in ("(list 1 '", "#| ( |#", '"a'):
+        instance.feed_line(line)
+        assert instance.prompt() == "... "
+    instance.feed_line('b")')
+    assert instance.prompt() == ">>> "
+    assert out.getvalue().strip() == '(1 "a\\nb")'
+
+
+def test_stray_close_reports_its_error(repl):
+    instance, out = repl
+    instance.feed_line(")")
+    assert "error: unexpected )" in out.getvalue()
+    assert instance.prompt() == ">>> "
+
+
 def test_definition_prints_nothing(repl):
     text, _ = feed(repl, "(define x 5)")
     assert text.strip() == ""

@@ -110,6 +110,24 @@ def test_number_string_conversion(interp):
     assert interp.eval('(string->number "nope")') is False
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("1/0", False),
+        ("+", False),
+        ("-.", False),
+        (".5", 0.5),
+        ("1e400", float("inf")),
+        ("+inf.0", float("inf")),
+        ("²", False),  # a superscript two: a Unicode digit, not ASCII
+    ],
+)
+def test_string_to_number_edges(interp, text, expected):
+    # string->number shares the reader's number grammar.
+    value = interp.eval(f'(string->number "{text}")')
+    assert value == expected and type(value) is type(expected)
+
+
 def test_sign_predicates(interp):
     assert interp.eval("(zero? 0)") is True
     assert interp.eval("(positive? 1)") is True

@@ -1,4 +1,4 @@
-"""Parser behaviour: data construction and error reporting."""
+"""Reading data: construction from nested syntax and error reporting."""
 
 import pytest
 
