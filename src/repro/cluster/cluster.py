@@ -573,12 +573,7 @@ class Cluster:
         if reply.get("restored"):
             self.metrics.restores += 1
             self.metrics.restore_us.observe(reply.get("restore_us", 0.0))
-        blob = reply.get("snapshot")
-        if blob is not None:
-            self.store.put(session_id, blob)
-            self.metrics.snapshots += 1
-            self.metrics.snapshot_bytes.observe(len(blob))
-            self.metrics.snapshot_us.observe(reply.get("snapshot_us", 0.0))
+        self._persist(session_id, reply)
         return ClusterResult(
             session_id=session_id,
             shard=reply["shard"],
@@ -590,6 +585,17 @@ class Cluster:
             error_type=reply.get("error_type"),
             recovered=recovered,
         )
+
+    def _persist(self, session_id: str, reply: dict[str, Any]) -> bytes | None:
+        """Store the snapshot a shard reply carries, if any, and count
+        it; returns the blob."""
+        blob = reply.get("snapshot")
+        if blob is not None:
+            self.store.put(session_id, blob)
+            self.metrics.snapshots += 1
+            self.metrics.snapshot_bytes.observe(len(blob))
+            self.metrics.snapshot_us.observe(reply.get("snapshot_us", 0.0))
+        return blob
 
     # -- session mobility ------------------------------------------------
 
@@ -604,12 +610,7 @@ class Cluster:
                 return False
             reply = self.shards[index].request("evict", {"session_id": session_id})
             del self._resident[session_id]
-            blob = reply.get("snapshot")
-            if blob is not None:
-                self.store.put(session_id, blob)
-                self.metrics.snapshots += 1
-                self.metrics.snapshot_bytes.observe(len(blob))
-                self.metrics.snapshot_us.observe(reply.get("snapshot_us", 0.0))
+            self._persist(session_id, reply)
             self.metrics.evictions += 1
             return bool(reply.get("resident"))
 
@@ -643,13 +644,7 @@ class Cluster:
             if index is None:
                 return self.store.get(session_id)
             reply = self.shards[index].request("snapshot", {"session_id": session_id})
-            blob = reply.get("snapshot")
-            if blob is not None:
-                self.store.put(session_id, blob)
-                self.metrics.snapshots += 1
-                self.metrics.snapshot_bytes.observe(len(blob))
-                self.metrics.snapshot_us.observe(reply.get("snapshot_us", 0.0))
-            return blob
+            return self._persist(session_id, reply)
 
     # -- introspection / lifecycle ---------------------------------------
 

@@ -49,9 +49,9 @@ class ShardRuntime:
         if op == "submit":
             return self._submit(payload)
         if op == "evict":
-            return self._evict(payload)
+            return self._snapshot_op(payload, evict=True)
         if op == "snapshot":
-            return self._snapshot_op(payload)
+            return self._snapshot_op(payload, evict=False)
         if op == "ping":
             return {"sessions": sorted(s.name for s in self.host)}
         if op == "stats":
@@ -137,9 +137,10 @@ class ShardRuntime:
             reply["snapshot"] = None
             reply["snapshot_error"] = str(exc)
 
-    def _evict(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Snapshot a session and drop it from shard memory (the front
-        persists the blob; a later submit rehydrates anywhere)."""
+    def _snapshot_op(self, payload: dict[str, Any], *, evict: bool) -> dict[str, Any]:
+        """Snapshot a resident session for the front to persist; with
+        ``evict``, also drop it from shard memory (a later submit
+        rehydrates it anywhere)."""
         session_id = payload["session_id"]
         try:
             session = self.host[session_id]
@@ -147,18 +148,8 @@ class ShardRuntime:
             return {"session_id": session_id, "resident": False, "snapshot": None}
         reply: dict[str, Any] = {"session_id": session_id, "resident": True}
         self._attach_snapshot(reply, session)
-        self.host.remove_session(session)
-        return reply
-
-    def _snapshot_op(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Snapshot a resident session without evicting it."""
-        session_id = payload["session_id"]
-        try:
-            session = self.host[session_id]
-        except KeyError:
-            return {"session_id": session_id, "resident": False, "snapshot": None}
-        reply = {"session_id": session_id, "resident": True}
-        self._attach_snapshot(reply, session)
+        if evict:
+            self.host.remove_session(session)
         return reply
 
 

@@ -29,7 +29,7 @@ not buffering.  ``pump`` enforces the handle's step budget *exactly*
 (via the machine's ``max_steps`` clamp) and its wall-clock deadline at
 quantum granularity (via ``Machine.deadline``); both are scoped through
 :meth:`Machine.budget_scope`, the same mechanism behind
-``Interpreter.eval(max_steps=..., deadline=...)``.  Cancellation and
+``run``/``eval(max_steps=..., deadline=...)``.  Cancellation and
 deadline enforcement are capture-and-discard at the session root
 (:meth:`Machine.abort_tree`): tasks are unlinked at a quantum boundary,
 never interrupted mid-frame, and the session's parked future trees
@@ -168,29 +168,76 @@ _DRIVE_CHUNK = 1 << 20
 
 
 class Session:
-    """A complete, independently hosted interpreter session.
+    """A complete Scheme-with-process-continuations system: one
+    interpreter session, usable on its own (``repro.Interpreter`` is
+    this class) or as one of a :class:`~repro.host.Host`'s N sessions.
+    ``docs/API.md`` mirrors these parameters.
 
-    Parameters mirror :class:`repro.api.Interpreter` (which is a thin
-    single-session façade over this class); see ``docs/API.md`` for the
-    canonical constructor surface.  Host-specific knobs:
-
-    max_pending:
-        Bound on queued + in-flight evaluations; ``submit`` beyond it
-        raises :class:`~repro.errors.HostSaturated`.
-    name:
-        Label used in error messages and host listings.
+    Parameters
+    ----------
+    policy:
+        Scheduling policy for ``pcall`` branches:
+        :class:`~repro.machine.scheduler.SchedulerPolicy` or its string
+        value — ``"round-robin"`` (default, deterministic), ``"random"``
+        (seeded by ``seed``) or ``"serial"``.
+    seed:
+        RNG seed for the random policy.
+    quantum:
+        Steps a task runs before the scheduler rotates (round-robin).
+    max_steps:
+        Optional *lifetime* step budget for the session; exceeding it
+        raises :class:`repro.errors.StepBudgetExceeded`.  Per-call
+        budgets are the ``max_steps``/``deadline`` keywords on
+        :meth:`submit`, :meth:`run` and :meth:`eval`.
+    prelude:
+        Load the Scheme prelude (list utilities, tree helpers).  On by
+        default; switch off for a bare machine.
+    echo_output:
+        Also print ``display`` output to real stdout.
+    engine:
+        Execution engine: :class:`~repro.machine.scheduler.Engine` or
+        its string value — ``"compiled"`` or ``"codegen"`` (see
+        :data:`repro.machine.scheduler.ENGINES`).  Defaults to
+        ``"compiled"``, the reference engine: the pipeline reader →
+        expand → resolve → compile → machine.  ``"codegen"`` is the
+        fast path — resolved IR is emitted as straight-line Python
+        source, ``compile()``d once and cached by ``ir-hash-v1`` digest
+        (:mod:`repro.ir.codegen`, DESIGN.md S26).  Both run on one run
+        loop and agree on every program
+        (``tests/integration/test_engine_matrix.py``).
+    profile:
+        Keep VM run-loop counters (quanta, spill causes, write-backs
+        avoided) in ``machine.vm_stats``; surfaced through
+        :attr:`stats` and the REPL's ``,stats``.
+    record:
+        Observability (see ``docs/OBSERVABILITY.md``): ``True`` attaches
+        a fresh :class:`~repro.obs.Recorder` ring buffer, or pass an
+        existing :class:`~repro.obs.Recorder` to share one across
+        machines.  Control events (captures, reinstatements, forks,
+        label pops, join fires) and per-quantum timings stream into it;
+        export with ``session.recorder.to_chrome_trace()`` or
+        ``session.recorder.render()``.  Default None: zero overhead.
     analysis:
         Run the capture/effect analysis phase
-        (:mod:`repro.analysis.effects`) on every submit: stamps
-        ``EffectInfo`` facts on lambdas, classifies each request
-        pure / capture-heavy / spawning, and lets the pump grant
-        enlarged quanta to forms proven single-task.  On by default
-        (``--no-analysis`` in the REPL is the ablation flag).
+        (:mod:`repro.analysis.effects`, ``docs/ANALYSIS.md``) on every
+        submit: lambdas are stamped with conservative facts
+        (capture-free, spawn-free, controller-confined, known-total),
+        requests are classified pure / capture-heavy / spawning, and
+        forms proven single-task run with an enlarged scheduler
+        quantum.  On by default; ``analysis=False`` (the REPL's
+        ``--no-analysis``) is the ablation baseline.  Semantics are
+        identical either way (the analysis-ablation matrix of
+        ``tests/integration/test_engine_matrix.py``).
+    max_pending:
+        Bound on queued + in-flight evaluations; :meth:`submit` beyond
+        it raises :class:`~repro.errors.HostSaturated` — the same
+        backpressure contract as every other frontend.
+    name:
+        Keyword-only label used in error messages and host listings.
     """
 
     def __init__(
         self,
-        *,
         policy: str | SchedulerPolicy = SchedulerPolicy.ROUND_ROBIN,
         seed: int | None = None,
         quantum: int = 16,
@@ -199,10 +246,11 @@ class Session:
         echo_output: bool = False,
         engine: str | Engine | None = None,
         profile: bool = False,
-        max_pending: int = 64,
-        name: str | None = None,
         record: "Recorder | bool | None" = None,
         analysis: bool = True,
+        max_pending: int = 64,
+        *,
+        name: str | None = None,
     ):
         engine = normalize_engine(engine if engine is not None else "compiled")
         self.name = name if name is not None else f"session-{next(_session_ids)}"
@@ -259,8 +307,8 @@ class Session:
 
         This is the **shared submit contract** (``source, *,
         max_steps=None, deadline=None, tenant=None``) honoured by every
-        frontend — ``Session``, ``Interpreter``, ``Host`` and
-        ``Cluster`` — see ``docs/API.md``.
+        frontend — ``Session``, ``Host`` and ``Cluster`` — see
+        ``docs/API.md``.
 
         The frontend (read → expand → resolve → compile, per the
         session's engine) runs eagerly here, so reader/expansion errors
@@ -394,8 +442,8 @@ class Session:
         root, and the session keeps serving.  The single exception is
         the session-lifetime ``max_steps`` (the constructor knob):
         exhausting it both fails the in-flight handle and re-raises, so
-        a direct driver sees :class:`StepBudgetExceeded` exactly as the
-        pre-host ``Interpreter`` raised it.
+        a direct driver (:meth:`run`, :meth:`eval`) sees
+        :class:`StepBudgetExceeded`.
         """
         if budget <= 0:
             return 0
@@ -657,8 +705,8 @@ class Session:
     def drive(self, handle: EvalHandle) -> list[Any]:
         """Pump until ``handle`` is terminal; return its per-form values
         or raise its failure.  Work queued ahead of it runs first
-        (FIFO) — this is the single-session embedding path used by
-        :class:`repro.api.Interpreter`."""
+        (FIFO) — this is the single-session embedding path behind
+        :meth:`run` and :meth:`eval`."""
         if handle.session is not self:
             raise ValueError(f"{handle!r} belongs to {handle.session.name}, not {self.name}")
         while not handle.done():
@@ -667,6 +715,24 @@ class Session:
             raise handle._exception
         return list(handle.values)
 
+    def run(
+        self,
+        source: str,
+        *,
+        max_steps: int | None = None,
+        deadline: float | None = None,
+    ) -> list[Any]:
+        """Submit and drive ``source``; returns every form's value
+        (definitions yield the unspecified value).
+
+        ``max_steps`` bounds this call's machine steps (enforced
+        exactly; raises :class:`~repro.errors.StepBudgetExceeded`);
+        ``deadline`` is a wall-clock allowance in seconds (raises
+        :class:`~repro.errors.DeadlineExceeded` within one machine
+        quantum of expiry).  Both tighten, never loosen, the session's
+        lifetime ``max_steps``."""
+        return self.drive(self.submit(source, max_steps=max_steps, deadline=deadline))
+
     def eval(
         self,
         source: str,
@@ -674,15 +740,12 @@ class Session:
         max_steps: int | None = None,
         deadline: float | None = None,
     ) -> Any:
-        """Submit and drive ``source``; returns its last form's value."""
-        values = self.drive(self.submit(source, max_steps=max_steps, deadline=deadline))
+        """Submit and drive ``source``; returns its last form's value.
+        Budget keywords as for :meth:`run`."""
+        values = self.run(source, max_steps=max_steps, deadline=deadline)
         return values[-1] if values else None
 
-    # -- conveniences (shared with the Interpreter façade) ---------------
-
-    def run(self, source: str) -> list[Any]:
-        """Submit and drive ``source``; returns every form's value."""
-        return self.drive(self.submit(source))
+    # -- conveniences ----------------------------------------------------
 
     def eval_to_string(self, source: str) -> str:
         """Evaluate and render the result with ``write`` syntax."""

@@ -10,7 +10,7 @@ concrete — each is pure Scheme over ``spawn``/``pcall``:
 * ``parallel`` — ``parallel-and``, recursive ``par-map``, ``race``;
 * ``amb`` — backtracking search with early exit.
 
-Load with :meth:`repro.api.Interpreter.load_library`.
+Load with :meth:`repro.host.Session.load_library`.
 """
 
 EXCEPTIONS = r"""

@@ -244,17 +244,27 @@ class Machine:
         """Abort every task of the *main* tree only (whole-tree
         abortive continuations must not touch independent future
         trees — Section 8's isolation)."""
+        self.queue.extend(self._drain_main_tree())
+
+    def _drain_main_tree(self) -> list[Task]:
+        """Empty the run queue: main-tree tasks die, and the runnable
+        future-tree tasks are returned."""
         survivors: list[Task] = []
         for task in self.queue:
             if task.state is not TaskState.RUNNABLE:
                 continue
-            root = self._tree_root(task)
-            if isinstance(root, HaltLink) and root.placeholder is not None:
+            if self._in_future_tree(task):
                 survivors.append(task)
             else:
                 task.state = TaskState.DEAD
         self.queue.clear()
-        self.queue.extend(survivors)
+        return survivors
+
+    def _in_future_tree(self, task: Task) -> bool:
+        """True if ``task`` belongs to an independent future tree (its
+        tree's HaltLink resolves a placeholder)."""
+        root = self._tree_root(task)
+        return isinstance(root, HaltLink) and root.placeholder is not None
 
     def _tree_root(self, task: Task) -> Any:
         """The HaltLink at the base of the tree containing ``task``,
@@ -275,20 +285,9 @@ class Machine:
         into the next form; main-tree tasks die, and main-tree waiters
         are detached from their placeholders so a later resolve cannot
         wake a task of a finished form."""
-        survivors: list[Task] = []
-        for task in self.queue:
-            if task.state is not TaskState.RUNNABLE:
-                continue
-            root = self._tree_root(task)
-            if isinstance(root, HaltLink) and root.placeholder is not None:
-                survivors.append(task)
-            else:
-                task.state = TaskState.DEAD
-        self.queue.clear()
-        self.parked_futures = survivors
+        self.parked_futures = self._drain_main_tree()
         for task in list(self.waiting_tasks):
-            root = self._tree_root(task)
-            if not (isinstance(root, HaltLink) and root.placeholder is not None):
+            if not self._in_future_tree(task):
                 task.state = TaskState.DEAD
                 self.waiting_tasks.discard(task)
 
@@ -361,7 +360,6 @@ class Machine:
         :meth:`begin_eval`.  Safe to call after an exception escaped
         :meth:`step_n` mid-run.
         """
-        self.kill_main_tree_tasks()
         self._park_surviving_futures()
         self.halt_value = _NO_HALT
         self.root_entity = None
@@ -384,8 +382,8 @@ class Machine:
         stricter.  Previous bounds are restored on exit, including when
         :class:`StepBudgetExceeded` / :class:`DeadlineExceeded`
         propagates.  This is the single budget mechanism shared by
-        ``Interpreter.eval(max_steps=..., deadline=...)`` and the host
-        runtime's per-request deadlines.
+        ``Session.run``/``eval(max_steps=..., deadline=...)`` and the
+        host runtime's per-request deadlines.
         """
         prev_max, prev_deadline = self.max_steps, self.deadline
         if max_steps is not None:

@@ -168,7 +168,7 @@ def _string(text: str, start: int) -> tuple[str, int]:
                 digits, pos = text[pos:end], end + 1
             try:
                 chars.append(chr(int(digits, 16)))
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise ReaderError(f"bad hex escape \\x{digits}", *_where(text, pos))
         else:
             raise ReaderError(f"unknown string escape \\{esc}", *_where(text, pos))

@@ -127,7 +127,7 @@ class Repl:
                 try:
                     # Facts against this REPL's live globals and macros,
                     # exactly what submit would compute for it.
-                    report = analyze(argument, session=self.interp.session)
+                    report = analyze(argument, session=self.interp)
                     self._print(report.summary())
                     self._print(spawn_report(argument))
                 except ReproError as exc:
@@ -149,7 +149,7 @@ class Repl:
         from repro.ir import resolve_program, stable_hash
         from repro.ir.codegen import cache_info, emitted_source, is_cached
 
-        session = self.interp.session
+        session = self.interp
         try:
             forms = read_all(source)
             nodes = expand_program(forms, session.expand_env)

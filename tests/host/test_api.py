@@ -1,5 +1,6 @@
-"""The Interpreter façade: canonical constructor surface, the
-``resolve=`` removal, per-call budgets, and the api.py doctests."""
+"""The single-session API (``Interpreter`` is ``Session``): canonical
+constructor surface, the ``resolve=`` removal, per-call budgets, and
+the api.py doctests."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import pytest
 import repro.api
 from repro import Engine, Interpreter, SchedulerPolicy
 from repro.errors import DeadlineExceeded, StepBudgetExceeded
-from repro.host import Session
+from repro.host import Host, Session
 
 LOOP = "(define (loop n) (loop (+ n 1)))"
 
@@ -43,11 +44,21 @@ def test_default_engine_unchanged():
         assert Interpreter(prelude=False).engine == "compiled"
 
 
-def test_facade_is_a_session():
-    interp = Interpreter(prelude=False)
-    assert isinstance(interp.session, Session)
-    assert interp.machine is interp.session.machine
-    assert interp.globals is interp.session.globals
+def test_interpreter_is_session():
+    assert Interpreter is Session
+
+
+def test_interpreter_snapshots_restores_and_joins_a_host():
+    interp = Interpreter(prelude=False, name="solo")
+    interp.run("(define counter 41)")
+    copy = Interpreter.restore(interp.snapshot(), name="copy")
+    assert copy.eval("(+ counter 1)") == 42
+    host = Host()
+    host.add_session(interp)
+    handle = host.submit("solo", "(set! counter (+ counter 1)) counter")
+    host.run_until_idle()
+    assert handle.result() == 42
+    assert copy.eval("counter") == 41
 
 
 # -- the resolve= removal (deprecated 1.1, removed 1.4) -------------------
@@ -67,7 +78,7 @@ def test_resolve_kwarg_removed():
 
 def test_eval_max_steps_enforced_exactly():
     interp = Interpreter()
-    interp.definitions(LOOP)
+    interp.run(LOOP)
     with pytest.raises(StepBudgetExceeded) as info:
         interp.eval("(loop 0)", max_steps=750)
     assert info.value.steps == 750
@@ -77,7 +88,7 @@ def test_eval_max_steps_enforced_exactly():
 
 def test_eval_deadline_enforced():
     interp = Interpreter()
-    interp.definitions(LOOP)
+    interp.run(LOOP)
     with pytest.raises(DeadlineExceeded):
         interp.eval("(loop 0)", deadline=0.05)
     assert interp.eval("(+ 40 2)") == 42
@@ -85,7 +96,7 @@ def test_eval_deadline_enforced():
 
 def test_per_call_budget_tightens_never_loosens():
     interp = Interpreter(max_steps=100, prelude=False)
-    interp.definitions(LOOP)
+    interp.run(LOOP)
     # Asking for more than the lifetime budget still stops at the
     # lifetime bound.
     with pytest.raises(StepBudgetExceeded):
@@ -95,7 +106,7 @@ def test_per_call_budget_tightens_never_loosens():
 
 def test_lifetime_budget_unchanged():
     interp = Interpreter(max_steps=1000)
-    interp.definitions(LOOP)
+    interp.run(LOOP)
     with pytest.raises(StepBudgetExceeded):
         interp.eval("(loop 0)")
 

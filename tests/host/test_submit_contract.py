@@ -1,11 +1,12 @@
 """The shared submit contract (docs/API.md): every frontend —
-``Session``, ``Interpreter``, ``Host``, ``Cluster`` — accepts the same
+``Session`` (``Interpreter`` is another name for it), ``Host``,
+``Cluster`` — accepts the same
 ``submit(source, *, max_steps=None, deadline=None, tenant=None)``
 keyword surface, returns a handle on the same
 :class:`~repro.host.handle.HandleState` state machine, and refuses with
 the same exception types (``HostSaturated`` for backpressure,
 ``DeadlineExceeded`` for a missed deadline, ``SessionCancelled`` +
-CANCELLED for a cancel).  One parametrised suite drives all four
+CANCELLED for a cancel).  One parametrised suite drives all three
 through one driver seam, so the contract cannot drift per-tier."""
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import inspect
 
 import pytest
 
-from repro import Cluster, Host, Interpreter, Session
+from repro import Cluster, Host, Session
 from repro.errors import DeadlineExceeded, HostSaturated, SessionCancelled
 from repro.host.handle import HandleState
 
@@ -46,20 +47,6 @@ class _SessionFront:
 
     def close(self):
         pass
-
-
-class _InterpreterFront(_SessionFront):
-    name = "interpreter"
-
-    def __init__(self, **limits):
-        self.interp = Interpreter(prelude=False, **limits)
-        self.session = self.interp.session
-
-    def submit(self, source, **kwargs):
-        return self.interp.submit(source, **kwargs)
-
-    def submit_fn(self):
-        return self.interp.submit
 
 
 class _HostFront:
@@ -113,7 +100,7 @@ class _ClusterFront:
         self.cluster.close()
 
 
-FRONTS = [_SessionFront, _InterpreterFront, _HostFront, _ClusterFront]
+FRONTS = [_SessionFront, _HostFront, _ClusterFront]
 
 
 @pytest.fixture(params=FRONTS, ids=[f.name for f in FRONTS])

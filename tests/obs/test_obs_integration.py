@@ -87,7 +87,7 @@ def test_record_false_and_default_mean_no_recorder():
 def test_disabled_recorder_attached_to_a_machine_records_nothing():
     rec = Recorder(enabled=False)
     interp = Interpreter(record=rec)
-    interp.definitions(CHURN)
+    interp.run(CHURN)
     interp.eval("(churn 5)")
     assert interp.stats["captures"] == 5
     assert len(rec) == 0

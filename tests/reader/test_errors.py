@@ -24,6 +24,7 @@ ERRORS = [
     ('"\\xZZ;"', "bad hex escape \\xZZ", 1, 7),
     ('"\\x41"', 'bad hex escape \\x41"', 1, 7),
     ('"\\x110000;"', "bad hex escape \\x110000", 1, 11),
+    ('"\\xFFFFFFFFFFFFFFFFFFFF;"', "bad hex escape \\xFFFFFFFFFFFFFFFFFFFF", 1, 25),
     ('"a\\qb"', "unknown string escape \\q", 1, 5),
     ('(a\r\n\t(b\r\n\t\t"x\\q")', "unknown string escape \\q", 3, 7),
     # characters and # syntax
