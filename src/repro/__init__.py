@@ -40,6 +40,7 @@ from repro.errors import (
     HostSaturated,
     SnapshotError,
     SnapshotFormatError,
+    SnapshotBaseMismatch,
     ClusterError,
     ClusterEvalError,
     ShardDied,
@@ -56,7 +57,7 @@ from repro.snapshot import SNAPSHOT_VERSION, restore_session, snapshot_session
 from repro.cluster import Cluster, ClusterHandle, ClusterResult, DirectoryStore, MemoryStore
 from repro.gateway import Gateway, GatewayClient, GatewayLimits, TokenBucket
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "Interpreter",
@@ -89,6 +90,7 @@ __all__ = [
     "HostSaturated",
     "SnapshotError",
     "SnapshotFormatError",
+    "SnapshotBaseMismatch",
     "ClusterError",
     "ClusterEvalError",
     "ShardDied",

@@ -50,7 +50,8 @@ class SerialCounter:
             self.value = floor
 
     def reset(self, start: int = 0) -> None:
-        """Restart the stream (test determinism only)."""
+        """Restart the stream: for test determinism, and for a snapshot
+        restore giving back the uids its own discarded boot took."""
         self.value = start
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

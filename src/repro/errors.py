@@ -45,6 +45,7 @@ __all__ = [
     "HostSaturated",
     "SnapshotError",
     "SnapshotFormatError",
+    "SnapshotBaseMismatch",
     "ClusterError",
     "ClusterEvalError",
     "ShardDied",
@@ -226,6 +227,14 @@ class SnapshotError(HostError):
 class SnapshotFormatError(SnapshotError):
     """A snapshot blob is malformed, truncated, from an incompatible
     format version, or fails its embedded integrity checks."""
+
+
+class SnapshotBaseMismatch(SnapshotError):
+    """A snapshot blob names a boot base this process cannot rebuild:
+    its image digest differs from this build's, because the build that
+    wrote it had another prelude or another primitive table.  The blob
+    carries only what changed since boot, so it cannot be restored on
+    a different base."""
 
 
 class ClusterError(HostError):

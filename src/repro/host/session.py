@@ -44,7 +44,7 @@ from collections import deque
 from dataclasses import fields
 from fractions import Fraction
 from time import monotonic as _monotonic
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.datum import Char, Nil, Symbol, Unspecified, scheme_repr
 from repro.errors import (
@@ -74,14 +74,15 @@ from repro.ir import (
 from repro.ir.nodes import Const, Node
 from repro.lib import PRELUDE, paper_examples
 from repro.lib.derived import LIBRARIES
-from repro.machine.environment import GlobalEnv
+from repro.machine.environment import UNBOUND, GlobalEnv
 from repro.machine.scheduler import Engine, Machine, SchedulerPolicy, normalize_engine
+from repro.machine.values import Closure, ControlPrimitive, Primitive
 from repro.obs.metrics import COUNTER, HIGH_WATER, HISTOGRAM, declare
 from repro.obs.recorder import Recorder
 from repro.primitives import OutputBuffer, install_primitives
 from repro.reader import read_all
 
-__all__ = ["SESSION_METRICS", "Session", "prelude_image"]
+__all__ = ["SESSION_METRICS", "Base", "Session", "prelude_image"]
 
 #: A session's serving counters (``session.*`` in ``stats``), updated
 #: by its submit path and pump loop.
@@ -157,6 +158,28 @@ def _check_immutable(nodes: tuple[Node, ...]) -> None:
                 stack.append(child)
             elif isinstance(child, tuple):
                 stack.extend(c for c in child if isinstance(c, Node))
+
+
+#: Value types a boot base may hold: objects no session can mutate, so a
+#: snapshot may name them by position instead of writing them down.
+_BASE_KINDS = _IMMUTABLE_ATOMS | {Primitive, ControlPrimitive, type(UNBOUND)}
+
+
+class Base(NamedTuple):
+    """What booting a session created, recorded when boot finishes.  A
+    snapshot (:mod:`repro.snapshot`) names its session's base and
+    carries only what changed since; restore boots the same base again.
+
+    ``objects`` holds the global cells' values in cell order — its first
+    ``cells`` entries: primitives, control primitives and, with the
+    prelude, its closures — then the closures' top-level environment,
+    then the prelude's macros.  A tuple, not a dict: a host holds many
+    sessions, and each pays only one pointer per object."""
+
+    prelude: bool
+    cells: int
+    objects: tuple
+
 
 #: Ordering for backlog_classification: higher = more demanding.
 _CLASS_RANK = {"pure": 0, "unknown": 1, "capture-heavy": 2, "spawning": 3}
@@ -292,6 +315,25 @@ class Session:
             self.metrics = SESSION_METRICS()
         self.machine.steps_total = 0
         self.machine.max_steps = max_steps
+        self.base = self._boot_base(prelude)
+
+    def _boot_base(self, prelude: bool) -> Base:
+        """Record what booting created as this session's :class:`Base`.
+        Every boot value must be a procedure over the top-level
+        environment or an immutable atom, so a snapshot that names it
+        instead of writing it down loses no state."""
+        env = self.machine.toplevel_env
+        values = []
+        for name, cell in self.globals.cells.items():
+            value = cell.value
+            kind = type(value)
+            if kind not in _BASE_KINDS and not (kind is Closure and value.env is env):
+                raise TypeError(
+                    f"prelude global {name.name} holds {scheme_repr(value)}; a boot "
+                    "base may hold only top-level procedures and immutable atoms"
+                )
+            values.append(value)
+        return Base(prelude, len(values), (*values, env, *self.expand_env.macros.values()))
 
     # -- submission ------------------------------------------------------
 
@@ -798,8 +840,9 @@ class Session:
 
     def snapshot(self) -> bytes:
         """Serialize this session — including suspended evaluations,
-        captured continuations and parked future trees — into a
-        self-contained blob; see :mod:`repro.snapshot`.  Deterministic:
+        captured continuations and parked future trees — into a blob
+        holding what it changed since boot (:attr:`base`); see
+        :mod:`repro.snapshot`.  Deterministic:
         the same state yields the same bytes.  Must be called between
         pumps, not from inside one."""
         from repro.snapshot import snapshot_session

@@ -10,12 +10,21 @@ writes it down; :func:`restore_session` rebuilds an equivalent session
 in any process, byte-for-byte equivalent in observable behaviour
 (output, per-step stats, uid streams) to the never-snapshotted run.
 
+A blob is relative to its session's boot *base*
+(:class:`~repro.host.session.Base`): the primitives, control primitives
+and prelude closures that booting bound, their top-level environment
+and the prelude's macros.  Every session boots that base identically
+from the process-wide image, so a blob names it by digest, refers to
+its objects by position (the ``BASE`` value tag) and leaves out every
+global cell that still holds its boot value.  It carries only what the
+session changed since it booted.
+
 Layout of a blob (all integers LEB128 varints; see
 :mod:`repro.snapshot.wire` and ``docs/CLUSTER.md``)::
 
     magic "RSNP"  version u8
     header    name, engine, policy, quantum, flags, max_pending,
-              six uid-counter watermarks
+              six uid-counter watermarks, base kind, base digest
     objects   the cyclic heap: tagged records, each a length-prefixed
               payload of a fixed *head* (construction scalars) plus
               *rest* (reference-bearing fields, filled in a second pass)
@@ -32,11 +41,16 @@ ribs, cells, tasks, links, frames by chain) is a table entry referenced
 by id, so shared and cyclic structure round-trips with its aliasing
 intact.  Interned symbols are re-interned by name on load; gensyms are
 table objects (identity-unique) and the gensym counter watermark is
-carried so printed names never collide after restore.  Global cells
-merge into the restoring session's table by name, which is how
-snapshot-side closures reconnect to the freshly installed primitives
-(primitives are encoded by name only and re-linked — their Python
-closures, e.g. over the output buffer, are never serialized).
+carried so printed names never collide after restore.  Restore boots
+the named base afresh, so a ``BASE`` reference becomes the new boot's
+object at that position (``eq?`` still holds between ``map`` and a
+user binding of it), and global cells merge into the restoring
+session's table by name.  Primitives' Python closures, e.g. over the
+output buffer, are never serialized.
+
+Version 3 blobs, written before bases existed, decode with the same
+decoder onto a bare session: they hold every cell and no ``BASE``
+reference.
 
 Not serialized (by design): the observability recorder (pass ``record=``
 to :func:`restore_session`), ``Machine.trace_hook``, and in-flight pump
@@ -46,6 +60,7 @@ state — snapshotting from inside :meth:`Session.pump` raises
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from fractions import Fraction
 from time import monotonic as _monotonic
@@ -57,12 +72,14 @@ from repro.control.engines import EngineValue
 from repro.control.fcontrol import FunctionalContinuation
 from repro.control.futures import FuturePlaceholder
 from repro.control.spawn import ProcessContinuation, ProcessController
-from repro.datum import NIL, Char, MVector, Pair, Symbol, intern
+from repro.control import register_control_primitives
+from repro.counters import SerialCounter
+from repro.datum import NIL, Char, MVector, Pair, Symbol, from_pylist, intern
 from repro.datum.singletons import EOF_OBJECT, UNSPECIFIED
-from repro.errors import SnapshotError, SnapshotFormatError
+from repro.errors import SnapshotBaseMismatch, SnapshotError, SnapshotFormatError
 from repro.expander.syntax_rules import Macro, Rule
 from repro.host.handle import EvalHandle, HandleState
-from repro.host.session import Session
+from repro.host.session import Session, prelude_image
 from repro.ir import CODEGEN_METRICS, COMPILE_METRICS, codegen_node, compile_node, stable_hash
 from repro.ir.nodes import (
     App,
@@ -79,7 +96,7 @@ from repro.ir.nodes import (
     SetBang,
     Var,
 )
-from repro.machine.environment import UNBOUND, Environment, GlobalCell, SlotRib
+from repro.machine.environment import UNBOUND, Environment, GlobalCell, GlobalEnv, SlotRib
 from repro.machine.frames import (
     AppFrame,
     DefineFrame,
@@ -104,6 +121,7 @@ from repro.machine.task import APPLY, EVAL, HOLE, VALUE, Task, TaskState
 from repro.machine.tree import Capture
 from repro.machine.values import Closure, ControlPrimitive, Primitive
 from repro.obs.metrics import Metrics
+from repro.primitives import install_primitives
 from repro.snapshot.wire import Reader, Writer
 
 __all__ = ["FORMAT_VERSION", "MAGIC", "restore_session", "snapshot_session"]
@@ -115,7 +133,17 @@ MAGIC = b"RSNP"
 #: flag and the three submits_* session counters.
 #: v3: codegen engine — the codegen-metrics root tuple (written for every
 #: engine, zeros when codegen never ran).
-FORMAT_VERSION = 3
+#: v4: boot-relative blobs — the header's base kind and digest, the
+#: ``BASE`` value tag, cells left out while they hold their boot value,
+#: an interned cell's name written once, and RNG state only under the
+#: random policy.  Version 3 blobs still restore.
+FORMAT_VERSION = 4
+_READABLE_VERSIONS = (3, 4)
+
+#: The header's base kinds: primitives only, or primitives plus the
+#: prelude image.
+_BASE_BARE = 0
+_BASE_PRELUDE = 1
 
 #: Engine names written by builds before 1.5, which also ran the
 #: expander's dialect (``dict``) and resolved IR (``resolved``) on
@@ -144,6 +172,7 @@ _V_CHAR = 15
 _V_ISYM = 16  # interned symbol, by spelling
 _V_OREF = 17  # object-table reference
 _V_NREF = 18  # node-table reference (IR node or code stub)
+_V_BASE = 19  # boot-base object, by position (v4)
 
 # -- object-table tags ---------------------------------------------------
 
@@ -228,6 +257,41 @@ def _node_source(value: Any) -> Any:
     return None
 
 
+#: Per base kind (prelude or bare): the prelude image its digest was
+#: computed from (None for bare), and the digest.
+_base_digests: dict[bool, tuple[Any, bytes]] = {}
+
+
+def _base_digest(prelude: bool) -> bytes:
+    """The SHA-256 naming one boot base of this build.  It covers the
+    ``ir-hash-v1`` of the primitive table's names in install order and,
+    for a prelude base, of the image's forms and of its macro table:
+    together they fix every base object and its position.  Computed
+    once per process and kind, and again only if the image is rebuilt."""
+    image = prelude_image() if prelude else None
+    cached = _base_digests.get(prelude)
+    if cached is not None and cached[0] is image:
+        return cached[1]
+    table = GlobalEnv()
+    install_primitives(table)
+    register_control_primitives(table)
+    hashes = [stable_hash(Const(from_pylist(table.cells)))]
+    if image is not None:
+        nodes, macros = image
+        hashes.append(stable_hash(Seq(nodes)))
+        hashes.append(stable_hash(Const(from_pylist(map(_macro_datum, macros.values())))))
+    digest = hashlib.sha256("".join(hashes).encode("ascii")).digest()
+    _base_digests[prelude] = (image, digest)
+    return digest
+
+
+def _macro_datum(macro: Macro) -> Any:
+    """A macro as one Scheme datum: name, keywords, rules."""
+    keywords = sorted(macro.keywords, key=lambda s: s.name)
+    rules = [from_pylist([rule.pattern, rule.template]) for rule in macro.rules]
+    return from_pylist([macro.name, from_pylist(keywords), from_pylist(rules)])
+
+
 # =======================================================================
 # Encoder
 # =======================================================================
@@ -236,6 +300,9 @@ def _node_source(value: Any) -> Any:
 class _Encoder:
     def __init__(self, session: Session):
         self.session = session
+        #: Base objects by identity: written as ``BASE`` references and
+        #: never walked.
+        self.base_ids = {id(obj): i for i, obj in enumerate(session.base.objects)}
         self.obj_ids: dict[int, int] = {}
         self.objects: list[Any] = []
         self.node_ids: dict[int, int] = {}
@@ -272,7 +339,7 @@ class _Encoder:
         elif cls in _NODE_CLASS_SET or _node_source(value) is not None:
             self._add_node_tree(value, queue)
             return
-        if id(value) in self.obj_ids:
+        if id(value) in self.obj_ids or id(value) in self.base_ids:
             return
         if cls not in _EMITTERS:
             raise SnapshotError(
@@ -306,11 +373,15 @@ class _Encoder:
 
     def _discover(self) -> None:
         session = self.session
+        base = session.base
         queue: deque = deque()
         # Global cells first: their table order *is* their id order, so
-        # restore recreates the insertion order of the global table.
-        for cell in session.globals.cells.values():
-            self._note(cell, queue)
+        # restore recreates the insertion order of the global table.  A
+        # boot cell still holding its boot value is left out: restore
+        # boots it again.
+        for i, cell in enumerate(session.globals.cells.values()):
+            if i >= base.cells or cell.value is not base.objects[i]:
+                self._note(cell, queue)
         self._note(session.machine, queue)
         for name, macro in session.expand_env.macros.items():
             self._note(name, queue)
@@ -394,6 +465,11 @@ class _Encoder:
             if nid is not None:
                 w.u8(_V_NREF)
                 w.varint(nid)
+                return
+            bid = self.base_ids.get(id(value))
+            if bid is not None:
+                w.u8(_V_BASE)
+                w.varint(bid)
                 return
             raise SnapshotError(f"snapshot: unregistered value {value!r}")
 
@@ -491,8 +567,11 @@ class _Encoder:
             | (8 if session.analysis else 0)
         )
         w.varint(session.max_pending)
-        for watermark in _counter_watermarks():
-            w.varint(watermark)
+        for stream in _uid_streams():
+            w.varint(stream.peek())
+        prelude = session.base.prelude
+        w.u8(_BASE_PRELUDE if prelude else _BASE_BARE)
+        w.raw(_base_digest(prelude))
         # Object table.
         w.varint(len(self.objects))
         for obj in self.objects:
@@ -577,9 +656,9 @@ def _metric_roots(session: Session) -> tuple[Metrics, ...]:
     )
 
 
-def _counter_watermarks() -> tuple[int, int, int, int, int, int]:
-    """Current positions of the six process-global uid streams, in
-    wire order (gensym, task, label, future, handle, engine)."""
+def _uid_streams() -> tuple[SerialCounter, ...]:
+    """The six process-global uid streams, in wire order (gensym, task,
+    label, future, handle, engine)."""
     from repro.control import engines as _engines
     from repro.control import futures as _futures
     from repro.datum import symbols as _symbols
@@ -588,33 +667,13 @@ def _counter_watermarks() -> tuple[int, int, int, int, int, int]:
     from repro.machine import task as _task
 
     return (
-        _symbols._gensym_counter.peek(),
-        _task._task_ids.peek(),
-        _links._label_ids.peek(),
-        _futures._ids.peek(),
-        _handle._handle_ids.peek(),
-        _engines._ids.peek(),
+        _symbols._gensym_counter,
+        _task._task_ids,
+        _links._label_ids,
+        _futures._ids,
+        _handle._handle_ids,
+        _engines._ids,
     )
-
-
-def _advance_counters(watermarks: tuple[int, ...]) -> None:
-    """Advance the six uid streams to at least the snapshot's
-    positions (never backwards: other sessions in this process may be
-    further along)."""
-    from repro.control import engines as _engines
-    from repro.control import futures as _futures
-    from repro.datum import symbols as _symbols
-    from repro.host import handle as _handle
-    from repro.machine import links as _links
-    from repro.machine import task as _task
-
-    gensym, task, label, future, handle, engine = watermarks
-    _symbols._gensym_counter.advance(gensym)
-    _task._task_ids.advance(task)
-    _links._label_ids.advance(label)
-    _futures._ids.advance(future)
-    _handle._handle_ids.advance(handle)
-    _engines._ids.advance(engine)
 
 
 # -- per-type head/rest emitters ----------------------------------------
@@ -653,6 +712,10 @@ def _cell_head(enc: _Encoder, w: Writer, obj: GlobalCell) -> None:
 
 
 def _cell_rest(enc: _Encoder, obj: GlobalCell) -> list:
+    # The head already spells an interned name; only a gensym needs its
+    # object reference.
+    if obj.name._interned:
+        return [obj.value]
     return [obj.name, obj.value]
 
 
@@ -671,7 +734,8 @@ def _task_rest(enc: _Encoder, obj: Task) -> list:
 def _machine_rest(enc: _Encoder, obj: Machine) -> list:
     deadline = None if obj.deadline is None else obj.deadline - enc.now
     waiting = sorted(obj.waiting_tasks, key=lambda t: t.uid)
-    state = obj.rng.getstate()
+    # Only the random policy reads the RNG.
+    state = obj.rng.getstate() if obj.policy is SchedulerPolicy.RANDOM else None
     return [
         obj.policy.value,
         obj.quantum,
@@ -692,7 +756,7 @@ def _machine_rest(enc: _Encoder, obj: Machine) -> list:
         waiting,
         [(k, v) for k, v in obj.stats.items()],
         [(k, v) for k, v in obj.vm_stats.items()],
-        (state[0], state[1], state[2]),
+        state,
     ]
 
 
@@ -830,6 +894,10 @@ class _Decoder:
         #: table is built, because it selects the ``_N_CODE`` recompile
         #: path.
         self.engine: str | None = None
+        self.version = FORMAT_VERSION
+        #: The restoring session's base objects, which ``BASE``
+        #: references index (a version 3 blob holds none).
+        self.base: tuple = ()
         self.objects: list[Any] = []
         self.nodes: list[Any] = []
         self.code_cache: dict[str, Any] = {}
@@ -838,8 +906,9 @@ class _Decoder:
         self.now = _monotonic()
         self.session: Session | None = None
         self.globals = None
-        self.primitives: dict[str, Primitive] = {}
-        self.control_primitives: dict[str, ControlPrimitive] = {}
+        #: (class, name) -> installed primitive, for version 3 blobs,
+        #: which name primitives instead of pointing into the base.
+        self.primitives: dict[tuple[type, str], Any] = {}
 
     # -- generic value reader -------------------------------------------
 
@@ -890,6 +959,11 @@ class _Decoder:
             if idx >= len(self.nodes):
                 raise SnapshotFormatError(f"dangling node reference #{idx}")
             return self.nodes[idx]
+        if tag == _V_BASE:
+            idx = r.varint()
+            if idx >= len(self.base):
+                raise SnapshotFormatError(f"dangling base reference #{idx}")
+            return self.base[idx]
         raise SnapshotFormatError(f"unknown value tag {tag}")
 
     # -- node building ---------------------------------------------------
@@ -976,11 +1050,12 @@ class _Decoder:
         if r.raw(4) != MAGIC:
             raise SnapshotFormatError("not a session snapshot (bad magic)")
         version = r.u8()
-        if version != FORMAT_VERSION:
+        if version not in _READABLE_VERSIONS:
             raise SnapshotFormatError(
                 f"unsupported snapshot format version {version} "
-                f"(this build reads version {FORMAT_VERSION})"
+                f"(this build reads versions {_READABLE_VERSIONS})"
             )
+        self.version = version
         name = r.str_()
         engine = r.str_()
         if self.engine_override is not None:
@@ -995,11 +1070,28 @@ class _Decoder:
         analysis = bool(flags & 8)
         max_pending = r.varint()
         watermarks = tuple(r.varint() for _ in range(6))
+        prelude = False  # a version 3 blob holds its whole prelude
+        if version >= 4:
+            kind = r.u8()
+            if kind not in (_BASE_BARE, _BASE_PRELUDE):
+                raise SnapshotFormatError(f"unknown base kind {kind}")
+            prelude = kind == _BASE_PRELUDE
+            if r.raw(32) != _base_digest(prelude):
+                raise SnapshotBaseMismatch(
+                    f"snapshot of {name!r} was taken against another "
+                    f"{'prelude image' if prelude else 'primitive table'} "
+                    "than this build boots"
+                )
 
+        # Boot the base afresh, with the blob's analysis flag (so the
+        # prelude's closures carry the same effect stamps) and under the
+        # restoring engine; the blob then applies onto it.
+        streams = _uid_streams()
+        before_boot = [stream.peek() for stream in streams]
         session = Session(
             policy=SchedulerPolicy(policy),
             quantum=quantum,
-            prelude=False,
+            prelude=prelude,
             echo_output=echo,
             engine=engine,
             profile=profile,
@@ -1011,12 +1103,12 @@ class _Decoder:
         self.session = session
         self.globals = session.globals
         self.record = session.machine.recorder  # resolved Recorder or None
-        for cell in session.globals.cells.values():
-            value = cell.value
-            if isinstance(value, Primitive):
-                self.primitives[value.name] = value
-            elif isinstance(value, ControlPrimitive):
-                self.control_primitives[value.name] = value
+        self.base = session.base.objects
+        self.primitives = {
+            (type(value), value.name): value
+            for value in self.base
+            if type(value) in (Primitive, ControlPrimitive)
+        }
 
         # Phase 1: construct every object from its head; stash the
         # rest-bytes for phase 3.
@@ -1068,7 +1160,16 @@ class _Decoder:
             handle.session = session
         if active is not None:
             active.session = session
-        _advance_counters(watermarks)
+        # The boot ran its forms on the machine just replaced, so nothing
+        # restored holds a uid it took: each stream goes back to where it
+        # stood, then up to the blob's watermark — never below either,
+        # since other sessions in this process may be further along.  A
+        # restore so takes no uids, and snapshot → restore → snapshot
+        # stays byte-identical.  This holds while no other thread mints
+        # uids during the boot: a process drives its sessions from one
+        # thread (a host's, a shard's), as the unlocked streams require.
+        for stream, before, watermark in zip(streams, before_boot, watermarks):
+            stream.reset(max(before, watermark))
         return session
 
 
@@ -1109,39 +1210,38 @@ def _make_cell(dec: _Decoder, r: Reader) -> GlobalCell:
         # Merge by name into the restoring session's table: identity is
         # shared with the freshly installed bindings.
         return dec.globals.cell(intern(name))
-    return object.__new__(GlobalCell)
+    return GlobalCell(None)  # type: ignore[arg-type]  # a gensym: named in its rest
 
 
 def _fill_cell(dec: _Decoder, r: Reader, obj: GlobalCell) -> None:
-    name = dec._read_value(r)
-    obj.name = name
+    if obj.name is None or dec.version < 4:
+        # Version 3 writes every cell's name in its rest; version 4
+        # only a gensym's.
+        obj.name = dec._read_value(r)
     obj.value = dec._read_value(r)
+    name = obj.name
     if not name._interned and dec.globals.cells.get(name) is not obj:
         # A gensym-named cell can't merge by spelling; register it
         # under its (restored) identity.
         dec.globals.cells[name] = obj
 
 
-def _make_primitive(dec: _Decoder, r: Reader) -> Primitive:
-    name = r.str_()
-    prim = dec.primitives.get(name)
-    if prim is None:
-        raise SnapshotError(
-            f"snapshot references primitive {name!r}, which this build "
-            "does not install"
-        )
-    return prim
+def _make_primitive_of(cls: type) -> Callable[[_Decoder, Reader], Any]:
+    """The maker for a primitive record: the installed primitive of
+    class ``cls`` with the recorded name."""
+    label = "control primitive" if cls is ControlPrimitive else "primitive"
 
+    def make(dec: _Decoder, r: Reader) -> Any:
+        name = r.str_()
+        prim = dec.primitives.get((cls, name))
+        if prim is None:
+            raise SnapshotError(
+                f"snapshot references {label} {name!r}, which this build "
+                "does not install"
+            )
+        return prim
 
-def _make_control_primitive(dec: _Decoder, r: Reader) -> ControlPrimitive:
-    name = r.str_()
-    prim = dec.control_primitives.get(name)
-    if prim is None:
-        raise SnapshotError(
-            f"snapshot references control primitive {name!r}, which this "
-            "build does not install"
-        )
-    return prim
+    return make
 
 
 def _make_task(dec: _Decoder, r: Reader) -> Task:
@@ -1220,7 +1320,8 @@ def _fill_machine(dec: _Decoder, r: Reader, machine: Machine) -> None:
     machine.stats = dict(rv(r))
     machine.vm_stats = dict(rv(r))
     state = rv(r)
-    machine.rng.setstate((state[0], state[1], state[2]))
+    if state is not None:  # version 4 writes it only under the random policy
+        machine.rng.setstate(state)
 
 
 def _fill_handle(dec: _Decoder, r: Reader, handle: EvalHandle) -> None:
@@ -1269,8 +1370,8 @@ _MAKERS: dict[int, Callable[[_Decoder, Reader], Any]] = {
     _O_MVECTOR: _make_blank(MVector),
     _O_GENSYM: _make_gensym,
     _O_CELL: _make_cell,
-    _O_PRIMITIVE: _make_primitive,
-    _O_CONTROL_PRIMITIVE: _make_control_primitive,
+    _O_PRIMITIVE: _make_primitive_of(Primitive),
+    _O_CONTROL_PRIMITIVE: _make_primitive_of(ControlPrimitive),
     _O_CLOSURE: _make_blank(Closure),
     _O_ENVIRONMENT: _make_blank(Environment),
     _O_SLOT_RIB: _make_blank(SlotRib),
@@ -1346,7 +1447,8 @@ _FILLERS: dict[int, Callable[[_Decoder, Reader, Any], None]] = {
 
 def snapshot_session(session: Session) -> bytes:
     """Serialize ``session`` — idle or suspended mid-evaluation — into
-    a self-contained blob.  Deterministic: the same session state
+    a blob holding what it changed since boot, relative to the base any
+    process of this build boots.  Deterministic: the same session state
     yields the same bytes."""
     return _Encoder(session).encode()
 
@@ -1367,9 +1469,12 @@ def restore_session(
     names stable).  ``engine`` restores under a different engine than
     the one that took the snapshot — snapshots record code as resolved
     IR plus digest, so any engine can rebuild its own executable form
-    (cross-engine migration; values are engine-independent).  Raises
-    :class:`~repro.errors.SnapshotFormatError` on malformed or
-    version-incompatible blobs.
+    (cross-engine migration; values are engine-independent).  The
+    session boots its base afresh, under that engine, and the blob
+    applies onto it.  Raises :class:`~repro.errors.SnapshotFormatError`
+    on malformed or version-incompatible blobs, and
+    :class:`~repro.errors.SnapshotBaseMismatch` when the blob's base
+    digest is not this build's.
     """
     from repro.machine.scheduler import normalize_engine
 

@@ -71,6 +71,24 @@ def test_inline_store_roundtrip_through_directory(tmp_path):
         assert c2.submit("durable", "n").value == "99"
 
 
+def test_blobs_carry_only_what_the_session_changed():
+    """A reply's blob leaves out the prelude every shard boots, so a
+    counter session's first blob is small; a walk of the whole prelude
+    would be ~17 KB.  A session holding a long list still round-trips."""
+    with Cluster(workers=0) as c:
+        c.submit("counter", "(define c 0)")
+        assert len(c.store.get("counter")) < 2048
+        c.submit(
+            "big",
+            "(define big (let loop ((i 0) (acc '()))"
+            " (if (= i 2000) acc (loop (+ i 1) (cons i acc)))))",
+        )
+        assert c.evict("big") is True
+        assert c.submit("big", "(list (length big) (car big) (list-ref big 1999))").value == (
+            "(2000 1999 0)"
+        )
+
+
 def test_session_defaults_apply():
     with Cluster(workers=0, session_defaults={"engine": "codegen", "quantum": 7}) as c:
         c.submit("s", "(define ok 1)")

@@ -1,14 +1,20 @@
 """The session snapshot codec: round-trip fidelity, identity and
-sharing preservation, determinism, format errors, and the in-pump
-guard."""
+sharing preservation, blobs relative to the boot base, determinism,
+format errors, and the in-pump guard."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import Session
-from repro.errors import SnapshotError, SnapshotFormatError
+from repro.errors import (
+    SnapshotBaseMismatch,
+    SnapshotError,
+    SnapshotFormatError,
+    UnboundVariableError,
+)
 from repro.snapshot import FORMAT_VERSION, MAGIC, restore_session, snapshot_session
+from repro.snapshot.wire import Reader
 from tests.engines import ENGINES, make_session
 
 
@@ -91,6 +97,83 @@ def test_vectors_and_exotic_scalars():
     r = Session.restore(s.snapshot())
     assert r.drive(r.submit("(vector-ref v 4)"))[-1].numerator == 1
     assert r.drive(r.submit("(vector-ref v 5)"))[-1] == 10**30
+
+
+# -- the boot base --------------------------------------------------------
+
+
+def _base_digest_offset(blob: bytes) -> int:
+    """Offset of the header's 32-byte base digest."""
+    r = Reader(blob)
+    r.raw(4)  # magic
+    r.u8()  # version
+    for _ in range(3):  # name, engine, policy
+        r.str_()
+    r.varint()  # quantum
+    r.u8()  # flags
+    for _ in range(7):  # max_pending, six uid watermarks
+        r.varint()
+    r.u8()  # base kind
+    return r.pos
+
+
+def test_base_objects_keep_their_identity():
+    s = Session()
+    s.drive(s.submit("(define f map) (define l (list car map))"))
+    r = Session.restore(s.snapshot())
+    assert r.eval_to_string("(list (eq? f map) (eq? (cadr l) map) (eq? (car l) car))") == (
+        "(#t #t #t)"
+    )
+
+
+def test_changed_prelude_names_are_carried_and_win():
+    s = Session()
+    s.drive(s.submit("(define (filter keep? ls) 'mine) (set! identity 42)"))
+    r = Session.restore(s.snapshot())
+    # ``remove`` is booted afresh and calls ``filter`` through its cell.
+    assert r.eval_to_string("(remove 1 '(1 2))") == "mine"
+    assert r.eval("identity") == 42
+    assert r.eval_to_string("(map car '((1) (2)))") == "(1 2)"
+
+
+def test_bare_session_roundtrips():
+    s = Session(prelude=False)
+    s.drive(s.submit("(define (sq n) (* n n)) (define l (list car))"))
+    blob = s.snapshot()
+    r = Session.restore(blob)
+    assert r.snapshot() == blob
+    assert not r.base.prelude
+    assert r.eval("(sq 7)") == 49
+    assert r.eval("(eq? (car l) car)") is True
+    with pytest.raises(UnboundVariableError):
+        r.eval("map")
+
+
+@pytest.mark.parametrize(("engine", "other"), [("compiled", "codegen"), ("codegen", "compiled")])
+def test_blob_restores_under_the_other_engine(engine, other):
+    s = Session(engine=engine)
+    s.drive(s.submit("(define f map) (define (sq n) (* n n))"))
+    r = Session.restore(s.snapshot(), engine=other)
+    assert r.engine == other
+    assert r.eval_to_string("(list (eq? f map) (f sq '(1 2 3)))") == "(#t (1 4 9))"
+
+
+@pytest.mark.parametrize("prelude", [True, False])
+def test_foreign_base_digest_refused(prelude):
+    blob = bytearray(Session(prelude=prelude).snapshot())
+    blob[_base_digest_offset(bytes(blob))] ^= 0xFF
+    with pytest.raises(SnapshotBaseMismatch):
+        restore_session(bytes(blob))
+
+
+def test_round_robin_blob_carries_no_rng_state():
+    # Only the random policy reads the RNG, so only its blob changes
+    # when the RNG is reseeded.
+    for policy, carried in (("round-robin", False), ("random", True)):
+        s = Session(policy=policy, seed=1)
+        blob = s.snapshot()
+        s.machine.rng.seed(2)
+        assert (s.snapshot() != blob) is carried
 
 
 # -- suspended computations ----------------------------------------------

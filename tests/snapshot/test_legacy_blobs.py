@@ -1,11 +1,11 @@
 """Snapshots written before 1.5, when ``dict`` and ``resolved`` were
 engines of their own, still restore.
 
-The wire layout is unchanged (format version 3): the header's engine
-name maps to ``compiled``, the reserved ``batched`` flag bit and
-``fold`` field are read and ignored, and the old engines' closures —
-unresolved bodies over dict ribs, raw resolved IR — run on the run
-loop's raw-IR fallback.  The fixtures are described in
+They are format version 3 blobs, which decode onto a bare session: the
+header's engine name maps to ``compiled``, the reserved ``batched``
+flag bit and ``fold`` field are read and ignored, and the old engines'
+closures — unresolved bodies over dict ribs, raw resolved IR — run on
+the run loop's raw-IR fallback.  The fixtures are described in
 ``tests/snapshot/legacy/README.md``.
 """
 
@@ -34,6 +34,10 @@ def drained(session: Session) -> Session:
     return session
 
 
+#: The format version the fixtures were written in.
+FIXTURE_VERSION = 3
+
+
 def _header(blob: bytes) -> tuple[int, str, int, int]:
     """(format version, engine name, flags byte, offset of the flags
     byte) of a blob."""
@@ -51,7 +55,7 @@ def _header(blob: bytes) -> tuple[int, str, int, int]:
 def test_fixture_headers_name_the_old_engine(engine):
     for kind in ("idle", "mid-pcall"):
         version, stored, flags, _ = _header(legacy_blob(engine, kind))
-        assert (version, stored) == (FORMAT_VERSION, engine)
+        assert (version, stored) == (FIXTURE_VERSION, engine)
         assert flags & 1  # the pre-1.5 ``batched`` flag, set by default
 
 
