@@ -54,6 +54,7 @@ from repro.errors import (
     HostSaturated,
     SessionCancelled,
     ShardDied,
+    SnapshotError,
 )
 from repro.host.handle import HandleState
 from repro.host.session import prelude_image
@@ -361,9 +362,9 @@ class Cluster:
         mid-request and the session has a stored snapshot, the worker
         is respawned and the request replays against the last
         snapshot (``result.recovered`` is set).  With no snapshot —
-        the session's very first request — :class:`ShardDied`
-        propagates.  Evaluation errors come back in-band
-        (``status="error"``) and never raise here.
+        the session's very first request, or one whose last snapshot
+        failed — :class:`ShardDied` propagates.  Evaluation errors come
+        back in-band (``status="error"``) and never raise here.
         """
         handle = self.submit_async(
             session_id, source, max_steps=max_steps, deadline=deadline, tenant=tenant
@@ -573,7 +574,14 @@ class Cluster:
         if reply.get("restored"):
             self.metrics.restores += 1
             self.metrics.restore_us.observe(reply.get("restore_us", 0.0))
-        self._persist(session_id, reply)
+        try:
+            self._persist(session_id, reply)
+        except SnapshotError:
+            # The stored blob predates the state this reply acknowledges:
+            # replaying it after a shard death would silently undo that
+            # state, so the session has no replay point until a snapshot
+            # succeeds again.
+            self.store.delete(session_id)
         return ClusterResult(
             session_id=session_id,
             shard=reply["shard"],
@@ -588,7 +596,11 @@ class Cluster:
 
     def _persist(self, session_id: str, reply: dict[str, Any]) -> bytes | None:
         """Store the snapshot a shard reply carries, if any, and count
-        it; returns the blob."""
+        it; returns the blob.  Raises :class:`SnapshotError` when the
+        shard could not snapshot the session."""
+        error = reply.get("snapshot_error")
+        if error is not None:
+            raise SnapshotError(f"cluster {self.name}: session {session_id!r}: {error}")
         blob = reply.get("snapshot")
         if blob is not None:
             self.store.put(session_id, blob)
@@ -602,22 +614,26 @@ class Cluster:
     def evict(self, session_id: str) -> bool:
         """Snapshot a session to the store and release its shard
         memory; returns True if it was resident.  The session stays
-        fully usable — the next submit rehydrates it."""
+        fully usable — the next submit rehydrates it.  Raises
+        :class:`~repro.errors.SnapshotError`, and leaves the session
+        resident, when it cannot be snapshotted."""
         self._check_open()
         with self._op_lock:
             index = self._resident.get(session_id)
             if index is None:
                 return False
             reply = self.shards[index].request("evict", {"session_id": session_id})
-            del self._resident[session_id]
             self._persist(session_id, reply)
+            del self._resident[session_id]
             self.metrics.evictions += 1
             return bool(reply.get("resident"))
 
     def migrate(self, session_id: str, to_shard: int) -> int:
         """Move a session to ``to_shard`` (pinning it there): snapshot
         out of its current shard now; the next submit rehydrates on the
-        target.  Returns the target shard index."""
+        target.  Returns the target shard index.  Raises
+        :class:`~repro.errors.SnapshotError`, and moves nothing, when
+        the session cannot be snapshotted."""
         self._check_open()
         if not 0 <= to_shard < self._nshards:
             raise ValueError(
@@ -637,7 +653,9 @@ class Cluster:
     def snapshot_now(self, session_id: str) -> bytes | None:
         """Force a fresh snapshot of a resident session into the store
         (idle sessions are already stored as of their last request);
-        returns the blob, or the stored one if not resident."""
+        returns the blob, or the stored one if not resident.  Raises
+        :class:`~repro.errors.SnapshotError` when the session cannot be
+        snapshotted."""
         self._check_open()
         with self._op_lock:
             index = self._resident.get(session_id)

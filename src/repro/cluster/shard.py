@@ -6,7 +6,8 @@ front a fresh snapshot of the session it touched.  All placement,
 persistence and recovery intelligence lives in the front
 (:mod:`repro.cluster.cluster`); a shard can be SIGKILLed at any moment
 and the cluster loses at most the requests in flight on it — everything
-else rehydrates from the front's snapshot store.
+else rehydrates from the front's snapshot store, except a session whose
+last snapshot failed, which has no stored state to replay.
 
 The same request-handling logic (:class:`ShardRuntime`) backs both the
 worker process loop (:func:`shard_main`) and the cluster's in-process
@@ -25,7 +26,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any
 
-from repro.errors import ReproError
+from repro.errors import ReproError, SnapshotError
 from repro.host.host import Host
 from repro.host.session import Session
 
@@ -126,21 +127,23 @@ class ShardRuntime:
 
     def _attach_snapshot(self, reply: dict[str, Any], session: Session) -> None:
         """Snapshot-on-idle: every reply carries the session's fresh
-        blob so the front's store is never more than one request
-        stale."""
+        blob, or ``snapshot_error`` when the session cannot be
+        snapshotted; the front then never keeps an older blob as the
+        session's state."""
         try:
             t0 = perf_counter()
             blob = session.snapshot()
             reply["snapshot"] = blob
             reply["snapshot_us"] = (perf_counter() - t0) * 1e6
-        except ReproError as exc:  # pragma: no cover - defensive
+        except SnapshotError as exc:
             reply["snapshot"] = None
             reply["snapshot_error"] = str(exc)
 
     def _snapshot_op(self, payload: dict[str, Any], *, evict: bool) -> dict[str, Any]:
         """Snapshot a resident session for the front to persist; with
         ``evict``, also drop it from shard memory (a later submit
-        rehydrates it anywhere)."""
+        rehydrates it anywhere) — unless the snapshot failed, which
+        keeps it resident."""
         session_id = payload["session_id"]
         try:
             session = self.host[session_id]
@@ -148,7 +151,7 @@ class ShardRuntime:
             return {"session_id": session_id, "resident": False, "snapshot": None}
         reply: dict[str, Any] = {"session_id": session_id, "resident": True}
         self._attach_snapshot(reply, session)
-        if evict:
+        if evict and reply["snapshot"] is not None:
             self.host.remove_session(session)
         return reply
 

@@ -27,7 +27,7 @@ Layout of a blob (all integers LEB128 varints; see
               six uid-counter watermarks, base kind, base digest
     objects   the cyclic heap: tagged records, each a length-prefixed
               payload of a fixed *head* (construction scalars) plus
-              *rest* (reference-bearing fields, filled in a second pass)
+              its fields (filled in a later pass)
     nodes     the IR DAG in topological order (children first), plus
               compiled-code stubs — code is **never** pickled; a stub
               is (source-node ref, stable hash) and the restorer
@@ -35,6 +35,11 @@ Layout of a blob (all integers LEB128 varints; see
               closures that shared a body keep sharing one
     roots     the session record: machine, macro table, output buffer,
               stats, metrics, pending/active handles
+
+Every record kind, object or IR node, is declared once, as a
+:class:`_Record` in :data:`_OBJECT_RECORDS` or :data:`_NODE_RECORDS`:
+its tag, class, head kind and ordered fields.  Encoding, discovery,
+construction and fill all read that one declaration.
 
 Identity and sharing are exact: every mutable object (pairs, vectors,
 ribs, cells, tasks, links, frames by chain) is a table entry referenced
@@ -64,7 +69,7 @@ import hashlib
 from collections import deque
 from fractions import Fraction
 from time import monotonic as _monotonic
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.control.callcc import LeafContinuation, RootContinuation
 from repro.analysis.effects import EffectInfo
@@ -115,7 +120,7 @@ from repro.machine.links import (
     LabelLink,
     PromptLabel,
 )
-from repro.machine.scheduler import Machine, SchedulerPolicy
+from repro.machine.scheduler import Machine, SchedulerPolicy, normalize_engine
 from repro.machine.scheduler import _NO_HALT  # the halt-register sentinel
 from repro.machine.task import APPLY, EVAL, HOLE, VALUE, Task, TaskState
 from repro.machine.tree import Capture
@@ -153,95 +158,39 @@ _LEGACY_ENGINES = {"dict": "compiled", "resolved": "compiled"}
 
 # -- value tags (the self-describing scalar/reference layer) -------------
 
-_V_NONE = 0
-_V_TRUE = 1
-_V_FALSE = 2
 _V_INT = 3
 _V_FLOAT = 4
 _V_STR = 5
 _V_LIST = 6
 _V_TUPLE = 7
 _V_FRACTION = 8
-_V_NIL = 9
-_V_UNSPECIFIED = 10
-_V_EOF = 11
-_V_UNBOUND = 12
-_V_TOMBSTONE = 13
-_V_NO_HALT = 14
 _V_CHAR = 15
 _V_ISYM = 16  # interned symbol, by spelling
 _V_OREF = 17  # object-table reference
 _V_NREF = 18  # node-table reference (IR node or code stub)
 _V_BASE = 19  # boot-base object, by position (v4)
 
-# -- object-table tags ---------------------------------------------------
+#: The value tags that each stand for one object, written as the tag
+#: alone.
+_SINGLETONS = {
+    0: None,
+    1: True,
+    2: False,
+    9: NIL,
+    10: UNSPECIFIED,
+    11: EOF_OBJECT,
+    12: UNBOUND,
+    13: TOMBSTONE,
+    14: _NO_HALT,
+}
+_SINGLETON_TAGS = {id(value): tag for tag, value in _SINGLETONS.items()}
 
-_O_PAIR = 1
-_O_MVECTOR = 2
-_O_GENSYM = 3
-_O_CELL = 4
-_O_PRIMITIVE = 5
-_O_CONTROL_PRIMITIVE = 6
-_O_CLOSURE = 7
-_O_ENVIRONMENT = 8
-_O_SLOT_RIB = 9
-_O_TASK = 10
-_O_LABEL = 11
-_O_HALT_LINK = 12
-_O_LABEL_LINK = 13
-_O_FORK_LINK = 14
-_O_JOIN = 15
-_O_APP_FRAME = 16
-_O_IF_FRAME = 17
-_O_SEQ_FRAME = 18
-_O_SET_FRAME = 19
-_O_LOCAL_SET_FRAME = 20
-_O_GLOBAL_SET_FRAME = 21
-_O_DEFINE_FRAME = 22
-_O_CAPTURE = 23
-_O_CONTROLLER = 24
-_O_PROCESS_CONT = 25
-_O_ROOT_CONT = 26
-_O_LEAF_CONT = 27
-_O_FUNCTIONAL_CONT = 28
-_O_PLACEHOLDER = 29
-_O_ENGINE = 30
-_O_MACHINE = 31
-_O_MACRO = 32
-_O_HANDLE = 33
+#: Classes written inline, with no identity to preserve.
+_INLINE = frozenset({type(None), bool, int, float, str, Fraction, Char})
 
-# -- node-table tags -----------------------------------------------------
-
-_N_CONST = 1
-_N_VAR = 2
-_N_LAMBDA = 3
-_N_APP = 4
-_N_IF = 5
-_N_SETBANG = 6
-_N_SEQ = 7
-_N_DEFINE_TOP = 8
-_N_PCALL = 9
-_N_LOCAL_REF = 10
-_N_LOCAL_SET = 11
-_N_GLOBAL_REF = 12
-_N_GLOBAL_SET = 13
+#: The node tag of a compiled-code stub: its source node, then that
+#: node's ``ir-hash-v1``.
 _N_CODE = 14
-
-_NODE_CLASSES = (
-    Const,
-    Var,
-    Lambda,
-    App,
-    If,
-    SetBang,
-    Seq,
-    DefineTop,
-    Pcall,
-    LocalRef,
-    LocalSet,
-    GlobalRef,
-    GlobalSet,
-)
 
 #: The canonical control-tag string objects (``task.tag`` is compared
 #: with ``is``, so restore must rebind exactly these).
@@ -293,6 +242,400 @@ def _macro_datum(macro: Macro) -> Any:
 
 
 # =======================================================================
+# Record declarations
+# =======================================================================
+
+_set = object.__setattr__  # also sets the fields of frozen IR nodes
+
+
+class _Head(NamedTuple):
+    """A record's head: the scalars written before its fields, from
+    which phase 1 of a restore constructs the object."""
+
+    write: Callable[[Writer, Any], None]
+    #: ``make(decoder, reader, cls)``: the constructed object.
+    make: Callable[[Any, Reader, type], Any]
+
+
+def _blank(dec: Any, r: Reader, cls: type) -> Any:
+    return object.__new__(cls)
+
+
+_NO_HEAD = _Head(lambda w, obj: None, _blank)
+
+
+def _make_named(dec: Any, r: Reader, cls: type) -> Any:
+    """A gensym by its printed name, or the installed primitive of
+    class ``cls`` with the recorded name (version 3 blobs name their
+    primitives; version 4 points into the base)."""
+    name = r.str_()
+    if cls is Symbol:
+        return Symbol(name)
+    prim = dec.primitives.get((cls, name))
+    if prim is None:
+        label = "control primitive" if cls is ControlPrimitive else "primitive"
+        raise SnapshotError(
+            f"snapshot references {label} {name!r}, which this build does not install"
+        )
+    return prim
+
+
+_NAME_HEAD = _Head(lambda w, obj: w.str_(obj.name), _make_named)
+
+
+def _varints(*names: str) -> _Head:
+    """A head of integer attributes, written as varints."""
+
+    def write(w: Writer, obj: Any) -> None:
+        for name in names:
+            w.varint(getattr(obj, name))
+
+    def make(dec: Any, r: Reader, cls: type) -> Any:
+        obj = object.__new__(cls)
+        for name in names:
+            _set(obj, name, r.varint())
+        return obj
+
+    return _Head(write, make)
+
+
+_UID_HEAD = _varints("uid")
+_ADDRESS_HEAD = _varints("depth", "index")
+
+
+def _write_label(w: Writer, label: Label) -> None:
+    w.varint(label.uid)
+    w.str_(label.name)
+    w.u8(1 if isinstance(label, PromptLabel) else 0)
+
+
+def _make_label(dec: Any, r: Reader, cls: type) -> Label:
+    uid = r.varint()
+    name = r.str_()
+    label = object.__new__(PromptLabel if r.u8() else Label)
+    label.uid = uid
+    label.name = name
+    return label
+
+
+_LABEL_HEAD = _Head(_write_label, _make_label)
+
+
+def _write_cell(w: Writer, cell: GlobalCell) -> None:
+    w.str_(cell.name.name)
+    w.u8(1 if cell.name._interned else 0)
+
+
+def _make_cell(dec: Any, r: Reader, cls: type) -> GlobalCell:
+    name = r.str_()
+    if r.u8():
+        # Merge by name into the restoring session's table: identity is
+        # shared with the freshly installed bindings.
+        return dec.globals.cell(intern(name))
+    return GlobalCell(None)  # type: ignore[arg-type]  # a gensym, named by its fields
+
+
+_CELL_HEAD = _Head(_write_cell, _make_cell)
+
+
+#: A field's value is noted when its record is reached.
+_VALUE = 0
+#: The field holds IR children (a node or a tuple of nodes), walked
+#: after the node's values, in field order.
+_CHILDREN = 1
+#: A lexical reference's debug name, noted after the rest of the walk:
+#: its binder's params carry the same symbol, in walk order, and this
+#: registers it only when the binder is not in the snapshot.
+_LAST = 2
+
+
+class _Field(NamedTuple):
+    """One field of a record, in wire order."""
+
+    #: The attribute; None for a reserved field, written as a constant
+    #: and ignored on read.
+    name: str | None
+    #: ``(codec, value) -> value`` converters to and from the wire form;
+    #: None writes or reads the value as itself.
+    to_wire: Callable[[Any, Any], Any] | None = None
+    from_wire: Callable[[Any, Any], Any] | None = None
+    #: How discovery walks it: ``_VALUE``, ``_CHILDREN`` or ``_LAST``.
+    walk: int = _VALUE
+
+
+def _node(name: str) -> _Field:
+    return _Field(name, walk=_CHILDREN)
+
+
+def _reserved(value: Any) -> _Field:
+    return _Field(None, lambda codec, _: value)
+
+
+# Converter pairs, ``_Field(name, *pair)``.
+_AS_LIST = (lambda codec, items: list(items), None)
+_ITEMS = (lambda codec, table: list(table.items()), lambda codec, items: dict(items))
+_CONTROL_TAG = (
+    lambda codec, tag: _CONTROL_TAGS[tag],
+    lambda codec, index: _CONTROL_TAG_LIST[index],
+)
+# EffectInfo travels as its bitmask and is interned again on read.
+_EFFECTS = (
+    lambda codec, effects: None if effects is None else effects.bits,
+    lambda codec, bits: None if bits is None else EffectInfo.from_bits(bits),
+)
+# A deadline as the seconds it has left, an age as the seconds it has
+# run: both re-anchored to the restoring process's monotonic clock.
+_DEADLINE = (
+    lambda codec, at: None if at is None else at - codec.now,
+    lambda codec, left: None if left is None else codec.now + left,
+)
+_AGE = (lambda codec, since: codec.now - since, lambda codec, age: codec.now - age)
+
+
+def _enum(cls: type) -> tuple:
+    return (lambda codec, member: member.value, lambda codec, value: cls(value))
+
+
+class _Record:
+    """One record kind: its wire tag, its class (or classes), its head
+    kind and its ordered fields.
+
+    ``transient`` names attributes that never travel and what a restore
+    sets them to: a value, or a function of the decoder.  A record is
+    ``before_code`` when IR can point into it — quoted structure and
+    global cells: a restore fills it before any code stub is hashed and
+    compiled.
+    """
+
+    __slots__ = ("tag", "cls", "classes", "head", "fields", "walks", "transient", "before_code")
+
+    def __init__(
+        self,
+        tag: int,
+        classes: type | tuple[type, ...],
+        *fields: str | _Field,
+        head: _Head = _NO_HEAD,
+        transient: dict[str, Any] | None = None,
+        before_code: bool = False,
+    ):
+        self.tag = tag
+        self.classes = classes if isinstance(classes, tuple) else (classes,)
+        self.cls = self.classes[0]
+        self.head = head
+        self.fields = tuple(_Field(f) if isinstance(f, str) else f for f in fields)
+        #: Per walk kind, the positions of its fields.
+        self.walks = tuple(
+            tuple(i for i, f in enumerate(self.fields) if f.walk == walk)
+            for walk in (_VALUE, _CHILDREN, _LAST)
+        )
+        self.transient = tuple((transient or {}).items())
+        self.before_code = before_code
+
+    def wire_values(self, enc: Any, obj: Any) -> list:
+        """The fields as written, in order."""
+        values = []
+        for name, to_wire, _, _ in self.fields:
+            value = None if name is None else getattr(obj, name)
+            values.append(value if to_wire is None else to_wire(enc, value))
+        return values
+
+    def make(self, dec: Any, r: Reader) -> Any:
+        return self.head.make(dec, r, self.cls)
+
+    def fill(self, dec: Any, r: Reader, obj: Any) -> None:
+        read = dec._read_value
+        for name, _, from_wire, _ in self.fields:
+            value = read(r)
+            if name is not None:
+                _set(obj, name, value if from_wire is None else from_wire(dec, value))
+        for name, value in self.transient:
+            _set(obj, name, value(dec) if callable(value) else value)
+
+
+class _CellRecord(_Record):
+    """A global cell merges into the restoring session's table by name
+    (its head).  An interned name is written only there; a gensym's
+    name, and every version 3 cell's, leads its fields."""
+
+    def wire_values(self, enc: Any, cell: GlobalCell) -> list:
+        values = super().wire_values(enc, cell)
+        return values if cell.name._interned else [cell.name, *values]
+
+    def fill(self, dec: Any, r: Reader, cell: GlobalCell) -> None:
+        if cell.name is None or dec.version < 4:
+            cell.name = dec._read_value(r)
+        super().fill(dec, r, cell)
+        name = cell.name
+        if not name._interned and dec.globals.cells.get(name) is not cell:
+            # A gensym-named cell can't merge by spelling; register it
+            # under its (restored) identity.
+            dec.globals.cells[name] = cell
+
+
+class _MachineRecord(_Record):
+    """The machine is rebuilt through ``Machine.__init__`` (the state
+    no field carries), and its RNG state, read only by the random
+    policy, follows the fields under that policy alone."""
+
+    def make(self, dec: Any, r: Reader) -> Machine:
+        return Machine(dec.globals, seed=0)
+
+    def wire_values(self, enc: Any, machine: Machine) -> list:
+        random = machine.policy is SchedulerPolicy.RANDOM
+        return [*super().wire_values(enc, machine), machine.rng.getstate() if random else None]
+
+    def fill(self, dec: Any, r: Reader, machine: Machine) -> None:
+        super().fill(dec, r, machine)
+        state = dec._read_value(r)
+        if state is not None:  # version 3 writes it under every policy
+            machine.rng.setstate(state)
+
+
+#: The object table's records, by tag (append-only).
+_OBJECT_RECORDS = (
+    _Record(1, Pair, "car", "cdr", before_code=True),
+    _Record(2, MVector, "items", before_code=True),
+    _Record(3, Symbol, head=_NAME_HEAD),  # gensyms only: interned ones travel by spelling
+    _CellRecord(4, GlobalCell, "value", head=_CELL_HEAD, before_code=True),
+    _Record(5, Primitive, head=_NAME_HEAD),
+    _Record(6, ControlPrimitive, head=_NAME_HEAD),
+    _Record(
+        7, Closure, "params", "rest", "body", "env", "name", "nslots", "low", "high",
+        _Field("effects", *_EFFECTS),
+    ),
+    _Record(
+        8, Environment, _Field("bindings", *_ITEMS), "parent",
+        transient={"globals": lambda dec: dec.globals},
+    ),
+    _Record(9, SlotRib, _Field("values", *_AS_LIST), "parent"),
+    _Record(
+        10, Task, _Field("tag", *_CONTROL_TAG), "payload", "env", "frames", "link",
+        _Field("state", *_enum(TaskState)), "steps",
+        head=_UID_HEAD,
+    ),
+    _Record(11, (Label, PromptLabel), head=_LABEL_HEAD),
+    _Record(12, HaltLink, "machine", "placeholder", "child"),
+    _Record(13, LabelLink, "label", "cont_frames", "cont_link", "child"),
+    _Record(14, ForkLink, "join", "index"),
+    _Record(15, Join, "slots", "delivered", "remaining", "children", "cont_frames", "cont_link"),
+    _Record(16, AppFrame, "done", "pending", "env", "next"),
+    _Record(17, IfFrame, "then", "els", "env", "next"),
+    _Record(18, SeqFrame, "remaining", "env", "next"),
+    _Record(19, SetFrame, "name", "env", "next"),
+    _Record(20, LocalSetFrame, "depth", "index", "env", "next"),
+    _Record(21, GlobalSetFrame, "cell", "next"),
+    _Record(22, DefineFrame, "name", "env", "next"),
+    _Record(23, Capture, "root", "hole"),
+    _Record(24, ProcessController, "label"),
+    _Record(25, ProcessContinuation, "capture"),
+    _Record(26, RootContinuation, "capture"),
+    _Record(27, LeafContinuation, "frames", "link"),
+    _Record(28, FunctionalContinuation, "capture"),
+    _Record(29, FuturePlaceholder, "resolved", "value", "waiters", head=_UID_HEAD),
+    _Record(30, EngineValue, "machine", "spent", "mileage", head=_UID_HEAD),
+    _MachineRecord(
+        31,
+        Machine,
+        _Field("policy", *_enum(SchedulerPolicy)),
+        "quantum",
+        "max_steps",
+        _Field("engine", None, lambda dec, e: normalize_engine(_LEGACY_ENGINES.get(e, e))),
+        _reserved(True),  # the pre-1.5 ``batched`` field
+        "profile",
+        _reserved(False),  # the pre-1.5 ``fold`` field
+        # Recorders are never serialized: a machine that had one gets
+        # the restore's.
+        _Field(
+            "recorder",
+            lambda enc, recorder: recorder is not None,
+            lambda dec, had_one: dec.record if had_one else None,
+        ),
+        _Field("deadline", *_DEADLINE),
+        "toplevel_env",
+        "root_entity",
+        "root_label_link",
+        _Field("queue", lambda enc, tasks: list(tasks), lambda dec, tasks: deque(tasks)),
+        "halt_value",
+        "steps_total",
+        _Field("parked_futures", *_AS_LIST),
+        _Field(
+            "waiting_tasks",
+            lambda enc, tasks: sorted(tasks, key=lambda t: t.uid),
+            lambda dec, tasks: set(tasks),
+        ),
+        _Field("stats", *_ITEMS),
+        _Field("vm_stats", *_ITEMS),
+    ),
+    _Record(
+        32,
+        Macro,
+        "name",
+        _Field(
+            "keywords",
+            lambda enc, keywords: sorted(keywords, key=lambda s: s.name),
+            lambda dec, keywords: frozenset(keywords),
+        ),
+        _Field(
+            "rules",
+            lambda enc, rules: [(rule.pattern, rule.template) for rule in rules],
+            lambda dec, rules: [Rule(pattern, template) for pattern, template in rules],
+        ),
+    ),
+    _Record(
+        33,
+        EvalHandle,
+        _Field("nodes", *_AS_LIST),
+        "max_steps",
+        _Field("deadline_at", *_DEADLINE),
+        _Field("state", *_enum(HandleState)),
+        _Field("values", *_AS_LIST),
+        "steps",
+        _Field("submitted_at", *_AGE),
+        "_cancel_requested",
+        "_node_index",
+        "_node_running",
+        # The classification survives; the full ProgramReport is
+        # transient (re-derivable by re-analyzing the source).
+        "classification",
+        head=_UID_HEAD,
+        # The session is wired when the roots are read; listeners are
+        # process-local.
+        transient=dict(session=None, report=None, _exception=None, _listener=None),
+    ),
+)
+
+#: The node table's records, by tag (append-only; 14 is a code stub).
+_NODE_RECORDS = (
+    _Record(1, Const, "value"),
+    _Record(2, Var, "name"),
+    _Record(
+        3, Lambda, "params", "rest", _node("body"), "name", "nslots", _Field("effects", *_EFFECTS)
+    ),
+    _Record(4, App, _node("fn"), _node("args")),
+    _Record(5, If, _node("test"), _node("then"), _node("els")),
+    _Record(6, SetBang, "name", _node("expr")),
+    _Record(7, Seq, _node("exprs")),
+    _Record(8, DefineTop, "name", _node("expr")),
+    _Record(9, Pcall, _node("exprs")),
+    _Record(10, LocalRef, _Field("name", walk=_LAST), head=_ADDRESS_HEAD),
+    _Record(11, LocalSet, _node("expr"), _Field("name", walk=_LAST), head=_ADDRESS_HEAD),
+    _Record(12, GlobalRef, "cell"),
+    _Record(13, GlobalSet, "cell", _node("expr")),
+)
+
+
+def _by_class(records: tuple[_Record, ...]) -> dict[type, _Record]:
+    # Keyed by *exact* class: a subclass is not silently written as its base.
+    return {cls: record for record in records for cls in record.classes}
+
+
+_OBJECTS_BY_CLASS = _by_class(_OBJECT_RECORDS)
+_OBJECTS_BY_TAG = {record.tag: record for record in _OBJECT_RECORDS}
+_NODES_BY_CLASS = _by_class(_NODE_RECORDS)
+_NODES_BY_TAG = {record.tag: record for record in _NODE_RECORDS}
+
+
+# =======================================================================
 # Encoder
 # =======================================================================
 
@@ -304,9 +647,14 @@ class _Encoder:
         #: never walked.
         self.base_ids = {id(obj): i for i, obj in enumerate(session.base.objects)}
         self.obj_ids: dict[int, int] = {}
-        self.objects: list[Any] = []
+        #: ``(record, object, wire values)`` in table order.
+        self.objects: list[tuple[_Record, Any, list]] = []
         self.node_ids: dict[int, int] = {}
-        self.node_list: list[Any] = []
+        #: ``(record or None for a code stub, node, wire values)`` in
+        #: table order.
+        self.nodes: list[tuple[_Record | None, Any, list]] = []
+        #: Values of ``_LAST`` fields met so far.
+        self.last: list[Any] = []
         self.now = _monotonic()
 
     # -- discovery -------------------------------------------------------
@@ -314,11 +662,9 @@ class _Encoder:
     def _note(self, value: Any, queue: deque) -> None:
         """Classify ``value``: inline scalars are ignored, IR/code goes
         to the node table (postorder), everything else becomes an
-        object-table entry queued for child discovery."""
-        if value is None or value is True or value is False:
-            return
+        object-table entry whose fields are queued for discovery."""
         cls = value.__class__
-        if cls is int or cls is float or cls is str or cls is Fraction or cls is Char:
+        if cls in _INLINE:
             return
         if cls is Symbol:
             if value._interned:
@@ -327,49 +673,61 @@ class _Encoder:
         elif cls is list or cls is tuple:
             queue.append(value)
             return
-        elif (
-            value is NIL
-            or value is UNSPECIFIED
-            or value is EOF_OBJECT
-            or value is UNBOUND
-            or value is TOMBSTONE
-            or value is _NO_HALT
-        ):
+        elif id(value) in _SINGLETON_TAGS:
             return
-        elif cls in _NODE_CLASS_SET or _node_source(value) is not None:
+        elif cls in _NODES_BY_CLASS or _node_source(value) is not None:
             self._add_node_tree(value, queue)
             return
         if id(value) in self.obj_ids or id(value) in self.base_ids:
             return
-        if cls not in _EMITTERS:
+        record = _OBJECTS_BY_CLASS.get(cls)
+        if record is None:
             raise SnapshotError(
                 f"snapshot: cannot serialize a value of type "
                 f"{cls.__module__}.{cls.__name__}: {value!r}"
             )
+        values = record.wire_values(self, value)
         self.obj_ids[id(value)] = len(self.objects)
-        self.objects.append(value)
-        queue.append(_ObjVisit(value))
+        self.objects.append((record, value, values))
+        queue.append(values)
 
     def _add_node_tree(self, root: Any, queue: deque) -> None:
         """Register an IR tree (or code thunk) in the node table,
-        children before parents, discovering constants/cells/symbols
-        into the main object walk."""
+        children before parents.  A node's value fields are noted into
+        the main object walk before its children are walked, in field
+        order; its ``_LAST`` fields wait for the end of the walk."""
         node_ids = self.node_ids
-        stack: list[tuple[Any, bool]] = [(root, False)]
+        stack: list[tuple[Any, Any, Any]] = [(root, None, None)]
         while stack:
-            item, expanded = stack.pop()
+            item, record, values = stack.pop()
             if id(item) in node_ids:
                 continue
-            if expanded:
-                node_ids[id(item)] = len(self.node_list)
-                self.node_list.append(item)
+            if values is not None:
+                node_ids[id(item)] = len(self.nodes)
+                self.nodes.append((record, item, values))
                 continue
-            stack.append((item, True))
-            node_kids, value_kids = _node_children(item)
-            for v in value_kids:
-                self._note(v, queue)
-            for child in reversed(node_kids):
-                stack.append((child, False))
+            record = _NODES_BY_CLASS.get(item.__class__)
+            if record is None:
+                source = _node_source(item)
+                if source is None:
+                    raise SnapshotError(f"snapshot: not an IR node: {item!r}")
+                values = children = [source]
+            else:
+                values = record.wire_values(self, item)
+                noted, walked, last = record.walks
+                for i in noted:
+                    self._note(values[i], queue)
+                self.last.extend(values[i] for i in last)
+                children = []
+                for i in walked:
+                    child = values[i]
+                    if child.__class__ is tuple:
+                        children.extend(child)
+                    else:
+                        children.append(child)
+            stack.append((item, record, values))
+            for child in reversed(children):
+                stack.append((child, None, None))
 
     def _discover(self) -> None:
         session = self.session
@@ -390,29 +748,18 @@ class _Encoder:
             self._note(handle, queue)
         if session._active is not None:
             self._note(session._active, queue)
-        while queue:
-            item = queue.popleft()
-            cls = item.__class__
-            if cls is _ObjVisit:
-                obj = item.obj
-                for child in _EMITTERS[obj.__class__][2](self, obj):
+        while True:
+            while queue:
+                for child in queue.popleft():
                     self._note(child, queue)
-            else:  # list or tuple
-                for child in item:
-                    self._note(child, queue)
+            if not self.last:
+                break
+            queue.append(self.last)
+            self.last = []
 
     # -- emission --------------------------------------------------------
 
     def _write_value(self, w: Writer, value: Any) -> None:
-        if value is None:
-            w.u8(_V_NONE)
-            return
-        if value is True:
-            w.u8(_V_TRUE)
-            return
-        if value is False:
-            w.u8(_V_FALSE)
-            return
         cls = value.__class__
         if cls is int:
             w.u8(_V_INT)
@@ -433,113 +780,33 @@ class _Encoder:
         elif cls is Symbol and value._interned:
             w.u8(_V_ISYM)
             w.str_(value.name)
-        elif cls is list:
-            w.u8(_V_LIST)
+        elif cls is list or cls is tuple:
+            w.u8(_V_LIST if cls is list else _V_TUPLE)
             w.varint(len(value))
             for item in value:
                 self._write_value(w, item)
-        elif cls is tuple:
-            w.u8(_V_TUPLE)
-            w.varint(len(value))
-            for item in value:
-                self._write_value(w, item)
-        elif value is NIL:
-            w.u8(_V_NIL)
-        elif value is UNSPECIFIED:
-            w.u8(_V_UNSPECIFIED)
-        elif value is EOF_OBJECT:
-            w.u8(_V_EOF)
-        elif value is UNBOUND:
-            w.u8(_V_UNBOUND)
-        elif value is TOMBSTONE:
-            w.u8(_V_TOMBSTONE)
-        elif value is _NO_HALT:
-            w.u8(_V_NO_HALT)
         else:
-            oid = self.obj_ids.get(id(value))
-            if oid is not None:
+            key = id(value)
+            index = self.obj_ids.get(key)
+            if index is not None:
                 w.u8(_V_OREF)
-                w.varint(oid)
+                w.varint(index)
                 return
-            nid = self.node_ids.get(id(value))
-            if nid is not None:
+            tag = _SINGLETON_TAGS.get(key)
+            if tag is not None:
+                w.u8(tag)
+                return
+            index = self.node_ids.get(key)
+            if index is not None:
                 w.u8(_V_NREF)
-                w.varint(nid)
+                w.varint(index)
                 return
-            bid = self.base_ids.get(id(value))
-            if bid is not None:
+            index = self.base_ids.get(key)
+            if index is not None:
                 w.u8(_V_BASE)
-                w.varint(bid)
+                w.varint(index)
                 return
             raise SnapshotError(f"snapshot: unregistered value {value!r}")
-
-    def _write_node(self, w: Writer, node: Any) -> None:
-        wv = self._write_value
-        cls = node.__class__
-        if cls is Const:
-            w.u8(_N_CONST)
-            wv(w, node.value)
-        elif cls is Var:
-            w.u8(_N_VAR)
-            wv(w, node.name)
-        elif cls is Lambda:
-            w.u8(_N_LAMBDA)
-            wv(w, node.params)
-            wv(w, node.rest)
-            wv(w, node.body)
-            wv(w, node.name)
-            wv(w, node.nslots)
-            # EffectInfo travels as its bitmask (interned on read), so
-            # facts survive without a dedicated object-table entry.
-            wv(w, None if node.effects is None else node.effects.bits)
-        elif cls is App:
-            w.u8(_N_APP)
-            wv(w, node.fn)
-            wv(w, node.args)
-        elif cls is If:
-            w.u8(_N_IF)
-            wv(w, node.test)
-            wv(w, node.then)
-            wv(w, node.els)
-        elif cls is SetBang:
-            w.u8(_N_SETBANG)
-            wv(w, node.name)
-            wv(w, node.expr)
-        elif cls is Seq:
-            w.u8(_N_SEQ)
-            wv(w, node.exprs)
-        elif cls is DefineTop:
-            w.u8(_N_DEFINE_TOP)
-            wv(w, node.name)
-            wv(w, node.expr)
-        elif cls is Pcall:
-            w.u8(_N_PCALL)
-            wv(w, node.exprs)
-        elif cls is LocalRef:
-            w.u8(_N_LOCAL_REF)
-            w.varint(node.depth)
-            w.varint(node.index)
-            wv(w, node.name)
-        elif cls is LocalSet:
-            w.u8(_N_LOCAL_SET)
-            w.varint(node.depth)
-            w.varint(node.index)
-            wv(w, node.expr)
-            wv(w, node.name)
-        elif cls is GlobalRef:
-            w.u8(_N_GLOBAL_REF)
-            wv(w, node.cell)
-        elif cls is GlobalSet:
-            w.u8(_N_GLOBAL_SET)
-            wv(w, node.cell)
-            wv(w, node.expr)
-        else:
-            source = _node_source(node)
-            if source is None:
-                raise SnapshotError(f"snapshot: not an IR node: {node!r}")
-            w.u8(_N_CODE)
-            wv(w, source)
-            w.str_(stable_hash(source))
 
     def encode(self) -> bytes:
         session = self.session
@@ -572,24 +839,32 @@ class _Encoder:
         prelude = session.base.prelude
         w.u8(_BASE_PRELUDE if prelude else _BASE_BARE)
         w.raw(_base_digest(prelude))
+        wv = self._write_value
         # Object table.
         w.varint(len(self.objects))
-        for obj in self.objects:
-            tag, head, rest = _EMITTERS[obj.__class__]
+        for record, obj, values in self.objects:
             sub = Writer()
-            head(self, sub, obj)
-            for value in rest(self, obj):
-                self._write_value(sub, value)
+            record.head.write(sub, obj)
+            for value in values:
+                wv(sub, value)
             payload = sub.getvalue()
-            w.u8(tag)
+            w.u8(record.tag)
             w.varint(len(payload))
             w.raw(payload)
         # Node table (already topologically ordered by discovery).
-        w.varint(len(self.node_list))
-        for node in self.node_list:
-            self._write_node(w, node)
+        w.varint(len(self.nodes))
+        for record, node, values in self.nodes:
+            if record is None:
+                source = values[0]
+                w.u8(_N_CODE)
+                wv(w, source)
+                w.str_(stable_hash(source))
+                continue
+            w.u8(record.tag)
+            record.head.write(w, node)
+            for value in values:
+                wv(w, value)
         # Session roots.
-        wv = self._write_value
         wv(w, machine)
         wv(w, [(name, macro) for name, macro in session.expand_env.macros.items()])
         wv(w, sorted(session._loaded_examples))
@@ -599,50 +874,6 @@ class _Encoder:
         wv(w, list(session._pending))
         wv(w, session._active)
         return w.getvalue()
-
-
-class _ObjVisit:
-    """Discovery-queue marker: expand this object's children."""
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj: Any):
-        self.obj = obj
-
-
-def _node_children(item: Any) -> tuple[list, list]:
-    """``(node children, value children)`` of an IR node / code thunk."""
-    cls = item.__class__
-    if cls is Const:
-        return [], [item.value]
-    if cls is Var:
-        return [], [item.name]
-    if cls is Lambda:
-        return [item.body], [item.params, item.rest]
-    if cls is App:
-        return [item.fn, *item.args], []
-    if cls is If:
-        return [item.test, item.then, item.els], []
-    if cls is SetBang:
-        return [item.expr], [item.name]
-    if cls is Seq:
-        return list(item.exprs), []
-    if cls is DefineTop:
-        return [item.expr], [item.name]
-    if cls is Pcall:
-        return list(item.exprs), []
-    if cls is LocalRef:
-        return [], []
-    if cls is LocalSet:
-        return [item.expr], []
-    if cls is GlobalRef:
-        return [], [item.cell]
-    if cls is GlobalSet:
-        return [item.expr], [item.cell]
-    source = _node_source(item)
-    if source is None:
-        raise SnapshotError(f"snapshot: not an IR node: {item!r}")
-    return [source], []
 
 
 def _metric_roots(session: Session) -> tuple[Metrics, ...]:
@@ -676,201 +907,6 @@ def _uid_streams() -> tuple[SerialCounter, ...]:
     )
 
 
-# -- per-type head/rest emitters ----------------------------------------
-#
-# Each entry: tag, head(enc, w, obj) writing construction scalars, and
-# rest(enc, obj) returning the reference-bearing fields as a list of
-# generic values.  ``rest`` doubles as the child enumerator for
-# discovery, so emitted fields and discovered children can never drift.
-
-
-def _no_head(enc: _Encoder, w: Writer, obj: Any) -> None:
-    pass
-
-
-def _name_head(enc: _Encoder, w: Writer, obj: Any) -> None:
-    w.str_(obj.name)
-
-
-def _uid_head(enc: _Encoder, w: Writer, obj: Any) -> None:
-    w.varint(obj.uid)
-
-
-def _no_rest(enc: _Encoder, obj: Any) -> list:
-    return []
-
-
-def _label_head(enc: _Encoder, w: Writer, obj: Label) -> None:
-    w.varint(obj.uid)
-    w.str_(obj.name)
-    w.u8(1 if isinstance(obj, PromptLabel) else 0)
-
-
-def _cell_head(enc: _Encoder, w: Writer, obj: GlobalCell) -> None:
-    w.str_(obj.name.name)
-    w.u8(1 if obj.name._interned else 0)
-
-
-def _cell_rest(enc: _Encoder, obj: GlobalCell) -> list:
-    # The head already spells an interned name; only a gensym needs its
-    # object reference.
-    if obj.name._interned:
-        return [obj.value]
-    return [obj.name, obj.value]
-
-
-def _task_rest(enc: _Encoder, obj: Task) -> list:
-    return [
-        _CONTROL_TAGS[obj.tag],
-        obj.payload,
-        obj.env,
-        obj.frames,
-        obj.link,
-        obj.state.value,
-        obj.steps,
-    ]
-
-
-def _machine_rest(enc: _Encoder, obj: Machine) -> list:
-    deadline = None if obj.deadline is None else obj.deadline - enc.now
-    waiting = sorted(obj.waiting_tasks, key=lambda t: t.uid)
-    # Only the random policy reads the RNG.
-    state = obj.rng.getstate() if obj.policy is SchedulerPolicy.RANDOM else None
-    return [
-        obj.policy.value,
-        obj.quantum,
-        obj.max_steps,
-        obj.engine,
-        True,  # reserved: the pre-1.5 ``batched`` field
-        obj.profile,
-        False,  # reserved: the pre-1.5 ``fold`` field
-        obj.recorder is not None,
-        deadline,
-        obj.toplevel_env,
-        obj.root_entity,
-        obj.root_label_link,
-        list(obj.queue),
-        obj.halt_value,
-        obj.steps_total,
-        list(obj.parked_futures),
-        waiting,
-        [(k, v) for k, v in obj.stats.items()],
-        [(k, v) for k, v in obj.vm_stats.items()],
-        state,
-    ]
-
-
-def _handle_rest(enc: _Encoder, obj: EvalHandle) -> list:
-    deadline = None if obj.deadline_at is None else obj.deadline_at - enc.now
-    return [
-        list(obj.nodes),
-        obj.max_steps,
-        deadline,
-        obj.state.value,
-        list(obj.values),
-        obj.steps,
-        enc.now - obj.submitted_at,
-        obj._cancel_requested,
-        obj._node_index,
-        obj._node_running,
-        # The classification survives; the full ProgramReport is
-        # transient (re-derivable by re-analyzing the source).
-        obj.classification,
-    ]
-
-
-def _macro_rest(enc: _Encoder, obj: Macro) -> list:
-    keywords = sorted(obj.keywords, key=lambda s: s.name)
-    return [
-        obj.name,
-        keywords,
-        [(rule.pattern, rule.template) for rule in obj.rules],
-    ]
-
-
-def _attr_rest(*names: str) -> Callable[[_Encoder, Any], list]:
-    def rest(enc: _Encoder, obj: Any) -> list:
-        return [getattr(obj, name) for name in names]
-
-    return rest
-
-
-def _closure_rest(enc: _Encoder, obj: Closure) -> list:
-    eff = obj.effects
-    return [
-        obj.params,
-        obj.rest,
-        obj.body,
-        obj.env,
-        obj.name,
-        obj.nslots,
-        obj.low,
-        obj.high,
-        # EffectInfo as its interned bitmask, like Lambda nodes.
-        None if eff is None else eff.bits,
-    ]
-
-
-_EMITTERS: dict[type, tuple[int, Callable, Callable]] = {
-    Pair: (_O_PAIR, _no_head, _attr_rest("car", "cdr")),
-    MVector: (_O_MVECTOR, _no_head, _attr_rest("items")),
-    Symbol: (_O_GENSYM, _name_head, _no_rest),  # gensyms only (see _note)
-    GlobalCell: (_O_CELL, _cell_head, _cell_rest),
-    Primitive: (_O_PRIMITIVE, _name_head, _no_rest),
-    ControlPrimitive: (_O_CONTROL_PRIMITIVE, _name_head, _no_rest),
-    Closure: (_O_CLOSURE, _no_head, _closure_rest),
-    Environment: (
-        _O_ENVIRONMENT,
-        _no_head,
-        lambda enc, obj: [[(k, v) for k, v in obj.bindings.items()], obj.parent],
-    ),
-    SlotRib: (_O_SLOT_RIB, _no_head, lambda enc, obj: [list(obj.values), obj.parent]),
-    Task: (_O_TASK, _uid_head, _task_rest),
-    Label: (_O_LABEL, _label_head, _no_rest),
-    PromptLabel: (_O_LABEL, _label_head, _no_rest),
-    HaltLink: (_O_HALT_LINK, _no_head, _attr_rest("machine", "placeholder", "child")),
-    LabelLink: (
-        _O_LABEL_LINK,
-        _no_head,
-        _attr_rest("label", "cont_frames", "cont_link", "child"),
-    ),
-    ForkLink: (_O_FORK_LINK, _no_head, _attr_rest("join", "index")),
-    Join: (
-        _O_JOIN,
-        _no_head,
-        _attr_rest("slots", "delivered", "remaining", "children", "cont_frames", "cont_link"),
-    ),
-    AppFrame: (_O_APP_FRAME, _no_head, _attr_rest("done", "pending", "env", "next")),
-    IfFrame: (_O_IF_FRAME, _no_head, _attr_rest("then", "els", "env", "next")),
-    SeqFrame: (_O_SEQ_FRAME, _no_head, _attr_rest("remaining", "env", "next")),
-    SetFrame: (_O_SET_FRAME, _no_head, _attr_rest("name", "env", "next")),
-    LocalSetFrame: (
-        _O_LOCAL_SET_FRAME,
-        _no_head,
-        _attr_rest("depth", "index", "env", "next"),
-    ),
-    GlobalSetFrame: (_O_GLOBAL_SET_FRAME, _no_head, _attr_rest("cell", "next")),
-    DefineFrame: (_O_DEFINE_FRAME, _no_head, _attr_rest("name", "env", "next")),
-    Capture: (_O_CAPTURE, _no_head, _attr_rest("root", "hole")),
-    ProcessController: (_O_CONTROLLER, _no_head, _attr_rest("label")),
-    ProcessContinuation: (_O_PROCESS_CONT, _no_head, _attr_rest("capture")),
-    RootContinuation: (_O_ROOT_CONT, _no_head, _attr_rest("capture")),
-    LeafContinuation: (_O_LEAF_CONT, _no_head, _attr_rest("frames", "link")),
-    FunctionalContinuation: (_O_FUNCTIONAL_CONT, _no_head, _attr_rest("capture")),
-    FuturePlaceholder: (
-        _O_PLACEHOLDER,
-        _uid_head,
-        _attr_rest("resolved", "value", "waiters"),
-    ),
-    EngineValue: (_O_ENGINE, _uid_head, _attr_rest("machine", "spent", "mileage")),
-    Machine: (_O_MACHINE, _no_head, _machine_rest),
-    Macro: (_O_MACRO, _no_head, _macro_rest),
-    EvalHandle: (_O_HANDLE, _uid_head, _handle_rest),
-}
-
-_NODE_CLASS_SET = set(_NODE_CLASSES)
-
-
 # =======================================================================
 # Decoder
 # =======================================================================
@@ -890,9 +926,8 @@ class _Decoder:
         self.name_override = name
         self.engine_override = engine
         #: The engine the restored session runs under (stored engine or
-        #: the override); decided in :meth:`decode` before the node
-        #: table is built, because it selects the ``_N_CODE`` recompile
-        #: path.
+        #: the override); decided in :meth:`decode` before the code
+        #: stubs are compiled, because it selects their executable form.
         self.engine: str | None = None
         self.version = FORMAT_VERSION
         #: The restoring session's base objects, which ``BASE``
@@ -914,134 +949,61 @@ class _Decoder:
 
     def _read_value(self, r: Reader) -> Any:
         tag = r.u8()
-        if tag == _V_NONE:
-            return None
-        if tag == _V_TRUE:
-            return True
-        if tag == _V_FALSE:
-            return False
-        if tag == _V_INT:
-            return r.svarint()
-        if tag == _V_FLOAT:
-            return r.f64()
-        if tag == _V_STR:
-            return r.str_()
-        if tag == _V_LIST:
-            return [self._read_value(r) for _ in range(r.varint())]
-        if tag == _V_TUPLE:
-            return tuple(self._read_value(r) for _ in range(r.varint()))
-        if tag == _V_FRACTION:
-            num = r.svarint()
-            return Fraction(num, r.svarint())
-        if tag == _V_NIL:
-            return NIL
-        if tag == _V_UNSPECIFIED:
-            return UNSPECIFIED
-        if tag == _V_EOF:
-            return EOF_OBJECT
-        if tag == _V_UNBOUND:
-            return UNBOUND
-        if tag == _V_TOMBSTONE:
-            return TOMBSTONE
-        if tag == _V_NO_HALT:
-            return _NO_HALT
-        if tag == _V_CHAR:
-            return Char(r.str_())
-        if tag == _V_ISYM:
-            return intern(r.str_())
         if tag == _V_OREF:
             idx = r.varint()
             if idx >= len(self.objects):
                 raise SnapshotFormatError(f"dangling object reference #{idx}")
             return self.objects[idx]
+        if tag == _V_ISYM:
+            return intern(r.str_())
+        if tag == _V_INT:
+            return r.svarint()
+        if tag in _SINGLETONS:
+            return _SINGLETONS[tag]
         if tag == _V_NREF:
             idx = r.varint()
             if idx >= len(self.nodes):
                 raise SnapshotFormatError(f"dangling node reference #{idx}")
             return self.nodes[idx]
+        if tag == _V_LIST:
+            return [self._read_value(r) for _ in range(r.varint())]
+        if tag == _V_TUPLE:
+            return tuple(self._read_value(r) for _ in range(r.varint()))
+        if tag == _V_STR:
+            return r.str_()
         if tag == _V_BASE:
             idx = r.varint()
             if idx >= len(self.base):
                 raise SnapshotFormatError(f"dangling base reference #{idx}")
             return self.base[idx]
+        if tag == _V_FLOAT:
+            return r.f64()
+        if tag == _V_FRACTION:
+            num = r.svarint()
+            return Fraction(num, r.svarint())
+        if tag == _V_CHAR:
+            return Char(r.str_())
         raise SnapshotFormatError(f"unknown value tag {tag}")
 
-    # -- node building ---------------------------------------------------
-
-    def _build_node(self, r: Reader) -> Any:
-        rv = self._read_value
-        tag = r.u8()
-        if tag == _N_CONST:
-            return Const(rv(r))
-        if tag == _N_VAR:
-            return Var(rv(r))
-        if tag == _N_LAMBDA:
-            params = rv(r)
-            rest = rv(r)
-            body = rv(r)
-            name = rv(r)
-            nslots = rv(r)
-            bits = rv(r)
-            return Lambda(
-                params,
-                rest,
-                body,
-                name,
-                nslots,
-                None if bits is None else EffectInfo.from_bits(bits),
+    def _code(self, node: Any, digest: str) -> Any:
+        """The executable form of a code stub: one per distinct digest,
+        built by the restoring engine after checking the digest."""
+        cached = self.code_cache.get(digest)
+        if cached is not None:
+            return cached
+        if stable_hash(node) != digest:
+            raise SnapshotFormatError(
+                "snapshot integrity failure: decoded IR does not match "
+                f"its stored hash {digest[:16]}…"
             )
-        if tag == _N_APP:
-            fn = rv(r)
-            return App(fn, rv(r))
-        if tag == _N_IF:
-            test = rv(r)
-            then = rv(r)
-            return If(test, then, rv(r))
-        if tag == _N_SETBANG:
-            name = rv(r)
-            return SetBang(name, rv(r))
-        if tag == _N_SEQ:
-            return Seq(rv(r))
-        if tag == _N_DEFINE_TOP:
-            name = rv(r)
-            return DefineTop(name, rv(r))
-        if tag == _N_PCALL:
-            return Pcall(rv(r))
-        if tag == _N_LOCAL_REF:
-            depth = r.varint()
-            index = r.varint()
-            return LocalRef(depth, index, rv(r))
-        if tag == _N_LOCAL_SET:
-            depth = r.varint()
-            index = r.varint()
-            expr = rv(r)
-            return LocalSet(depth, index, expr, rv(r))
-        if tag == _N_GLOBAL_REF:
-            return GlobalRef(rv(r))
-        if tag == _N_GLOBAL_SET:
-            cell = rv(r)
-            return GlobalSet(cell, rv(r))
-        if tag == _N_CODE:
-            node = rv(r)
-            digest = r.str_()
-            cached = self.code_cache.get(digest)
-            if cached is not None:
-                return cached
-            if stable_hash(node) != digest:
-                raise SnapshotFormatError(
-                    "snapshot integrity failure: decoded IR does not match "
-                    f"its stored hash {digest[:16]}…"
-                )
-            # The restoring engine decides the executable form: codegen
-            # routes through its digest-keyed code cache, compiled
-            # rebuilds closure thunks.
-            if self.engine == "codegen":
-                thunk = codegen_node(node, self.scratch_codegen_stats)
-            else:
-                thunk = compile_node(node, self.scratch_compile_stats)
-            self.code_cache[digest] = thunk
-            return thunk
-        raise SnapshotFormatError(f"unknown node tag {tag}")
+        # Codegen routes through its digest-keyed code cache, compiled
+        # rebuilds closure thunks.
+        if self.engine == "codegen":
+            thunk = codegen_node(node, self.scratch_codegen_stats)
+        else:
+            thunk = compile_node(node, self.scratch_compile_stats)
+        self.code_cache[digest] = thunk
+        return thunk
 
     # -- decode ----------------------------------------------------------
 
@@ -1110,32 +1072,51 @@ class _Decoder:
             if type(value) in (Primitive, ControlPrimitive)
         }
 
-        # Phase 1: construct every object from its head; stash the
-        # rest-bytes for phase 3.
-        count = r.varint()
-        rests: list[tuple[int, Reader, Any]] = []
-        for _ in range(count):
+        # Phase 1: construct every object from its head; keep its
+        # field bytes for the fill.
+        rests: list[tuple[_Record, Reader, Any]] = []
+        for _ in range(r.varint()):
             tag = r.u8()
             length = r.varint()
             payload = Reader(r.data, r.pos, r.pos + length)
             r.pos += length
-            maker = _MAKERS.get(tag)
-            if maker is None:
+            record = _OBJECTS_BY_TAG.get(tag)
+            if record is None:
                 raise SnapshotFormatError(f"unknown object tag {tag}")
-            obj = maker(self, payload)
+            obj = record.make(self, payload)
             self.objects.append(obj)
-            rests.append((tag, payload, obj))
+            rests.append((record, payload, obj))
 
-        # Phase 2: the IR DAG (children precede parents), recompiling
-        # code stubs as their source nodes complete.
-        for _ in range(r.varint()):
-            self.nodes.append(self._build_node(r))
+        # Phase 2: the IR DAG (children precede parents).  A code stub
+        # waits for phase 4: its hash and its compiled form read the
+        # constants and cells its IR points at.
+        stubs: list[tuple[int, Any, str]] = []
+        for index in range(r.varint()):
+            tag = r.u8()
+            if tag == _N_CODE:
+                source = self._read_value(r)
+                stubs.append((index, source, r.str_()))
+                self.nodes.append(None)
+                continue
+            record = _NODES_BY_TAG.get(tag)
+            if record is None:
+                raise SnapshotFormatError(f"unknown node tag {tag}")
+            node = record.make(self, r)
+            record.fill(self, r, node)
+            self.nodes.append(node)
 
-        # Phase 3: fill reference-bearing fields.
-        for tag, payload, obj in rests:
-            _FILLERS[tag](self, payload, obj)
+        # Phase 3: fill what IR points into; phase 4: compile the code
+        # stubs; phase 5: fill everything else, which may hold code.
+        for record, payload, obj in rests:
+            if record.before_code:
+                record.fill(self, payload, obj)
+        for index, source, digest in stubs:
+            self.nodes[index] = self._code(source, digest)
+        for record, payload, obj in rests:
+            if not record.before_code:
+                record.fill(self, payload, obj)
 
-        # Phase 4: session roots.
+        # Phase 6: session roots.
         rv = self._read_value
         machine = rv(r)
         if not isinstance(machine, Machine):
@@ -1171,273 +1152,6 @@ class _Decoder:
         for stream, before, watermark in zip(streams, before_boot, watermarks):
             stream.reset(max(before, watermark))
         return session
-
-
-# -- per-type makers / fillers ------------------------------------------
-
-
-def _make_blank(cls: type) -> Callable[["_Decoder", Reader], Any]:
-    def make(dec: "_Decoder", r: Reader) -> Any:
-        return object.__new__(cls)
-
-    return make
-
-
-def _fill_attrs(*names: str) -> Callable[["_Decoder", Reader, Any], None]:
-    def fill(dec: "_Decoder", r: Reader, obj: Any) -> None:
-        for name in names:
-            setattr(obj, name, dec._read_value(r))
-
-    return fill
-
-
-def _fill_frozen(*names: str) -> Callable[["_Decoder", Reader, Any], None]:
-    def fill(dec: "_Decoder", r: Reader, obj: Any) -> None:
-        for name in names:
-            object.__setattr__(obj, name, dec._read_value(r))
-
-    return fill
-
-
-def _make_gensym(dec: _Decoder, r: Reader) -> Symbol:
-    return Symbol(r.str_(), _interned=False)
-
-
-def _make_cell(dec: _Decoder, r: Reader) -> GlobalCell:
-    name = r.str_()
-    interned = bool(r.u8())
-    if interned:
-        # Merge by name into the restoring session's table: identity is
-        # shared with the freshly installed bindings.
-        return dec.globals.cell(intern(name))
-    return GlobalCell(None)  # type: ignore[arg-type]  # a gensym: named in its rest
-
-
-def _fill_cell(dec: _Decoder, r: Reader, obj: GlobalCell) -> None:
-    if obj.name is None or dec.version < 4:
-        # Version 3 writes every cell's name in its rest; version 4
-        # only a gensym's.
-        obj.name = dec._read_value(r)
-    obj.value = dec._read_value(r)
-    name = obj.name
-    if not name._interned and dec.globals.cells.get(name) is not obj:
-        # A gensym-named cell can't merge by spelling; register it
-        # under its (restored) identity.
-        dec.globals.cells[name] = obj
-
-
-def _make_primitive_of(cls: type) -> Callable[[_Decoder, Reader], Any]:
-    """The maker for a primitive record: the installed primitive of
-    class ``cls`` with the recorded name."""
-    label = "control primitive" if cls is ControlPrimitive else "primitive"
-
-    def make(dec: _Decoder, r: Reader) -> Any:
-        name = r.str_()
-        prim = dec.primitives.get((cls, name))
-        if prim is None:
-            raise SnapshotError(
-                f"snapshot references {label} {name!r}, which this build "
-                "does not install"
-            )
-        return prim
-
-    return make
-
-
-def _make_task(dec: _Decoder, r: Reader) -> Task:
-    task = object.__new__(Task)
-    task.uid = r.varint()
-    return task
-
-
-def _fill_task(dec: _Decoder, r: Reader, task: Task) -> None:
-    rv = dec._read_value
-    task.tag = _CONTROL_TAG_LIST[rv(r)]
-    task.payload = rv(r)
-    task.env = rv(r)
-    task.frames = rv(r)
-    task.link = rv(r)
-    task.state = TaskState(rv(r))
-    task.steps = rv(r)
-
-
-def _make_label(dec: _Decoder, r: Reader) -> Label:
-    uid = r.varint()
-    name = r.str_()
-    prompt = bool(r.u8())
-    label = object.__new__(PromptLabel if prompt else Label)
-    label.uid = uid
-    label.name = name
-    return label
-
-
-def _make_uid(cls: type) -> Callable[["_Decoder", Reader], Any]:
-    def make(dec: "_Decoder", r: Reader) -> Any:
-        obj = object.__new__(cls)
-        obj.uid = r.varint()
-        return obj
-
-    return make
-
-
-def _fill_environment(dec: _Decoder, r: Reader, env: Environment) -> None:
-    bindings = dec._read_value(r)
-    env.bindings = dict(bindings)
-    env.parent = dec._read_value(r)
-    env.globals = dec.globals
-
-
-def _fill_machine(dec: _Decoder, r: Reader, machine: Machine) -> None:
-    rv = dec._read_value
-    policy = rv(r)
-    quantum = rv(r)
-    max_steps = rv(r)
-    engine = rv(r)
-    rv(r)  # reserved: the pre-1.5 ``batched`` field
-    profile = rv(r)
-    rv(r)  # reserved: the pre-1.5 ``fold`` field
-    has_recorder = rv(r)
-    deadline = rv(r)
-    machine.__init__(
-        dec.globals,
-        policy=SchedulerPolicy(policy),
-        seed=0,
-        quantum=quantum,
-        max_steps=max_steps,
-        engine=_LEGACY_ENGINES.get(engine, engine),
-        profile=profile,
-        record=dec.record if has_recorder else None,
-    )
-    machine.deadline = None if deadline is None else dec.now + deadline
-    machine.toplevel_env = rv(r)
-    machine.root_entity = rv(r)
-    machine.root_label_link = rv(r)
-    machine.queue = deque(rv(r))
-    machine.halt_value = rv(r)
-    machine.steps_total = rv(r)
-    machine.parked_futures = rv(r)
-    machine.waiting_tasks = set(rv(r))
-    machine.stats = dict(rv(r))
-    machine.vm_stats = dict(rv(r))
-    state = rv(r)
-    if state is not None:  # version 4 writes it only under the random policy
-        machine.rng.setstate(state)
-
-
-def _fill_handle(dec: _Decoder, r: Reader, handle: EvalHandle) -> None:
-    rv = dec._read_value
-    handle.session = None  # type: ignore[assignment]  # wired in finalize
-    handle.nodes = rv(r)
-    handle.max_steps = rv(r)
-    deadline = rv(r)
-    handle.deadline_at = None if deadline is None else dec.now + deadline
-    handle.state = HandleState(rv(r))
-    handle.values = rv(r)
-    handle.steps = rv(r)
-    handle.submitted_at = dec.now - rv(r)
-    handle._exception = None
-    handle._listener = None  # listeners are process-local, never encoded
-    handle._cancel_requested = rv(r)
-    handle._node_index = rv(r)
-    handle._node_running = rv(r)
-    handle.report = None  # transient; re-derivable from the source
-    handle.classification = rv(r)
-
-
-def _fill_closure(dec: _Decoder, r: Reader, obj: Closure) -> None:
-    rv = dec._read_value
-    obj.params = rv(r)
-    obj.rest = rv(r)
-    obj.body = rv(r)
-    obj.env = rv(r)
-    obj.name = rv(r)
-    obj.nslots = rv(r)
-    obj.low = rv(r)
-    obj.high = rv(r)
-    bits = rv(r)
-    obj.effects = None if bits is None else EffectInfo.from_bits(bits)
-
-
-def _fill_macro(dec: _Decoder, r: Reader, macro: Macro) -> None:
-    rv = dec._read_value
-    macro.name = rv(r)
-    macro.keywords = frozenset(rv(r))
-    macro.rules = [Rule(pattern, template) for pattern, template in rv(r)]
-
-
-_MAKERS: dict[int, Callable[[_Decoder, Reader], Any]] = {
-    _O_PAIR: _make_blank(Pair),
-    _O_MVECTOR: _make_blank(MVector),
-    _O_GENSYM: _make_gensym,
-    _O_CELL: _make_cell,
-    _O_PRIMITIVE: _make_primitive_of(Primitive),
-    _O_CONTROL_PRIMITIVE: _make_primitive_of(ControlPrimitive),
-    _O_CLOSURE: _make_blank(Closure),
-    _O_ENVIRONMENT: _make_blank(Environment),
-    _O_SLOT_RIB: _make_blank(SlotRib),
-    _O_TASK: _make_task,
-    _O_LABEL: _make_label,
-    _O_HALT_LINK: _make_blank(HaltLink),
-    _O_LABEL_LINK: _make_blank(LabelLink),
-    _O_FORK_LINK: _make_blank(ForkLink),
-    _O_JOIN: _make_blank(Join),
-    _O_APP_FRAME: _make_blank(AppFrame),
-    _O_IF_FRAME: _make_blank(IfFrame),
-    _O_SEQ_FRAME: _make_blank(SeqFrame),
-    _O_SET_FRAME: _make_blank(SetFrame),
-    _O_LOCAL_SET_FRAME: _make_blank(LocalSetFrame),
-    _O_GLOBAL_SET_FRAME: _make_blank(GlobalSetFrame),
-    _O_DEFINE_FRAME: _make_blank(DefineFrame),
-    _O_CAPTURE: _make_blank(Capture),
-    _O_CONTROLLER: _make_blank(ProcessController),
-    _O_PROCESS_CONT: _make_blank(ProcessContinuation),
-    _O_ROOT_CONT: _make_blank(RootContinuation),
-    _O_LEAF_CONT: _make_blank(LeafContinuation),
-    _O_FUNCTIONAL_CONT: _make_blank(FunctionalContinuation),
-    _O_PLACEHOLDER: _make_uid(FuturePlaceholder),
-    _O_ENGINE: _make_uid(EngineValue),
-    _O_MACHINE: _make_blank(Machine),
-    _O_MACRO: _make_blank(Macro),
-    _O_HANDLE: _make_uid(EvalHandle),
-}
-
-_FILLERS: dict[int, Callable[[_Decoder, Reader, Any], None]] = {
-    _O_PAIR: _fill_attrs("car", "cdr"),
-    _O_MVECTOR: _fill_attrs("items"),
-    _O_GENSYM: lambda dec, r, obj: None,
-    _O_CELL: _fill_cell,
-    _O_PRIMITIVE: lambda dec, r, obj: None,
-    _O_CONTROL_PRIMITIVE: lambda dec, r, obj: None,
-    _O_CLOSURE: _fill_closure,
-    _O_ENVIRONMENT: _fill_environment,
-    _O_SLOT_RIB: _fill_attrs("values", "parent"),
-    _O_TASK: _fill_task,
-    _O_LABEL: lambda dec, r, obj: None,
-    _O_HALT_LINK: _fill_attrs("machine", "placeholder", "child"),
-    _O_LABEL_LINK: _fill_attrs("label", "cont_frames", "cont_link", "child"),
-    _O_FORK_LINK: _fill_attrs("join", "index"),
-    _O_JOIN: _fill_attrs(
-        "slots", "delivered", "remaining", "children", "cont_frames", "cont_link"
-    ),
-    _O_APP_FRAME: _fill_attrs("done", "pending", "env", "next"),
-    _O_IF_FRAME: _fill_attrs("then", "els", "env", "next"),
-    _O_SEQ_FRAME: _fill_attrs("remaining", "env", "next"),
-    _O_SET_FRAME: _fill_attrs("name", "env", "next"),
-    _O_LOCAL_SET_FRAME: _fill_attrs("depth", "index", "env", "next"),
-    _O_GLOBAL_SET_FRAME: _fill_attrs("cell", "next"),
-    _O_DEFINE_FRAME: _fill_attrs("name", "env", "next"),
-    _O_CAPTURE: _fill_frozen("root", "hole"),
-    _O_CONTROLLER: _fill_attrs("label"),
-    _O_PROCESS_CONT: _fill_attrs("capture"),
-    _O_ROOT_CONT: _fill_attrs("capture"),
-    _O_LEAF_CONT: _fill_attrs("frames", "link"),
-    _O_FUNCTIONAL_CONT: _fill_attrs("capture"),
-    _O_PLACEHOLDER: _fill_attrs("resolved", "value", "waiters"),
-    _O_ENGINE: _fill_attrs("machine", "spent", "mileage"),
-    _O_MACHINE: _fill_machine,
-    _O_MACRO: _fill_macro,
-    _O_HANDLE: _fill_handle,
-}
 
 
 # =======================================================================
@@ -1476,8 +1190,6 @@ def restore_session(
     :class:`~repro.errors.SnapshotBaseMismatch` when the blob's base
     digest is not this build's.
     """
-    from repro.machine.scheduler import normalize_engine
-
     if engine is not None:
         engine = normalize_engine(engine)
     return _Decoder(blob, record=record, name=name, engine=engine).decode()

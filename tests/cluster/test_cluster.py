@@ -9,14 +9,17 @@ has its own exhaustive matrix in ``tests/snapshot/``.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import time
 
 import pytest
 
+from repro import Session
 from repro.cluster import Cluster, DirectoryStore, MemoryStore
-from repro.errors import ClusterError, ShardDied
+from repro.datum import intern
+from repro.errors import ClusterError, ShardDied, SnapshotError
 
 
 # -- inline mode (workers=0, no multiprocessing) --------------------------
@@ -87,6 +90,64 @@ def test_blobs_carry_only_what_the_session_changed():
         assert c.submit("big", "(list (length big) (car big) (list-ref big 1999))").value == (
             "(2000 1999 0)"
         )
+
+
+def test_evicted_code_over_quoted_structure_answers():
+    with Cluster(workers=0) as c:
+        c.submit("s", "(define (g) '(a b))")
+        assert c.evict("s") is True
+        assert c.submit("s", "(g)").value == "(a b)"
+
+
+def _refuse_snapshots_when_flagged(monkeypatch):
+    """Make ``Session.snapshot`` fail for a session that binds
+    ``refuse-snapshot`` to #t; every other session snapshots."""
+    snapshot = Session.snapshot
+
+    def refusing(session):
+        cell = session.globals.cells.get(intern("refuse-snapshot"))
+        if cell is not None and cell.value is True:
+            raise SnapshotError(f"session {session.name}: refused")
+        return snapshot(session)
+
+    monkeypatch.setattr(Session, "snapshot", refusing)
+
+
+def test_failed_snapshot_keeps_the_session_and_drops_the_stale_blob(monkeypatch):
+    _refuse_snapshots_when_flagged(monkeypatch)
+    with Cluster(workers=0) as c:
+        c.submit("s", "(define n 1) (define refuse-snapshot #f)")
+        assert c.store.get("s") is not None
+        # Acknowledged, but not snapshotted: the stored blob (n = 1)
+        # is older than the state the reply acknowledges.
+        assert c.submit("s", "(set! refuse-snapshot #t) (set! n 2) n").value == "2"
+        assert c.store.get("s") is None
+        for move in (c.evict, c.snapshot_now, lambda sid: c.migrate(sid, 0)):
+            with pytest.raises(SnapshotError):
+                move("s")
+        assert c.metrics.evictions == c.metrics.migrations == 0
+        assert c.submit("s", "n").value == "2"  # still resident
+        # A snapshot that succeeds again restores the replay point.
+        c.submit("s", "(set! refuse-snapshot #f)")
+        assert c.evict("s") is True
+        assert c.submit("s", "n").value == "2"
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the worker must inherit the patched Session.snapshot",
+)
+def test_shard_death_after_a_failed_snapshot_replays_nothing_stale(monkeypatch):
+    _refuse_snapshots_when_flagged(monkeypatch)
+    with Cluster(workers=1) as c:
+        c.submit("s", "(define n 1) (define refuse-snapshot #f)")
+        assert c.submit("s", "(set! refuse-snapshot #t) (set! n 2) n").value == "2"
+        os.kill(c.shards[0].process.pid, signal.SIGKILL)
+        time.sleep(0.1)
+        # The only blob said n = 1; answering from it would lose the
+        # acknowledged write.
+        with pytest.raises(ShardDied):
+            c.submit("s", "n")
 
 
 def test_session_defaults_apply():

@@ -225,6 +225,54 @@ def test_captured_continuation_survives():
     assert r.drive(r.submit("(spawn (lambda (c2) (saved 1)))"))[-1] == 101
 
 
+#: Closures whose code holds quoted structure: a list, a ``case``
+#: clause's datum list and a vector literal.
+QUOTED = (
+    "(define (g) '(a b))"
+    "(define (h x) (case x ((1) 'one) (else 'other)))"
+    "(define (v) '#(1 2))"
+)
+
+
+@pytest.mark.parametrize("engine", ["compiled", "codegen"])
+def test_code_over_quoted_structure_restores_idle(engine):
+    s = Session(engine=engine)
+    s.run(QUOTED)
+    r = Session.restore(s.snapshot())
+    assert r.eval_to_string("(list (g) (h 1) (h 2) (v))") == "((a b) one other #(1 2))"
+
+
+@pytest.mark.parametrize("engine", ["compiled", "codegen"])
+def test_code_over_quoted_structure_restores_mid_run(engine):
+    prog = QUOTED + (
+        "(define (loop n) (if (= n 0) (list (g) (h 1) (v)) (loop (- n 1))))"
+        "(display (loop 200))"
+    )
+    s = Session(engine=engine, quantum=8)
+    s.submit(prog)
+    s.pump(40)
+    assert not s.idle
+    r = Session.restore(s.snapshot())
+    drained(r)
+    assert r.output_text() == "((a b) one #(1 2))"
+
+
+@pytest.mark.parametrize("engine", ["compiled", "codegen"])
+def test_continuation_captured_in_a_do_loop_survives(engine):
+    # The continuation's code names the loop's gensym-bound locals,
+    # whose binding lambda is no longer reachable from the session.
+    s = Session(engine=engine)
+    s.run("(define k #f) (define n 0)")
+    s.run(
+        "(do ((i 0 (+ i 1))) ((= i 3) 'end)"
+        " (set! n (+ n 1))"
+        " (if (= i 1) (call/cc (lambda (c) (set! k c)))))"
+    )
+    r = Session.restore(s.snapshot())
+    assert r.eval_to_string("(k #f)") == "end"
+    assert r.eval("n") == 4
+
+
 def test_pending_queue_survives():
     s = Session()
     s.submit("(define a 1)")

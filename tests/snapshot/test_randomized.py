@@ -1,11 +1,12 @@
 """Randomized snapshot/restore equivalence.
 
 A seeded generator produces concurrent programs mixing ``pcall`` trees,
-futures, ``spawn`` captures and ``call/cc``; each is run two ways —
-straight through, and interrupted mid-flight / snapshotted / restored /
-drained — and the two runs must agree byte-for-byte on output and
-step-for-step on machine stats, across the engine × quantum divergence
-matrix.  A subprocess subset proves the blob carries everything across
+futures, ``spawn`` captures and ``call/cc`` with quoted list and vector
+constants and the gensym-binding ``do``/``case``/``or`` forms; each is
+run two ways — straight through, and interrupted mid-flight /
+snapshotted / restored / drained — and the two runs must agree
+byte-for-byte on output and step-for-step on machine stats, across the
+engine × quantum divergence matrix.  A subprocess subset proves the blob carries everything across
 a process boundary (fresh interned-symbol table, fresh uid counters,
 recompiled code).
 """
@@ -35,6 +36,17 @@ PRELUDE = (
 )
 
 
+def gen_leaf(rng: random.Random) -> str:
+    """A loop, or a read of a quoted list or vector constant."""
+    roll = rng.random()
+    if roll < 0.6:
+        return f"(loop {rng.randint(4, 30)} {rng.randint(0, 4)})"
+    items = " ".join(str(rng.randint(0, 9)) for _ in range(rng.randint(1, 4)))
+    if roll < 0.8:
+        return f"(apply + '({items}))"
+    return f"(vector-ref '#({items}) 0)"
+
+
 def gen_expr(rng: random.Random, depth: int = 0, in_future: bool = False) -> str:
     """One expression of the concurrency-heavy fragment.
 
@@ -44,16 +56,30 @@ def gen_expr(rng: random.Random, depth: int = 0, in_future: bool = False) -> str
     generate.
     """
     roll = rng.random()
-    if depth >= 2 or roll < 0.30:
-        return f"(loop {rng.randint(4, 30)} {rng.randint(0, 4)})"
-    if roll < 0.55:
+    if depth >= 2 or roll < 0.25:
+        return gen_leaf(rng)
+    if roll < 0.45:
         arms = " ".join(
             gen_expr(rng, depth + 1, in_future) for _ in range(rng.randint(2, 4))
         )
         return f"(pcall + {arms})"
-    if roll < 0.72:
+    if roll < 0.57:
         return f"(touch (future (lambda () {gen_expr(rng, depth + 1, True)})))"
-    if roll < 0.88 or in_future:
+    if roll < 0.69:
+        # The derived forms bind gensym-named locals (the loop, the case
+        # key, the or temporary), and their clauses hold quoted
+        # constants: a capture inside them suspends code over both.
+        inner = gen_expr(rng, depth + 1, in_future)
+        shape = rng.randrange(3)
+        if shape == 0:
+            return f"(do ((i 0 (+ i 1)) (acc 0 (+ acc {inner}))) ((= i {rng.randint(1, 3)}) acc))"
+        if shape == 1:
+            return (
+                f"(case (remainder {inner} 4) ((0 1) (car '(10 11)))"
+                " ((2) (vector-ref '#(20 21) 1)) (else 30))"
+            )
+        return f"(or (memv {inner} '(-1 -2)) {gen_expr(rng, depth + 1, in_future)})"
+    if roll < 0.87 or in_future:
         # A spawn whose controller captures and immediately reinstates:
         # exercises Capture packaging mid-run.  Valid anywhere — the
         # controller's label lives in the expression's own tree.
