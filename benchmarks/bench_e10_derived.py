@@ -1,15 +1,16 @@
 """E10 — Section 8 / references [6] and [11]: engines, coroutines and
 futures derive from process continuations.
 
-Claims reproduced:
+Claims reproduced, all on the machine (``make-engine``/``engine-run``,
+``make-coroutine`` from the ``coroutines`` library, ``future``/``touch``):
 
-* engine preemption overhead is proportional to the number of
-  suspensions, not to total work (smaller fuel ⇒ more suspensions ⇒
-  more overhead, same answers);
-* coroutine transfer cost is flat in the coroutine's past (suspension
-  n costs the same as suspension 1);
-* futures overlap with their parent (forest of trees): interleaved
-  step counts, and a controller can never cross trees.
+* engine preemption costs suspensions, not work: the mileage is the
+  same at every fuel, and the number of suspensions scales as 1/fuel;
+* a fair round-robin of engines finishes every job;
+* coroutine transfer cost is flat in the coroutine's past (resume 451
+  costs the same as resume 1);
+* futures overlap with their parent (forest of trees): at quantum 1 the
+  future's and the main tree's events interleave.
 """
 
 from __future__ import annotations
@@ -18,202 +19,151 @@ import time
 
 import pytest
 
-from repro.runtime import Call, Coroutine, MakeFuture, Runtime, Touch
-from repro.runtime.engines import make_engine, round_robin
+from repro import Interpreter
+from repro.datum import to_pylist
+
+WORK = r"""
+(define (work n)
+  (lambda ()
+    (let loop ([i 0] [acc 0])
+      (if (= i n) acc (loop (+ i 1) (+ acc i))))))
+(define suspensions 0)
+(define (drive eng fuel)
+  (engine-run eng fuel
+    (lambda (value remaining) value)
+    (lambda (eng) (set! suspensions (+ suspensions 1)) (drive eng fuel))))
+"""
 
 
-def worker(n):
-    def body():
-        total = 0
-        for i in range(n):
-            total += i
-            yield Call(lambda: None)
-        return total
-
-    return body
+def _engines(**kwargs) -> Interpreter:
+    interp = Interpreter(**kwargs)
+    interp.run(WORK)
+    return interp
 
 
 def test_e10_engine_overhead_scales_with_suspensions():
-    print("\nE10  engine: total steps vs fuel quantum (work = 2000 ticks)")
-    rows = []
+    print("\nE10  engine: mileage and suspensions vs fuel (work = 2000 iterations)")
+    mileages = set()
     for fuel in (10, 100, 1000):
-        engine = make_engine(worker(2000))
-        outcome = engine.run(fuel)
-        suspensions = 1
-        while not outcome.done:
-            outcome = outcome.engine.run(fuel)
-            suspensions += 1
-        rows.append((fuel, suspensions, engine.mileage))
-        print(
-            f"  fuel={fuel:5d}: suspensions={suspensions:4d} "
-            f"total-steps={engine.mileage}"
-        )
-        assert outcome.value == sum(range(2000))
-    # Same total machine work regardless of slicing (within one slice).
-    assert abs(rows[0][2] - rows[2][2]) <= max(r[0] for r in rows)
-    # Suspension count inversely proportional to fuel.
-    assert rows[0][1] > rows[2][1] * 50
+        interp = _engines()
+        interp.run("(define e (make-engine (work 2000)))")
+        assert interp.eval(f"(drive e {fuel})") == sum(range(2000))
+        mileage = interp.eval("(engine-mileage e)")
+        suspensions = interp.eval("suspensions")
+        print(f"  fuel={fuel:5d}: suspensions={suspensions:4d} mileage={mileage}")
+        mileages.add(mileage)
+        # Every suspension used up a whole slice: 1/fuel scaling.
+        assert suspensions == -(-mileage // fuel) - 1
+    # Same machine work at every fuel: slicing re-executes nothing.
+    assert len(mileages) == 1
 
 
 def test_e10_round_robin_is_fair():
-    """Three unequal workers sliced fairly: all finish, and the total
-    mileage equals the sum of individual runs (no re-execution —
-    contrast with the call/cc snapshot semantics of E2)."""
+    """Three unequal jobs sliced fairly all finish, cheapest first."""
+    interp = _engines()
+    interp.load_library("engines-util")
     sizes = (300, 600, 900)
-    engines = [make_engine(worker(n)) for n in sizes]
-    values = round_robin(engines, fuel_each=50)
+    jobs = " ".join(f"(work {n})" for n in sizes)
+    values = to_pylist(interp.eval(f"(run-engines-fairly (list {jobs}) 50)"))
     assert values == [sum(range(n)) for n in sizes]
 
 
 def test_e10_coroutine_transfer_cost_flat():
-    def producer(suspend):
-        i = 0
-        while True:
-            got = yield suspend(i)
-            if got == "stop":
-                return i
-            i += 1
-
-    co = Coroutine(producer)
-    co.resume()
+    interp = Interpreter()
+    interp.load_library("coroutines")
+    interp.run(
+        """
+        (define co
+          (make-coroutine
+            (lambda (yield)
+              (let loop ([i 0])
+                (if (eq? (yield i) 'stop) i (loop (+ i 1)))))))
+        (define (resume-n n) (unless (zero? n) (resume co) (resume-n (- n 1))))
+        """
+    )
+    interp.eval("(resume co)")
 
     def cost_of_next(batch: int) -> float:
         start = time.perf_counter()
-        for _ in range(batch):
-            co.resume(None)
+        interp.eval(f"(resume-n {batch})")
         return (time.perf_counter() - start) / batch
 
     early = cost_of_next(50)
-    for _ in range(400):
-        co.resume(None)
+    interp.eval("(resume-n 400)")
     late = cost_of_next(50)
     print(f"\nE10  coroutine transfer: early={early * 1e6:.1f}μs late={late * 1e6:.1f}μs")
-    # Flat: transfer cost after 450 suspensions ≈ cost after 1.
+    # Flat: transfer cost after 450 resumes ≈ cost after 1.
     assert late < early * 3 + 1e-4
-    assert co.resume("stop").done
+    assert interp.eval_to_string("(resume co 'stop)") == "(done . 500)"
 
 
 @pytest.mark.parametrize("ncoroutines", [1, 8])
 def test_e10_coroutine_timing(benchmark, ncoroutines):
-    def counter(suspend):
-        for i in range(20):
-            yield suspend(i)
-        return "done"
-
-    def drive():
-        coroutines = [Coroutine(counter) for _ in range(ncoroutines)]
-        results = []
-        for co in coroutines:
-            result = co.resume()
-            while not result.done:
-                result = co.resume()
-            results.append(result.value)
-        return results
-
-    assert benchmark(drive) == ["done"] * ncoroutines
+    interp = Interpreter()
+    interp.load_library("coroutines")
+    interp.run(
+        """
+        (define (counter)
+          (make-coroutine
+            (lambda (yield)
+              (let loop ([i 0]) (when (< i 20) (yield i) (loop (+ i 1))))
+              'done)))
+        (define (drain co)
+          (let ([r (resume co)])
+            (if (coroutine-done? r) (coroutine-value r) (drain co))))
+        """
+    )
+    source = f"(map drain (map (lambda (i) (counter)) (iota {ncoroutines})))"
+    assert benchmark(lambda: interp.eval_to_string(source)) == (
+        "(" + " ".join(["done"] * ncoroutines) + ")"
+    )
 
 
 def test_e10_futures_overlap_with_parent():
-    trace = []
-
-    def main():
-        def background():
-            for _ in range(30):
-                trace.append("future")
-                yield Call(lambda: None)
-            return "bg"
-
-        ph = yield MakeFuture(background)
-        for _ in range(30):
-            trace.append("main")
-            yield Call(lambda: None)
-        value = yield Touch(ph)
-        return value
-
-    assert Runtime(quantum=1).run(main) == "bg"
-    first_20 = trace[:20]
+    """Each tree displays its tag per iteration.  A display is one
+    machine step, so the session output records the interleaving
+    exactly, with no lost updates between the two trees."""
+    interp = Interpreter(quantum=1)
+    interp.run(
+        """
+        (define (note tag n) (unless (zero? n) (display tag) (note tag (- n 1))))
+        (define ph (future (lambda () (note "f" 30) 'bg)))
+        """
+    )
+    assert interp.eval("""(begin (note "m" 30) (touch ph))""").name == "bg"
+    events = interp.output.getvalue()
+    first_20 = events[:20]
     print(
         f"\nE10  future/parent interleaving (first 20 events): "
-        f"{first_20.count('main')} main / {first_20.count('future')} future"
+        f"{first_20.count('m')} main / {first_20.count('f')} future"
     )
-    assert 5 <= first_20.count("main") <= 15  # genuinely overlapped
+    assert sorted(events) == ["f"] * 30 + ["m"] * 30
+    assert 5 <= first_20.count("m") <= 15  # genuinely overlapped
 
 
 @pytest.mark.parametrize("nfutures", [1, 4, 16])
 def test_e10_future_fanout_timing(benchmark, nfutures):
-    def main():
-        def job(n):
-            def body():
-                total = 0
-                for i in range(50):
-                    total += i * n
-                    yield Call(lambda: None)
-                return total
-
-            return body
-
-        placeholders = []
-        for n in range(nfutures):
-            ph = yield MakeFuture(job(n))
-            placeholders.append(ph)
-        total = 0
-        for ph in placeholders:
-            value = yield Touch(ph)
-            total += value
-        return total
-
+    interp = Interpreter()
+    interp.run(
+        """
+        (define (job n)
+          (lambda ()
+            (let loop ([i 0] [acc 0])
+              (if (= i 50) acc (loop (+ i 1) (+ acc (* i n)))))))
+        (define (fanout k)
+          (fold-left + 0 (map touch (map (lambda (n) (future (job n))) (iota k)))))
+        """
+    )
     expected = sum(sum(i * n for i in range(50)) for n in range(nfutures))
-    assert benchmark(lambda: Runtime().run(main)) == expected
-
-
-def test_e10_machine_engines_slicing_invariance():
-    """Machine-level engines (Scheme): answers are independent of
-    slicing granularity, and total mileage ≈ unsliced step count."""
-    from repro import Interpreter
-
-    print("\nE10  machine engines: slices and mileage vs fuel")
-    mileages = []
-    for fuel in (25, 250, 25_000):
-        interp = Interpreter()
-        interp.run(
-            """
-            (define (drive eng fuel)
-              (engine-run eng fuel
-                (lambda (v r) v)
-                (lambda (e) (drive e fuel))))
-            (define e (make-engine (lambda ()
-              (let loop ([i 200] [acc 0])
-                (if (zero? i) acc (loop (- i 1) (+ acc i)))))))
-            """
-        )
-        value = interp.eval(f"(drive e {fuel})")
-        mileage = interp.eval("(engine-mileage e)")
-        mileages.append(mileage)
-        print(f"  fuel={fuel:6d}: value={value} mileage={mileage}")
-        assert value == sum(range(201))
-    # Same work regardless of slicing, to within one slice.
-    assert max(mileages) - min(mileages) <= 25
+    assert benchmark(lambda: interp.eval(f"(fanout {nfutures})")) == expected
 
 
 @pytest.mark.parametrize("fuel", [50, 5000])
 def test_e10_machine_engine_timing(benchmark, fuel):
-    from repro import Interpreter
-
-    interp = Interpreter()
-    interp.run(
-        """
-        (define (drive eng fuel)
-          (engine-run eng fuel
-            (lambda (v r) v)
-            (lambda (e) (drive e fuel))))
-        """
-    )
+    interp = _engines()
 
     def go():
-        interp.run(
-            "(define e (make-engine (lambda () "
-            "(let loop ([i 100] [acc 0]) (if (zero? i) acc (loop (- i 1) (+ acc i)))))))"
-        )
+        interp.run("(define e (make-engine (work 100)))")
         return interp.eval(f"(drive e {fuel})")
 
-    assert benchmark(go) == sum(range(101))
+    assert benchmark(go) == sum(range(100))

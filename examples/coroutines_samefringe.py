@@ -1,108 +1,102 @@
 #!/usr/bin/env python3
-"""Coroutines from process continuations — in plain Python.
+"""Coroutines from process continuations.
 
-Uses the tasklet runtime (:mod:`repro.runtime`), which gives Python
-code the paper's control algebra.  Demonstrates:
+``make-coroutine`` (the ``coroutines`` library, written in the embedded
+Scheme over ``spawn``) suspends its body at each ``yield`` by capturing
+the body's process continuation, and ``resume`` reinstates it.
+Demonstrates:
 
 * a producer/consumer coroutine pair;
 * the classic *same-fringe* problem — comparing the leaf sequences of
-  two differently shaped trees lazily, stopping at the first mismatch;
-* Multilisp-style futures (Section 8's "forest of trees").
+  two differently shaped trees lazily, stopping at the first mismatch.
+
+Futures, the other half of Section 8's forest of trees, are in
+``examples/futures_forest.py``.
 
 Run:  python examples/coroutines_samefringe.py
 """
 
-from repro.runtime import Call, Coroutine, MakeFuture, Runtime, Touch
+import sys
+
+from repro import Interpreter
+
+SHOP = r"""
+(define shop
+  (make-coroutine
+    (lambda (yield)
+      (for-each (lambda (item)
+                  (let ([ack (yield item)])
+                    (display "   producer: consumer said ")
+                    (write ack)
+                    (newline)))
+                '(bread milk eggs))
+      'sold-out)))
+"""
+
+SAME_FRINGE = r"""
+;; A coroutine yielding the leaves of a nested list, left to right.
+(define (fringe tree)
+  (make-coroutine
+    (lambda (yield)
+      (let walk ([t tree])
+        (cond [(pair? t) (walk (car t)) (walk (cdr t))]
+              [(not (null? t)) (yield t)])))))
+
+(define (same-fringe? t1 t2)
+  (let ([a (fringe t1)] [b (fringe t2)])
+    (let loop ()
+      (let* ([ra (resume a)] [rb (resume b)])
+        (cond [(or (coroutine-done? ra) (coroutine-done? rb))
+               (and (coroutine-done? ra) (coroutine-done? rb))]
+              [(equal? (coroutine-value ra) (coroutine-value rb)) (loop)]
+              [else #f])))))
+"""
 
 
-def demo_producer_consumer() -> None:
+def demo_producer_consumer(interp: Interpreter, failures: list) -> None:
     print("== Producer / consumer ==")
-
-    def producer(suspend):
-        for item in ["bread", "milk", "eggs"]:
-            ack = yield suspend(item)
-            print(f"   producer: consumer said {ack!r}")
-        return "sold out"
-
-    shop = Coroutine(producer)
-    result = shop.resume()
-    while not result.done:
-        print(f"   consumer: buying {result.value!r}")
-        result = shop.resume(f"thanks for the {result.value}")
-    print(f"   shop closed: {result.value!r}\n")
-
-
-def fringe_coroutine(tree):
-    """A coroutine yielding the leaves of a nested-tuple tree."""
-
-    def walker(suspend):
-        def walk(node):
-            if isinstance(node, tuple):
-                for child in node:
-                    yield Call(walk, child)
-            else:
-                yield suspend(node)
-
-        yield Call(walk, tree)
-        return None  # sentinel: fringe exhausted
-
-    return Coroutine(walker)
+    interp.run(SHOP)
+    bought = []
+    interp.run("(define r (resume shop))")
+    while interp.eval("(coroutine-yielded? r)"):
+        item = interp.eval_to_string("(coroutine-value r)")
+        print(f"   consumer: buying {item}")
+        bought.append(item)
+        interp.run(f'(define r (resume shop "thanks for the {item}"))')
+    closed = interp.eval_to_string("(coroutine-value r)")
+    print(f"   shop closed: {closed}\n")
+    if (bought, closed) != (["bread", "milk", "eggs"], "sold-out"):
+        failures.append(f"producer/consumer: bought {bought}, closed {closed}")
 
 
-def same_fringe(t1, t2) -> bool:
-    a, b = fringe_coroutine(t1), fringe_coroutine(t2)
-    while True:
-        ra, rb = a.resume(), b.resume()
-        if ra.done or rb.done:
-            return ra.done and rb.done
-        if ra.value != rb.value:
-            return False
-
-
-def demo_same_fringe() -> None:
+def demo_same_fringe(interp: Interpreter, failures: list) -> None:
     print("== Same fringe ==")
+    interp.run(SAME_FRINGE)
     cases = [
-        (((1, 2), 3), (1, (2, 3))),
-        ((1, (2, (3, 4))), (((1, 2), 3), 4)),
-        ((1, 2, 3), (1, 2, 4)),
-        ((1, 2), (1, 2, 3)),
+        ("((1 2) 3)", "(1 (2 3))", True),
+        ("(1 (2 (3 4)))", "(((1 2) 3) 4)", True),
+        ("(1 2 3)", "(1 2 4)", False),
+        ("(1 2)", "(1 2 3)", False),
     ]
-    for t1, t2 in cases:
-        print(f"   {t1!r:24s} vs {t2!r:24s} -> {same_fringe(t1, t2)}")
+    for t1, t2, want in cases:
+        got = interp.eval(f"(same-fringe? '{t1} '{t2})")
+        print(f"   {t1:16s} vs {t2:16s} -> {got}")
+        if got is not want:
+            failures.append(f"same-fringe {t1} {t2}: got {got}, want {want}")
     print()
 
 
-def demo_futures() -> None:
-    print("== Futures: independent trees in the forest ==")
-
-    def main():
-        def crunch(label, n):
-            def body():
-                total = 0
-                for i in range(n):
-                    total += i
-                    yield Call(lambda: None)
-                print(f"   future {label}: done ({total})")
-                return total
-
-            return body
-
-        ph_a = yield MakeFuture(crunch("A", 500))
-        ph_b = yield MakeFuture(crunch("B", 100))
-        print("   main: both futures launched, doing own work...")
-        own = 0
-        for i in range(50):
-            own += i
-            yield Call(lambda: None)
-        a = yield Touch(ph_a)
-        b = yield Touch(ph_b)
-        return own + a + b
-
-    total = Runtime(quantum=16).run(main)
-    print(f"   grand total: {total}\n")
+def main() -> int:
+    interp = Interpreter(echo_output=True)
+    interp.load_library("coroutines")
+    failures: list = []
+    demo_producer_consumer(interp, failures)
+    demo_same_fringe(interp, failures)
+    if failures:
+        print(f"{len(failures)} WRONG ANSWERS: {failures}")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    demo_producer_consumer()
-    demo_same_fringe()
-    demo_futures()
+    sys.exit(main())

@@ -1,89 +1,104 @@
 #!/usr/bin/env python3
-"""Engines: preemptive time-slicing from suspension machinery.
+"""Engines: preemptive time-slicing from process continuations.
 
 Dybvig & Hieb derived engines from continuations ("Engines from
-Continuations", reference [6] of the paper); here they come from the
-tasklet runtime's process trees.  The demo builds a fair preemptive
-scheduler for unequal workloads, then shows nested slicing — an engine
-running engines.
+Continuations", reference [6] of the paper).  In the machine an engine
+is a paused process tree, run for a given number of steps at a time
+(``make-engine`` / ``engine-run``).  The demo slices one job by hand,
+builds a fair round-robin scheduler for unequal jobs, then shows nested
+slicing — an engine running engines.
 
 Run:  python examples/engines_timeslicing.py
 """
 
-from repro.runtime import Call
-from repro.runtime.engines import make_engine, round_robin
+import sys
+
+from repro import Interpreter
+from repro.datum import scheme_repr, to_pylist
+
+JOBS = r"""
+;; A job that logs its progress every quarter of the way to n.
+(define progress '())
+(define (job name n)
+  (lambda ()
+    (let loop ([i 0])
+      (when (zero? (remainder i (max 1 (quotient n 4))))
+        (set! progress (cons (list name i) progress)))
+      (if (< i n)
+          (loop (+ i 1))
+          (begin (set! progress (cons (list name 'done) progress))
+                 (list name n))))))
+"""
 
 
-def job(name: str, ticks: int, log: list):
-    """A tasklet that reports its progress as it burns ticks."""
-
-    def body():
-        for i in range(ticks):
-            if i % max(1, ticks // 4) == 0:
-                log.append(f"{name}@{i}")
-            yield Call(lambda: None)
-        log.append(f"{name}:done")
-        return name, ticks
-
-    return body
+def check(failures: list, label: str, got: str, want: str) -> None:
+    print(f"   {label}: {got}")
+    if got != want:
+        failures.append(f"{label}: got {got}, want {want}")
 
 
-def demo_manual_slicing() -> None:
+def demo_manual_slicing(interp: Interpreter, failures: list) -> None:
     print("== Manual slicing ==")
-    log: list = []
-    engine = make_engine(job("solo", 40, log))
-    slices = 0
-    outcome = engine.run(15)
-    while not outcome.done:
+    interp.run("(set! progress '()) (define solo (make-engine (job 'solo 40)))")
+    # One slice per eval: (value fuel-left) when the job finishes, #f
+    # when the slice expires (the engine stays armed for the next one).
+    slice_once = "(engine-run solo 40 (lambda (value fuel) (list value fuel)) (lambda (e) #f))"
+    slices = 1
+    while (outcome := interp.eval(slice_once)) is False:
+        print(f"   slice {slices}: expired (mileage {interp.eval('(engine-mileage solo)')})")
         slices += 1
-        print(f"   slice {slices}: expired (mileage {engine.mileage})")
-        outcome = outcome.engine.run(15)
-    print(f"   finished: {outcome.value}, fuel left in last slice: "
-          f"{outcome.remaining_fuel}")
-    print(f"   progress log: {log}\n")
+    value, fuel_left = to_pylist(outcome)
+    check(failures, f"slice {slices} finished", scheme_repr(value), "(solo 40)")
+    print(f"   fuel left in last slice: {fuel_left}")
+    print(f"   progress log: {interp.eval_to_string('(reverse progress)')}\n")
 
 
-def demo_fair_scheduler() -> None:
+def demo_fair_scheduler(interp: Interpreter, failures: list) -> None:
     print("== Fair round-robin over unequal jobs ==")
-    log: list = []
-    engines = [
-        make_engine(job("short", 30, log)),
-        make_engine(job("medium", 90, log)),
-        make_engine(job("long", 150, log)),
-    ]
-    results = round_robin(engines, fuel_each=20)
-    print("   results:", results)
-    done_order = [entry.split(":")[0] for entry in log if entry.endswith(":done")]
-    print("   completion order:", done_order, "(shortest first — fairness)\n")
+    interp.load_library("engines-util")
+    interp.run("(set! progress '())")
+    results = interp.eval_to_string(
+        "(run-engines-fairly (list (job 'long 150) (job 'medium 90) (job 'short 30)) 20)"
+    )
+    check(failures, "results", results, "((short 30) (medium 90) (long 150))")
+    done = interp.eval_to_string(
+        "(map car (filter (lambda (e) (eq? (cadr e) 'done)) (reverse progress)))"
+    )
+    print(f"   completion order: {done} (shortest first — fairness)\n")
 
 
-def demo_nested_engines() -> None:
+def demo_nested_engines(interp: Interpreter, failures: list) -> None:
     print("== An engine running engines ==")
-    log: list = []
-
-    def meta():
-        # This tasklet *itself* drives two engines to completion...
-        inner = [make_engine(job("inner-a", 25, log)), make_engine(job("inner-b", 25, log))]
-        outcomes = [e.run(10) for e in inner]
-        while not all(o.done for o in outcomes):
-            outcomes = [
-                o if o.done else o.engine.run(10) for o in outcomes
-            ]
-            yield Call(lambda: None)  # stay preemptible
-        return [o.value for o in outcomes]
-
-    # ...while being sliced by an outer engine.
-    outer = make_engine(meta)
-    outcome = outer.run(30)
-    outer_slices = 1
-    while not outcome.done:
-        outcome = outcome.engine.run(30)
-        outer_slices += 1
+    interp.run(
+        """
+        ;; This job itself slices two inner engines to completion...
+        (define (meta)
+          (run-engines-fairly (list (job 'inner-a 25) (job 'inner-b 25)) 10))
+        ;; ...while being sliced by an outer engine.
+        (define (slices-to-finish engine fuel count)
+          (engine-run engine fuel
+            (lambda (value remaining) (list count value))
+            (lambda (engine) (slices-to-finish engine fuel (+ count 1)))))
+        """
+    )
+    outer_slices, inner = to_pylist(interp.eval("(slices-to-finish (make-engine meta) 30 1)"))
     print(f"   outer slices used: {outer_slices}")
-    print(f"   inner results: {outcome.value}\n")
+    check(failures, "inner results", scheme_repr(inner), "((inner-a 25) (inner-b 25))")
+    print()
+
+
+def main() -> int:
+    interp = Interpreter()
+    interp.run(JOBS)
+    failures: list = []
+    demo_manual_slicing(interp, failures)
+    demo_fair_scheduler(interp, failures)
+    demo_nested_engines(interp, failures)
+    if failures:
+        print(f"{len(failures)} WRONG ANSWERS: {failures}")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    demo_manual_slicing()
-    demo_fair_scheduler()
-    demo_nested_engines()
+    sys.exit(main())

@@ -5,8 +5,8 @@ The package implements **process continuations** (subcontinuations) and
 the ``spawn`` operator over an embedded Scheme with tree-structured
 concurrency (``pcall``), together with the traditional-continuation
 baselines the paper critiques, the formal rewriting semantics of
-Section 6, and a Python-native tasklet runtime exposing the same
-algebra to plain Python code.
+Section 6, and the Section 8 abstractions (engines, coroutines,
+Multilisp futures) on the same machine.
 
 Quick start::
 
@@ -32,7 +32,6 @@ from repro.errors import (
     InvalidControllerError,
     DeadControllerError,
     PromptMissingError,
-    ContinuationReusedError,
     StepBudgetExceeded,
     HostError,
     DeadlineExceeded,
@@ -57,7 +56,7 @@ from repro.snapshot import SNAPSHOT_VERSION, restore_session, snapshot_session
 from repro.cluster import Cluster, ClusterHandle, ClusterResult, DirectoryStore, MemoryStore
 from repro.gateway import Gateway, GatewayClient, GatewayLimits, TokenBucket
 
-__version__ = "1.8.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Interpreter",
@@ -82,7 +81,6 @@ __all__ = [
     "InvalidControllerError",
     "DeadControllerError",
     "PromptMissingError",
-    "ContinuationReusedError",
     "StepBudgetExceeded",
     "HostError",
     "DeadlineExceeded",

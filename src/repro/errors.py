@@ -11,7 +11,6 @@ subsystem structure:
 * :class:`ControlError` — misuse of control operators; this is where
   the paper's "invalid controller application" lives.
 * :class:`SemanticsError` — the formal rewriting system of Section 6.
-* :class:`RuntimeAPIError` — the Python-native tasklet runtime.
 * :class:`HostError` — the multi-session host runtime
   (:mod:`repro.host`): per-request deadlines, cooperative cancellation
   and submit-queue backpressure.
@@ -34,10 +33,8 @@ __all__ = [
     "InvalidControllerError",
     "DeadControllerError",
     "PromptMissingError",
-    "ContinuationReusedError",
     "SemanticsError",
     "StuckTermError",
-    "RuntimeAPIError",
     "StepBudgetExceeded",
     "HostError",
     "DeadlineExceeded",
@@ -141,10 +138,6 @@ class PromptMissingError(ControlError):
     """``F`` was invoked with no enclosing prompt (Section 3 baseline)."""
 
 
-class ContinuationReusedError(ControlError):
-    """A one-shot continuation (Python-native runtime) was invoked twice."""
-
-
 class SemanticsError(ReproError):
     """Base class for errors in the Section 6 rewriting system."""
 
@@ -156,10 +149,6 @@ class StuckTermError(SemanticsError):
     def __init__(self, message: str, term: object | None = None):
         self.term = term
         super().__init__(message)
-
-
-class RuntimeAPIError(ReproError):
-    """Misuse of the Python-native tasklet runtime."""
 
 
 class StepBudgetExceeded(ReproError):

@@ -234,35 +234,30 @@ def e9(report: Report) -> None:
 
 def e10(report: Report) -> None:
     report.section("E10  §8 engines / coroutines / futures")
-    from repro.runtime import Call, Coroutine
-    from repro.runtime.engines import make_engine
-
-    def worker():
-        total = 0
-        for i in range(500):
-            total += i
-            yield Call(lambda: None)
-        return total
-
-    outcome = make_engine(worker).run(50)
-    slices = 1
-    while not outcome.done:
-        outcome = outcome.engine.run(50)
-        slices += 1
-    report.row(f"engine: {slices} slices of 50 fuel; value {outcome.value}")
-    report.check(outcome.value == sum(range(500)), "sliced engine = unsliced answer")
-
-    def numbers(suspend):
-        for i in range(3):
-            yield suspend(i)
-        return "end"
-
-    co = Coroutine(numbers)
-    values = [co.resume().value for _ in range(3)]
-    report.check(values == [0, 1, 2], "coroutine yields in order")
+    from repro.datum import to_pylist
 
     interp = Interpreter()
-    interp.run("(define ph (future (lambda () (* 6 7))))")
+    interp.load_library("coroutines")
+    interp.run(
+        """
+        (define (sum-to n)
+          (lambda ()
+            (let loop ([i 0] [acc 0]) (if (= i n) acc (loop (+ i 1) (+ acc i))))))
+        (define (drive eng fuel slices)
+          (engine-run eng fuel
+            (lambda (value remaining) (list value slices))
+            (lambda (eng) (drive eng fuel (+ slices 1)))))
+        (define e (make-engine (sum-to 500)))
+        (define co (make-coroutine (lambda (yield) (yield 0) (yield 1) (yield 2) 'end)))
+        (define ph (future (lambda () (* 6 7))))
+        """
+    )
+    value, slices = to_pylist(interp.eval("(drive e 50 1)"))
+    mileage = interp.eval("(engine-mileage e)")
+    report.row(f"engine: {slices} slices of 50 fuel, mileage {mileage}; value {value}")
+    report.check(value == interp.eval("((sum-to 500))"), "sliced engine = unsliced answer")
+    values = [interp.eval("(coroutine-value (resume co))") for _ in range(3)]
+    report.check(values == [0, 1, 2], "coroutine yields in order")
     report.check(interp.eval("(touch ph)") == 42, "machine futures resolve")
 
 

@@ -9,7 +9,7 @@ drives the backend; the event loop owns only sockets and admission.
 See ``docs/SERVING.md`` for the wire protocol and shed contract.
 """
 
-from repro.gateway.client import GatewayClient, GatewayClientPool
+from repro.gateway.client import GatewayClient
 from repro.gateway.protocol import (
     ERROR_CODES,
     MAX_FRAME_BYTES,
@@ -25,7 +25,6 @@ __all__ = [
     "ERROR_CODES",
     "Gateway",
     "GatewayClient",
-    "GatewayClientPool",
     "GatewayLimits",
     "MAX_FRAME_BYTES",
     "OPS",

@@ -5,12 +5,13 @@ past the inflight cap, and backend fault containment."""
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import threading
 
 import pytest
 
-from repro.errors import GatewayBusy, HostSaturated
+from repro.errors import GatewayBusy, GatewayClosed, HostSaturated
 from repro.gateway import Gateway, GatewayClient, GatewayLimits
 from repro.host import Host
 
@@ -209,6 +210,72 @@ def test_disconnect_with_terminal_requests_drops_records():
                 await asyncio.sleep(0.01)
             assert gw.stats["gateway.tracked_requests"] == 0
             assert gw.stats["gateway.disconnect_cancels"] == 0
+
+    run(main())
+
+
+# -- client-side connection loss ------------------------------------------
+
+
+class _FakeWriter:
+    """A stream writer for a client built on an injected reader; a
+    ``drain_error`` plays a connection that is already gone."""
+
+    def __init__(self, drain_error: Exception | None = None):
+        self.drain_error = drain_error
+        self.frames: list[bytes] = []
+
+    def write(self, data: bytes) -> None:
+        self.frames.append(data)
+
+    async def drain(self) -> None:
+        if self.drain_error is not None:
+            raise self.drain_error
+
+    def close(self) -> None:
+        pass
+
+    async def wait_closed(self) -> None:
+        pass
+
+
+def test_client_write_failure_is_gateway_closed_and_leaks_nothing():
+    """A write on a lost connection raises GatewayClosed, closes the
+    client, and leaves no pending entry for the later EOF to fail (and
+    asyncio to log as "never retrieved")."""
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        logged: list[str] = []
+        loop.set_exception_handler(lambda _loop, context: logged.append(context["message"]))
+        reader = asyncio.StreamReader()
+        client = GatewayClient(reader, _FakeWriter(ConnectionResetError("reset by peer")))
+        with pytest.raises(GatewayClosed, match="reset by peer"):
+            await client.submit("s", "(+ 1 2)", stream=True)
+        assert client._closed
+        assert client._pending == {} and client._streams == {}
+        with pytest.raises(GatewayClosed):
+            await client.submit("s", "(+ 1 2)")
+        assert client._pending == {}
+        reader.feed_eof()
+        await client._reader_task
+        gc.collect()
+        assert logged == []
+
+    run(main())
+
+
+def test_client_cancelled_call_leaks_nothing():
+    async def main():
+        client = GatewayClient(asyncio.StreamReader(), _FakeWriter())
+        call = asyncio.ensure_future(client.submit("s", "(+ 1 2)", stream=True))
+        await asyncio.sleep(0)  # written; now awaiting a reply that never comes
+        assert len(client._pending) == 1
+        call.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await call
+        assert client._pending == {} and client._streams == {}
+        await client.close()
 
     run(main())
 

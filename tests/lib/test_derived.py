@@ -5,6 +5,26 @@ import pytest
 
 from repro import Interpreter
 
+#: Same fringe over two coroutine tree walkers: the leaves are compared
+#: one pair at a time, so the walk stops at the first mismatch.
+SAME_FRINGE = r"""
+(define (fringe tree)
+  (make-coroutine
+    (lambda (yield)
+      (let walk ([t tree])
+        (cond [(pair? t) (walk (car t)) (walk (cdr t))]
+              [(not (null? t)) (yield t)])))))
+
+(define (same-fringe? t1 t2)
+  (let ([a (fringe t1)] [b (fringe t2)])
+    (let loop ()
+      (let* ([ra (resume a)] [rb (resume b)])
+        (cond [(or (coroutine-done? ra) (coroutine-done? rb))
+               (and (coroutine-done? ra) (coroutine-done? rb))]
+              [(equal? (coroutine-value ra) (coroutine-value rb)) (loop)]
+              [else #f])))))
+"""
+
 
 @pytest.fixture
 def lib_interp():
@@ -131,6 +151,13 @@ class TestCoroutines:
         lib_interp.run("(define r (resume co))")
         assert lib_interp.eval("(coroutine-done? r)") is True
         assert lib_interp.eval("(coroutine-value r)") == 2
+
+    def test_same_fringe(self, lib_interp):
+        lib_interp.run(SAME_FRINGE)
+        assert lib_interp.eval("(same-fringe? '((1 2) 3) '(1 (2 3)))") is True
+        assert lib_interp.eval("(same-fringe? '(1 (2 (3))) '((1) 2 3))") is True
+        assert lib_interp.eval("(same-fringe? '(1 2) '(2 1))") is False
+        assert lib_interp.eval("(same-fringe? '(1 2) '(1 2 3))") is False
 
 
 class TestParallel:

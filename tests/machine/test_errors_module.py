@@ -18,10 +18,8 @@ def test_single_root():
         errors.InvalidControllerError,
         errors.DeadControllerError,
         errors.PromptMissingError,
-        errors.ContinuationReusedError,
         errors.SemanticsError,
         errors.StuckTermError,
-        errors.RuntimeAPIError,
         errors.StepBudgetExceeded,
     ]
     for cls in leaves:

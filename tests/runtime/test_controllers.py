@@ -1,280 +1,160 @@
-"""Controllers and one-shot subcontinuations in the tasklet runtime."""
+"""Controllers and process continuations at run time on the machine:
+abort, resume, validity, sibling suspension and nesting (§4, §5)."""
 
 import pytest
 
-from repro.errors import ContinuationReusedError, DeadControllerError
-from repro.runtime import (
-    Call,
-    Invoke,
-    Pcall,
-    Resume,
-    Runtime,
-    Spawn,
-    SubContinuation,
-)
+from repro import Interpreter
+from repro.control.spawn import ProcessContinuation
+from repro.errors import DeadControllerError
 
 
-def run(fn, **kw):
-    return Runtime(**kw).run(fn)
+def test_invoke_abort(interp):
+    result = interp.eval("(spawn (lambda (c) (c (lambda (k) 'aborted)) 'unreachable))")
+    assert result.name == "aborted"
 
 
-def test_invoke_abort():
-    def main():
-        def process(ctrl):
-            yield Invoke(ctrl, lambda k: "aborted")
-            return "unreachable"
-
-        value = yield Spawn(process)
-        return value
-
-    assert run(main) == "aborted"
+def test_invoke_receives_subcontinuation(interp):
+    interp.run("(define seen #f)")
+    assert interp.eval("(spawn (lambda (c) (c (lambda (k) (set! seen k) 'done))))").name == "done"
+    assert isinstance(interp.eval("seen"), ProcessContinuation)
 
 
-def test_invoke_receives_subcontinuation():
-    seen = {}
-
-    def main():
-        def process(ctrl):
-            def receiver(k):
-                seen["k"] = k
-                return "done"
-
-            yield Invoke(ctrl, receiver)
-
-        value = yield Spawn(process)
-        return value
-
-    assert run(main) == "done"
-    assert isinstance(seen["k"], SubContinuation)
+def test_resume_composes(interp):
+    interp.run("(define r (spawn (lambda (c) (* 2 (c (lambda (k) (cons 'paused k)))))))")
+    assert interp.eval("(car r)").name == "paused"
+    assert interp.eval("((cdr r) 21)") == 42
 
 
-def test_resume_composes():
-    def main():
-        def process(ctrl):
-            value = yield Invoke(ctrl, lambda k: ("paused", k))
-            return value * 2
-
-        tag, k = yield Spawn(process)
-        assert tag == "paused"
-        value = yield Resume(k, 21)
-        return value
-
-    assert run(main) == 42
+def test_resume_is_multi_shot(interp):
+    """Each reinstatement clones the captured control points, so one
+    process continuation can be resumed any number of times."""
+    interp.run("(define k (spawn (lambda (c) (* 10 (c (lambda (k) k))))))")
+    assert interp.eval("(k 1)") == 10
+    assert interp.eval("(k 2)") == 20
 
 
-def test_resume_is_one_shot():
-    def main():
-        def process(ctrl):
-            value = yield Invoke(ctrl, lambda k: ("paused", k))
-            return value
-
-        _, k = yield Spawn(process)
-        yield Resume(k, 1)
-        yield Resume(k, 2)  # must raise
-
-    with pytest.raises(ContinuationReusedError):
-        run(main)
-
-
-def test_dead_controller_after_return():
-    def main():
-        def process(ctrl):
-            return ctrl
-            yield  # pragma: no cover
-
-        ctrl = yield Spawn(process)
-        yield Invoke(ctrl, lambda k: "nope")
-
+def test_dead_controller_after_return(interp):
     with pytest.raises(DeadControllerError):
-        run(main)
+        interp.eval("((spawn (lambda (c) c)) (lambda (k) 'nope))")
 
 
-def test_dead_controller_after_use():
-    def main():
-        def process(ctrl):
-            def receiver(k):
-                def second_use():
-                    yield Invoke(ctrl, lambda k2: "never")
-
-                return second_use
-
-            reuse = yield Invoke(ctrl, receiver)
-            return reuse
-
-        second_use = yield Spawn(process)
-        value = yield Call(second_use)
-        return value
-
+def test_dead_controller_after_use(interp):
     with pytest.raises(DeadControllerError):
-        run(main)
+        interp.eval("((spawn (lambda (c) (c (lambda (k) (lambda () (c (lambda (k2) 'never))))))))")
 
 
-def test_controller_valid_again_after_resume():
-    def main():
-        def process(ctrl):
-            first = yield Invoke(ctrl, lambda k: ("first", k))
-            # Resumed: the root is reinstated, so a second capture works.
-            second = yield Invoke(ctrl, lambda k: ("second", k))
-            return ("finished", first, second)
-
-        tag1, k1 = yield Spawn(process)
-        tag2, k2 = yield Resume(k1, "v1")
-        final = yield Resume(k2, "v2")
-        return (tag1, tag2, final)
-
-    tag1, tag2, final = run(main)
-    assert tag1 == "first"
-    assert tag2 == "second"
-    assert final == ("finished", "v1", "v2")
+def test_controller_valid_again_after_resume(interp):
+    interp.run(
+        """
+        (define r1
+          (spawn (lambda (c)
+                   (let* ([first (c (lambda (k) (cons 'first k)))]
+                          ;; Resumed: the root is back, so c captures again.
+                          [second (c (lambda (k) (cons 'second k)))])
+                     (list 'finished first second)))))
+        (define r2 ((cdr r1) 'v1))
+        """
+    )
+    assert interp.eval_to_string("(list (car r1) (car r2) ((cdr r2) 'v2))") == (
+        "(first second (finished v1 v2))"
+    )
 
 
 def test_capture_suspends_sibling_branch():
-    progress = []
-
-    def main():
-        def process(ctrl):
-            def capturer():
-                value = yield Invoke(ctrl, lambda k: ("paused", k))
-                return value
-
-            def sibling():
-                for i in range(1000):
-                    progress.append(i)
-                    yield Call(lambda: None)
-                return "sib"
-
-            value = yield Pcall(lambda a, b: (a, b), capturer, sibling)
-            return value
-
-        tag, k = yield Spawn(process)
-        mid_progress = len(progress)
-        value = yield Resume(k, "hole-value")
-        return (mid_progress, value)
-
-    mid_progress, value = Runtime(quantum=1).run(main)
-    assert mid_progress < 1000  # sibling was suspended mid-flight
-    assert value == ("hole-value", "sib")
-    assert len(progress) == 1000  # resumed exactly, no re-execution
+    interp = Interpreter(quantum=1)
+    interp.run(
+        """
+        (define progress 0)
+        (define r
+          (spawn (lambda (c)
+                   (pcall list
+                          (c (lambda (k) (cons 'paused k)))
+                          (let loop ([i 0])
+                            (if (= i 1000)
+                                'sib
+                                (begin (set! progress (+ i 1)) (loop (+ i 1)))))))))
+        """
+    )
+    assert interp.eval("progress") < 1000  # the sibling was suspended mid-flight
+    assert interp.eval_to_string("((cdr r) 'hole-value)") == "(hole-value sib)"
+    assert interp.eval("progress") == 1000  # resumed where it stopped
 
 
-def test_nested_controllers_inner_outer():
-    def main():
-        def process_outer(outer):
-            def process_inner(inner):
-                # Abort through the *outer* controller.
-                yield Invoke(outer, lambda k: "outer-abort")
-                return "not-reached"
-
-            value = yield Spawn(process_inner)
-            return ("inner-returned", value)
-
-        value = yield Spawn(process_outer)
-        return value
-
-    assert run(main) == "outer-abort"
+def test_nested_controllers_inner_outer(interp):
+    result = interp.eval(
+        """
+        (spawn (lambda (outer)
+                 (list 'inner-returned
+                       (spawn (lambda (inner)
+                                (outer (lambda (k) 'outer-abort))
+                                'not-reached)))))
+        """
+    )
+    assert result.name == "outer-abort"
 
 
-def test_invoke_from_outside_subtree_invalid():
-    def main():
-        box = {}
-
-        def process(ctrl):
-            box["ctrl"] = ctrl
-            yield Invoke(ctrl, lambda k: "out")
-
-        yield Spawn(process)
-        # The process is gone; its controller leaked via box.
-        yield Invoke(box["ctrl"], lambda k: "bad")
-
+def test_invoke_from_outside_subtree_invalid(interp):
+    interp.run("(define box #f)")
+    interp.eval("(spawn (lambda (c) (set! box c) (c (lambda (k) 'out))))")
     with pytest.raises(DeadControllerError):
-        run(main)
+        interp.eval("(box (lambda (k) 'bad))")
 
 
-def test_receiver_may_be_tasklet():
-    def main():
-        def process(ctrl):
-            def receiver(k):
-                yield Call(lambda: None)
-                return "from-tasklet-receiver"
-
-            yield Invoke(ctrl, receiver)
-
-        value = yield Spawn(process)
-        return value
-
-    assert run(main) == "from-tasklet-receiver"
-
-
-def test_resume_inside_resumed_extent():
-    """Resume a subcontinuation, then from within the resumed process
-    capture and resume again — chained suspensions."""
-
-    def main():
-        def process(ctrl):
-            first = yield Invoke(ctrl, lambda k: ("p1", k))
-            second = yield Invoke(ctrl, lambda k: ("p2", first, k))
-            return ("end", second)
-
-        tag1, k1 = yield Spawn(process)
-        tag2, carried, k2 = yield Resume(k1, "A")
-        final = yield Resume(k2, "B")
-        return (tag1, tag2, carried, final)
-
-    assert Runtime().run(main) == ("p1", "p2", "A", ("end", "B"))
+def test_receiver_may_be_tasklet(interp):
+    """The receiver is an ordinary computation above the root; it may
+    loop and fork like any other."""
+    result = interp.eval_to_string(
+        """
+        (spawn (lambda (c)
+                 (c (lambda (k)
+                      (pcall list
+                             'from
+                             (let loop ([i 10]) (if (zero? i) 'receiver (loop (- i 1)))))))))
+        """
+    )
+    assert result == "(from receiver)"
 
 
-def test_capture_composes_across_host_frames():
-    """Resume deep inside a host call stack: the value flows back
-    through every generator frame."""
-
-    def main():
-        def process(ctrl):
-            got = yield Invoke(ctrl, lambda k: k)
-            return got * 3
-
-        k = yield Spawn(process)
-
-        def deep(n):
-            if n == 0:
-                value = yield Resume(k, 7)
-                return value
-            value = yield Call(deep, n - 1)
-            return value + 1
-
-        value = yield Call(deep, 5)
-        return value
-
-    assert Runtime().run(main) == 7 * 3 + 5
+def test_resume_inside_resumed_extent(interp):
+    """Resume a process continuation, then capture and resume again from
+    inside the resumed process."""
+    interp.run(
+        """
+        (define r1
+          (spawn (lambda (c)
+                   (let* ([first (c (lambda (k) (list 'p1 k)))]
+                          [second (c (lambda (k) (list 'p2 first k)))])
+                     (list 'end second)))))
+        (define r2 ((cadr r1) 'A))
+        """
+    )
+    assert interp.eval_to_string("(list (car r1) (car r2) (cadr r2) ((caddr r2) 'B))") == (
+        "(p1 p2 A (end B))"
+    )
 
 
-def test_two_independent_captures_outstanding():
-    """Two separate suspended processes held at once, resumed in the
-    opposite order of their creation."""
-
-    def main():
-        def process(ctrl):
-            got = yield Invoke(ctrl, lambda k: k)
-            return got
-
-        k1 = yield Spawn(process)
-        k2 = yield Spawn(process)
-        second = yield Resume(k2, "later-created")
-        first = yield Resume(k1, "earlier-created")
-        return (first, second)
-
-    assert Runtime().run(main) == ("earlier-created", "later-created")
+def test_capture_composes_across_host_frames(interp):
+    """Resume deep inside a call stack: the value flows back through
+    every pending frame."""
+    interp.run(
+        """
+        (define k (spawn (lambda (c) (* 3 (c (lambda (k) k))))))
+        (define (deep n) (if (= n 0) (k 7) (+ 1 (deep (- n 1)))))
+        """
+    )
+    assert interp.eval("(deep 5)") == 7 * 3 + 5
 
 
-def test_subcontinuation_repr_changes_on_use():
-    def main():
-        def process(ctrl):
-            got = yield Invoke(ctrl, lambda k: k)
-            return got
-
-        k = yield Spawn(process)
-        assert "ready" in repr(k)
-        yield Resume(k, 1)
-        assert "used" in repr(k)
-        return "checked"
-
-    assert Runtime().run(main) == "checked"
+def test_two_independent_captures_outstanding(interp):
+    """Two suspended processes held at once, resumed in the opposite
+    order of their creation."""
+    interp.run(
+        """
+        (define (suspended) (spawn (lambda (c) (c (lambda (k) k)))))
+        (define k1 (suspended))
+        (define k2 (suspended))
+        """
+    )
+    assert interp.eval_to_string(
+        "(let* ([second (k2 'later-created)] [first (k1 'earlier-created)]) (list first second))"
+    ) == "(earlier-created later-created)"

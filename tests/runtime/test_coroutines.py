@@ -1,110 +1,92 @@
-"""Coroutines from process continuations."""
+"""Coroutines from process continuations: ``make-coroutine`` in the
+``coroutines`` library, run on the machine."""
 
 import pytest
 
-from repro.errors import RuntimeAPIError
-from repro.runtime import Call, Coroutine
+from repro.errors import SchemeError
+
+from tests.lib.test_derived import SAME_FRINGE
 
 
-def test_basic_yield_sequence():
-    def numbers(suspend):
-        for n in range(3):
-            yield suspend(n)
-        return "end"
-
-    co = Coroutine(numbers)
-    results = [co.resume() for _ in range(4)]
-    assert [r.done for r in results] == [False, False, False, True]
-    assert [r.value for r in results] == [0, 1, 2, "end"]
+@pytest.fixture
+def co_interp(interp):
+    interp.load_library("coroutines")
+    return interp
 
 
-def test_values_flow_both_ways():
-    def echoer(suspend):
-        got1 = yield suspend("ready")
-        got2 = yield suspend(got1 * 2)
-        return got2 + 1
-
-    co = Coroutine(echoer)
-    assert co.resume().value == "ready"
-    assert co.resume(10).value == 20
-    assert co.resume(100).value == 101
+def test_basic_yield_sequence(co_interp):
+    co_interp.run("(define co (make-coroutine (lambda (yield) (yield 0) (yield 1) (yield 2) 'end)))")
+    results = [co_interp.eval_to_string("(resume co)") for _ in range(4)]
+    assert results == ["(yield . 0)", "(yield . 1)", "(yield . 2)", "(done . end)"]
 
 
-def test_resume_after_done_raises():
-    def trivial(suspend):
-        return "x"
-        yield  # pragma: no cover
-
-    co = Coroutine(trivial)
-    assert co.resume().done
-    with pytest.raises(RuntimeAPIError, match="already completed"):
-        co.resume()
-
-
-def test_coroutine_with_inner_calls():
-    def fib_gen(suspend):
-        def fib(n):
-            if n < 2:
-                return n
-            a = yield Call(fib, n - 1)
-            b = yield Call(fib, n - 2)
-            return a + b
-
-        for i in range(7):
-            value = yield Call(fib, i)
-            yield suspend(value)
-        return "done"
-
-    co = Coroutine(fib_gen)
-    values = []
-    result = co.resume()
-    while not result.done:
-        values.append(result.value)
-        result = co.resume()
-    assert values == [0, 1, 1, 2, 3, 5, 8]
+def test_values_flow_both_ways(co_interp):
+    co_interp.run(
+        """
+        (define co
+          (make-coroutine
+            (lambda (yield)
+              (let* ([got1 (yield 'ready)]
+                     [got2 (yield (* got1 2))])
+                (+ got2 1)))))
+        """
+    )
+    assert co_interp.eval("(coroutine-value (resume co))").name == "ready"
+    assert co_interp.eval("(coroutine-value (resume co 10))") == 20
+    assert co_interp.eval("(coroutine-value (resume co 100))") == 101
 
 
-def test_two_coroutines_independent():
-    def counter(suspend):
-        for i in range(3):
-            yield suspend(i)
-        return None
-
-    a, b = Coroutine(counter), Coroutine(counter)
-    assert a.resume().value == 0
-    assert b.resume().value == 0
-    assert a.resume().value == 1
-    assert b.resume().value == 1
+def test_resume_after_done_raises(co_interp):
+    co_interp.run("(define co (make-coroutine (lambda (yield) 'x)))")
+    assert co_interp.eval("(coroutine-done? (resume co))") is True
+    with pytest.raises(SchemeError, match="already completed"):
+        co_interp.eval("(resume co)")
 
 
-def test_samefringe():
-    """The classic coroutine exercise: compare the fringes of two
-    differently shaped trees lazily."""
+def test_coroutine_with_inner_calls(co_interp):
+    co_interp.run(
+        """
+        (define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))
+        (define co
+          (make-coroutine
+            (lambda (yield)
+              (let loop ([i 0])
+                (when (< i 7) (yield (fib i)) (loop (+ i 1))))
+              'done)))
+        (define (drain)
+          (let ([r (resume co)])
+            (if (coroutine-done? r) '() (cons (coroutine-value r) (drain)))))
+        """
+    )
+    assert co_interp.eval_to_string("(drain)") == "(0 1 1 2 3 5 8)"
 
-    def fringe(tree):
-        def walker(suspend):
-            def walk(node):
-                if isinstance(node, tuple):
-                    for child in node:
-                        yield Call(walk, child)
-                else:
-                    yield suspend(node)
 
-            yield Call(walk, tree)
-            return StopIteration
+def test_two_coroutines_independent(co_interp):
+    co_interp.run(
+        """
+        (define (counter)
+          (make-coroutine (lambda (yield) (yield 0) (yield 1) (yield 2) #f)))
+        (define a (counter))
+        (define b (counter))
+        """
+    )
+    order = ["a", "b", "a", "b"]
+    values = [co_interp.eval(f"(coroutine-value (resume {name}))") for name in order]
+    assert values == [0, 0, 1, 1]
 
-        return Coroutine(walker)
 
-    def same_fringe(t1, t2):
-        a, b = fringe(t1), fringe(t2)
-        while True:
-            ra, rb = a.resume(), b.resume()
-            if ra.done or rb.done:
-                return ra.done and rb.done
-            if ra.value != rb.value:
-                return False
+def test_samefringe(co_interp):
+    """Same fringe is lazy: a mismatch at the first leaf stops both walks
+    at once, however large the rest of the trees are."""
+    co_interp.run(SAME_FRINGE)
+    co_interp.run("(define big (iota 400))")
 
-    assert same_fringe(((1, 2), 3), (1, (2, 3)))
-    assert same_fringe((1, (2, (3,))), ((1,), 2, 3))
-    assert not same_fringe((1, 2), (2, 1))
-    assert not same_fringe((1, 2), (1, 2, 3))
+    def steps(source):
+        before = co_interp.machine.steps_total
+        result = co_interp.eval(source)
+        return result, co_interp.machine.steps_total - before
+
+    equal, full_walk = steps("(same-fringe? big (list big))")
+    differ, early_exit = steps("(same-fringe? (cons 'x big) (list big))")
+    assert equal is True and differ is False
+    assert early_exit * 20 < full_walk

@@ -1,152 +1,79 @@
-"""Multilisp-style futures: the Section 8 forest of trees."""
+"""Multilisp-style futures on the machine: the Section 8 forest of
+trees."""
 
 import pytest
 
-from repro.errors import DeadControllerError, RuntimeAPIError
-from repro.runtime import (
-    Call,
-    Invoke,
-    MakeFuture,
-    Placeholder,
-    Runtime,
-    Spawn,
-    Touch,
-)
+from repro import Interpreter
+from repro.datum import to_pylist
+from repro.errors import DeadControllerError, MachineError
+
+SPIN = "(define (spin n v) (if (zero? n) v (spin (- n 1) v)))"
 
 
-def run(fn, **kw):
-    return Runtime(**kw).run(fn)
-
-
-def test_future_returns_placeholder_immediately():
-    def main():
-        def work():
-            yield Call(lambda: None)
-            return 9
-
-        ph = yield MakeFuture(work)
-        assert isinstance(ph, Placeholder)
-        assert not ph.resolved  # not yet computed at creation
-        value = yield Touch(ph)
-        return value
-
-    assert run(main) == 9
+def test_future_returns_placeholder_immediately(interp):
+    interp.run(SPIN)
+    result = interp.eval(
+        """
+        (let ([ph (future (lambda () (spin 10 9)))])
+          ;; Not yet computed at creation.
+          (list (placeholder? ph) (future-done? ph) (touch ph)))
+        """
+    )
+    assert to_pylist(result) == [True, False, 9]
 
 
 def test_future_runs_concurrently_with_parent():
-    trace = []
-
-    def main():
-        def work():
-            for _ in range(5):
-                trace.append("future")
-                yield Call(lambda: None)
-            return "f"
-
-        ph = yield MakeFuture(work)
-        for _ in range(5):
-            trace.append("main")
-            yield Call(lambda: None)
-        value = yield Touch(ph)
-        return value
-
-    assert Runtime(quantum=1).run(main) == "f"
-    head = trace[:4]
-    assert "future" in head and "main" in head
+    """The main tree samples ``future-done?`` as it works: the future
+    finishes while the main tree is still running."""
+    interp = Interpreter(quantum=1)
+    interp.run(SPIN)
+    samples = interp.eval(
+        """
+        (let ([ph (future (lambda () (spin 5 'f)))])
+          (let loop ([i 0] [seen '()])
+            (if (= i 50)
+                (cons (touch ph) (reverse seen))
+                (loop (+ i 1) (cons (future-done? ph) seen)))))
+        """
+    )
+    value, *seen = to_pylist(samples)
+    assert value.name == "f"
+    assert seen[0] is False and seen[-1] is True
 
 
-def test_touch_resolved_placeholder_is_immediate():
-    def main():
-        def work():
-            return 1
-            yield  # pragma: no cover
-
-        ph = yield MakeFuture(work)
-        first = yield Touch(ph)
-        second = yield Touch(ph)  # already resolved
-        return first + second
-
-    assert run(main) == 2
+def test_touch_resolved_placeholder_is_immediate(interp):
+    interp.run("(define ph (future (lambda () 1)))")
+    assert interp.eval("(touch ph)") == 1
+    assert interp.eval("(future-done? ph)") is True
+    assert interp.eval("(+ (touch ph) (touch ph))") == 2
 
 
-def test_multiple_waiters_all_released():
-    def main():
-        def work():
-            for _ in range(20):
-                yield Call(lambda: None)
-            return 7
-
-        ph = yield MakeFuture(work)
-
-        def waiter():
-            value = yield Touch(ph)
-            return value
-
-        from repro.runtime import Pcall
-
-        values = yield Pcall(lambda *vs: list(vs), waiter, waiter, waiter)
-        return values
-
-    assert run(main) == [7, 7, 7]
+def test_multiple_waiters_all_released(interp):
+    interp.run(SPIN)
+    result = interp.eval_to_string(
+        "(let ([ph (future (lambda () (spin 20 7)))]) (pcall list (touch ph) (touch ph) (touch ph)))"
+    )
+    assert result == "(7 7 7)"
 
 
-def test_future_args():
-    def main():
-        def work(a, b):
-            yield Call(lambda: None)
-            return a * b
-
-        ph = yield MakeFuture(work, 6, 7)
-        value = yield Touch(ph)
-        return value
-
-    assert run(main) == 42
+def test_future_args(interp):
+    """A future's thunk closes over the arguments of its work."""
+    interp.run("(define (work a b) (* a b))")
+    assert interp.eval("(touch (future (lambda () (work 6 7))))") == 42
 
 
-def test_controller_cannot_cross_trees():
+def test_controller_cannot_cross_trees(interp):
     """Section 8: control operations affect only the tree in which they
     occur.  A future's task walking up for a controller rooted in the
     main tree finds nothing."""
-
-    def main():
-        box = {}
-
-        def process(ctrl):
-            box["ctrl"] = ctrl
-
-            def work():
-                # Independent tree: the main tree's controller root is
-                # not on this task's path.
-                yield Invoke(box["ctrl"], lambda k: "cross")
-
-            ph = yield MakeFuture(work)
-            value = yield Touch(ph)
-            return value
-
-        value = yield Spawn(process)
-        return value
-
     with pytest.raises(DeadControllerError):
-        run(main)
+        interp.eval("(spawn (lambda (c) (touch (future (lambda () (c (lambda (k) 'cross)))))))")
 
 
-def test_deadlock_on_self_touch():
-    """A future that touches its own placeholder can never resolve:
-    the runtime reports deadlock."""
-
-    def main():
-        box = {}
-
-        def work():
-            value = yield Touch(box["ph"])
-            return value
-
-        ph = yield MakeFuture(work)
-        box["ph"] = ph
-        # The future task is already blocked? No: it runs after box is
-        # set because MakeFuture tasks start behind main in the queue.
-        value = yield Touch(ph)
-        return value
-
-    with pytest.raises(RuntimeAPIError, match="deadlock"):
-        run(main)
+def test_deadlock_on_self_touch(interp):
+    """A future that touches its own placeholder can never resolve: the
+    machine reports deadlock."""
+    interp.run("(define ph #f)")
+    interp.run("(set! ph (future (lambda () (touch ph))))")
+    with pytest.raises(MachineError, match="deadlock"):
+        interp.eval("(touch ph)")

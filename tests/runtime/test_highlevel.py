@@ -1,134 +1,85 @@
-"""Derived combinators: spawn_exit, first_true, parallel_map."""
+"""Derived combinators on the machine: ``spawn/exit`` and
+``first-true`` (§5) and ``par-map`` from the ``parallel`` library."""
 
-from repro.runtime import Call, Runtime, first_true, parallel_map, spawn_exit
+import pytest
 
-
-def run(fn, **kw):
-    return Runtime(**kw).run(fn)
-
-
-def test_spawn_exit_early():
-    def main():
-        def body(exit):
-            yield exit("early")
-            return "late"
-
-        value = yield Call(spawn_exit, body)
-        return value
-
-    assert run(main) == "early"
+from repro import Interpreter
 
 
-def test_spawn_exit_normal():
-    def main():
-        def body(exit):
-            yield Call(lambda: None)
-            return "normal"
-
-        value = yield Call(spawn_exit, body)
-        return value
-
-    assert run(main) == "normal"
+@pytest.fixture
+def exits(paper_interp):
+    paper_interp.load_library("parallel")
+    paper_interp.run("(define (spin n v) (if (zero? n) v (spin (- n 1) v)))")
+    return paper_interp
 
 
-def test_spawn_exit_from_deep_call():
-    def main():
-        def body(exit):
-            def deep(n):
-                if n == 0:
-                    yield exit("from-depth")
-                yield Call(deep, n - 1)
-
-            yield Call(deep, 10)
-            return "unreached"
-
-        value = yield Call(spawn_exit, body)
-        return value
-
-    assert run(main) == "from-depth"
+def test_spawn_exit_early(exits):
+    assert exits.eval("(spawn/exit (lambda (exit) (exit 'early) 'late))").name == "early"
 
 
-def test_nested_spawn_exit_levels():
-    def main():
-        def outer(exit_outer):
-            def inner(exit_inner):
-                yield exit_outer("outer-exit")
+def test_spawn_exit_normal(exits):
+    assert exits.eval("(spawn/exit (lambda (exit) (spin 3 'normal)))").name == "normal"
 
-            value = yield Call(spawn_exit, inner)
-            return ("inner-gave", value)
 
-        value = yield Call(spawn_exit, outer)
-        return value
+def test_spawn_exit_from_deep_call(exits):
+    result = exits.eval(
+        """
+        (spawn/exit (lambda (exit)
+                      (let deep ([n 10])
+                        (if (= n 0) (exit 'from-depth) (+ 1 (deep (- n 1)))))
+                      'unreached))
+        """
+    )
+    assert result.name == "from-depth"
 
-    assert run(main) == "outer-exit"
+
+def test_nested_spawn_exit_levels(exits):
+    result = exits.eval(
+        """
+        (spawn/exit (lambda (exit-outer)
+                      (list 'inner-gave
+                            (spawn/exit (lambda (exit-inner)
+                                          (exit-outer 'outer-exit))))))
+        """
+    )
+    assert result.name == "outer-exit"
 
 
 def test_first_true_fast_wins():
-    def main():
-        def slow():
-            for _ in range(200):
-                yield Call(lambda: None)
-            return "slow"
-
-        def fast():
-            yield Call(lambda: None)
-            return "fast"
-
-        value = yield Call(first_true, slow, fast)
-        return value
-
-    assert Runtime(quantum=1).run(main) == "fast"
+    interp = Interpreter(quantum=1)
+    interp.load_paper_example("first-true")
+    interp.run("(define (spin n v) (if (zero? n) v (spin (- n 1) v)))")
+    result = interp.eval("(first-true (lambda () (spin 200 'slow)) (lambda () (spin 1 'fast)))")
+    assert result.name == "fast"
 
 
-def test_first_true_all_false():
-    def main():
-        def falsy():
-            yield Call(lambda: None)
-            return False
-
-        value = yield Call(first_true, falsy, falsy)
-        return value
-
-    assert run(main) is False
+def test_first_true_all_false(exits):
+    """Neither branch exits: the pcall applies the identity to #f."""
+    assert exits.eval("(first-true (lambda () (spin 1 #f)) (lambda () (spin 1 #f)))") is False
 
 
 def test_first_true_loser_abandoned():
-    progress = []
-
-    def main():
-        def slow():
-            for i in range(10_000):
-                progress.append(i)
-                yield Call(lambda: None)
-            return "slow"
-
-        def fast():
-            return "fast"
-            yield  # pragma: no cover
-
-        value = yield Call(first_true, slow, fast)
-        return value
-
-    assert Runtime(quantum=1).run(main) == "fast"
-    assert len(progress) < 10_000  # the slow branch never finished
+    interp = Interpreter(quantum=1)
+    interp.load_paper_example("first-true")
+    interp.run(
+        """
+        (define progress 0)
+        (define (slow)
+          (let loop ([i 0])
+            (if (= i 10000) 'slow (begin (set! progress i) (loop (+ i 1))))))
+        """
+    )
+    assert interp.eval("(first-true slow (lambda () 'fast))").name == "fast"
+    assert interp.eval("progress") < 10_000  # the slow branch never finished
 
 
 def test_parallel_map_order_preserved():
-    def main():
-        def work(x):
-            for _ in range(x):  # uneven work per item
-                yield Call(lambda: None)
-            return x * x
-
-        values = yield Call(parallel_map, work, [5, 1, 4, 2])
-        return values
-
-    assert Runtime(quantum=1).run(main) == [25, 1, 16, 4]
+    interp = Interpreter(quantum=1)
+    interp.load_library("parallel")
+    interp.run("(define (square-after x) (let loop ([i x]) (if (zero? i) (* x x) (loop (- i 1)))))")
+    # Uneven work per item; values still come back in list order.
+    assert interp.eval_to_string("(par-map square-after '(5 1 4 2))") == "(25 1 16 4)"
 
 
-def test_parallel_map_empty():
-    def main():
-        values = yield Call(parallel_map, lambda x: x, [])
-        return values
-
-    assert run(main) == []
+def test_parallel_map_empty(exits):
+    assert exits.eval_to_string("(par-map (lambda (x) x) '())") == "()"

@@ -1,182 +1,108 @@
-"""Error paths in the tasklet runtime."""
+"""Error paths through process trees on the machine: errors in
+branches, processes, receivers and futures; deadlock detection."""
 
 import pytest
 
-from repro.errors import RuntimeAPIError
-from repro.runtime import Call, Invoke, Pcall, Resume, Runtime, Spawn
+from repro import Interpreter
+from repro.errors import MachineError, SchemeError, WrongTypeError
+from repro.machine.environment import GlobalEnv
+from repro.machine.scheduler import Machine
 
 
-def run(fn, **kw):
-    return Runtime(**kw).run(fn)
+def test_exception_in_pcall_branch_aborts_run(interp):
+    with pytest.raises(SchemeError, match="branch exploded"):
+        interp.eval('(pcall + 1 (error "branch exploded"))')
 
 
-def test_exception_in_pcall_branch_aborts_run():
-    def main():
-        def good():
-            yield Call(lambda: None)
-            return 1
-
-        def bad():
-            yield Call(lambda: None)
-            raise RuntimeError("branch exploded")
-
-        yield Pcall(lambda a, b: a + b, good, bad)
-
-    with pytest.raises(RuntimeError, match="branch exploded"):
-        run(main)
+def test_exception_in_spawned_process_propagates(interp):
+    with pytest.raises(WrongTypeError):
+        interp.eval("(spawn (lambda (c) (car '())))")
 
 
-def test_exception_in_spawned_process_propagates():
-    def main():
-        def process(ctrl):
-            raise KeyError("inside process")
-            yield  # pragma: no cover
-
-        yield Spawn(process)
-
-    with pytest.raises(KeyError):
-        run(main)
+def test_exception_in_combine_function(interp):
+    with pytest.raises(SchemeError, match="division by zero"):
+        interp.eval("(pcall (lambda (a) (/ 1 0)) 1)")
 
 
-def test_exception_in_combine_function():
-    def main():
-        def one():
-            return 1
-            yield  # pragma: no cover
-
-        yield Pcall(lambda a: 1 / 0, one)
-
-    with pytest.raises(ZeroDivisionError):
-        run(main)
+def test_exception_in_invoke_receiver(interp):
+    with pytest.raises(SchemeError, match="division by zero"):
+        interp.eval("(spawn (lambda (c) (c (lambda (k) (/ 1 0)))))")
 
 
-def test_exception_in_invoke_receiver():
-    def main():
-        def process(ctrl):
-            yield Invoke(ctrl, lambda k: 1 / 0)
-
-        yield Spawn(process)
-
-    with pytest.raises(ZeroDivisionError):
-        run(main)
-
-
-def test_exception_catchable_across_spawn_boundary():
-    """A process body's exception propagates into the parent's generator
-    frame, where ordinary try/except applies."""
-
-    def main():
-        def process(ctrl):
-            raise ValueError("deep")
-            yield  # pragma: no cover
-
-        try:
-            yield Spawn(process)
-        except ValueError as exc:
-            return f"handled {exc}"
-
-    assert run(main) == "handled deep"
+def test_exception_catchable_across_spawn_boundary(interp):
+    """A raise inside a nested process reaches the handler installed
+    outside it (the ``exceptions`` library is itself built on spawn)."""
+    interp.load_library("exceptions")
+    result = interp.eval_to_string(
+        """
+        (with-handler (lambda (e) (list 'handled e))
+                      (lambda (raise) (spawn (lambda (c) (raise 'deep)))))
+        """
+    )
+    assert result == "(handled deep)"
 
 
-def test_resume_with_foreign_object_rejected():
-    def main():
-        yield Resume("not a subcontinuation", 1)
-
-    with pytest.raises(AttributeError):
-        run(main)
+def test_resume_with_foreign_object_rejected(interp):
+    with pytest.raises(WrongTypeError, match="non-procedure"):
+        interp.eval('("not a subcontinuation" 1)')
 
 
-def test_deadlock_reports_not_hangs():
-    def main():
-        from repro.runtime import Touch, Placeholder
+def test_deadlock_reports_not_hangs(interp):
+    """A future started inside an engine stays in the engine's private
+    machine; once the engine is done nothing runs it, and touching its
+    placeholder raises instead of waiting forever."""
+    interp.run(
+        """
+        (define orphan
+          (engine-run (make-engine (lambda () (future (lambda () (let forever () (forever))))))
+                      1000
+                      (lambda (placeholder remaining) placeholder)
+                      (lambda (engine) 'expired)))
+        """
+    )
+    assert interp.eval("(placeholder? orphan)") is True
+    with pytest.raises(MachineError, match="deadlock"):
+        interp.eval("(touch orphan)")
 
-        orphan = Placeholder()  # never resolved by anyone
-        yield Touch(orphan)
 
-    with pytest.raises(RuntimeAPIError, match="deadlock"):
-        run(main)
-
-
-def test_run_without_start_state_reset():
-    runtime = Runtime()
-
-    def boom():
-        raise RuntimeError("x")
-        yield  # pragma: no cover
-
-    with pytest.raises(RuntimeError):
-        runtime.run(boom)
-
-    def fine():
-        return "ok"
-        yield  # pragma: no cover
-
-    assert runtime.run(fine) == "ok"
+def test_run_without_start_state_reset(interp):
+    with pytest.raises(SchemeError):
+        interp.eval('(error "x")')
+    assert interp.eval("'ok").name == "ok"
 
 
 def test_step_n_before_start_is_deadlock():
-    runtime = Runtime()
-    with pytest.raises(RuntimeAPIError):
-        runtime.step_n(10)
+    with pytest.raises(MachineError, match="deadlock"):
+        Machine(GlobalEnv()).step_n(10)
 
 
-def test_future_error_poisons_placeholder():
-    """A raising future delivers its exception to every toucher."""
-
-    def main():
-        from repro.runtime import MakeFuture, Touch
-
-        def work():
-            yield Call(lambda: None)
-            raise OSError("future failed")
-
-        ph = yield MakeFuture(work)
-        try:
-            yield Touch(ph)
-        except OSError as exc:
-            return f"toucher saw: {exc}"
-
-    assert run(main) == "toucher saw: future failed"
+def test_future_error_poisons_placeholder(interp):
+    """A failing future fails the evaluation that touches it."""
+    with pytest.raises(SchemeError, match="future failed"):
+        interp.eval('(touch (future (lambda () (error "future failed"))))')
 
 
-def test_future_error_poisons_late_touchers_too():
-    def main():
-        from repro.runtime import MakeFuture, Touch
-
-        def work():
-            raise OSError("late")
-            yield  # pragma: no cover
-
-        ph = yield MakeFuture(work)
-        # Let the future die first.
-        for _ in range(20):
-            yield Call(lambda: None)
-        try:
-            yield Touch(ph)
-        except OSError:
-            return "late toucher saw it"
-
-    assert run(main) == "late toucher saw it"
+def test_future_error_poisons_late_touchers_too(interp):
+    """The error surfaces in whichever form is running when the future
+    fails; the placeholder never resolves, so a later touch fails too
+    (as a detected deadlock) instead of returning a value or hanging."""
+    interp.run('(define ph (future (lambda () (error "late"))))')
+    with pytest.raises(SchemeError, match="late"):
+        interp.eval("(let loop ([i 0]) (if (= i 20) i (loop (+ i 1))))")
+    with pytest.raises(MachineError, match="deadlock"):
+        interp.eval("(touch ph)")
 
 
 def test_error_in_branch_abandons_siblings():
-    progress = []
-
-    def main():
-        def bad():
-            yield Call(lambda: None)
-            raise RuntimeError("die")
-
-        def slow():
-            for i in range(100_000):
-                progress.append(i)
-                yield Call(lambda: None)
-            return "done"
-
-        try:
-            yield Pcall(lambda a, b: (a, b), bad, slow)
-        except RuntimeError:
-            return "caught"
-
-    assert Runtime(quantum=1).run(main) == "caught"
-    assert len(progress) < 100_000  # sibling was killed, not drained
+    interp = Interpreter(quantum=1)
+    interp.run("(define progress 0)")
+    with pytest.raises(SchemeError, match="die"):
+        interp.eval(
+            """
+            (pcall list
+                   (begin (+ 1 2) (error "die"))
+                   (let loop ([i 0])
+                     (if (= i 100000) 'done (begin (set! progress i) (loop (+ i 1))))))
+            """
+        )
+    assert interp.eval("progress") < 100_000  # the sibling was dropped, not drained

@@ -1,203 +1,103 @@
-"""Tasklet runtime core: calls, spawn, pcall, scheduling."""
+"""Process-tree basics on the machine: calls, spawn, pcall, budgets and
+control counters."""
 
 import pytest
 
-from repro.errors import RuntimeAPIError, StepBudgetExceeded
-from repro.runtime import Call, Pcall, Runtime, Spawn
+from repro import Interpreter
+from repro.errors import SchemeError, StepBudgetExceeded
 
 
-def run(fn, **kw):
-    return Runtime(**kw).run(fn)
+def test_plain_return(interp):
+    assert interp.eval("42") == 42
 
 
-def test_plain_return():
-    def main():
-        return 42
-        yield  # pragma: no cover - makes main a generator
-
-    assert run(main) == 42
+def test_call_plain_function(interp):
+    assert interp.eval("((lambda (a b) (+ a b)) 1 2)") == 3
 
 
-def test_call_plain_function():
-    def main():
-        value = yield Call(lambda a, b: a + b, 1, 2)
-        return value
-
-    assert run(main) == 3
-
-
-def test_call_nested_tasklets():
-    def inner(n):
-        yield Call(lambda: None)
-        return n * 2
-
-    def middle(n):
-        value = yield Call(inner, n)
-        return value + 1
-
-    def main():
-        value = yield Call(middle, 10)
-        return value
-
-    assert run(main) == 21
+def test_call_nested_tasklets(interp):
+    interp.run(
+        """
+        (define (inner n) (* n 2))
+        (define (middle n) (+ (inner n) 1))
+        """
+    )
+    assert interp.eval("(middle 10)") == 21
 
 
-def test_deep_call_chain():
-    def countdown(n):
-        if n == 0:
-            return "bottom"
-        value = yield Call(countdown, n - 1)
-        return value
-
-    def main():
-        value = yield Call(countdown, 500)
-        return value
-
-    assert run(main) == "bottom"
+def test_deep_call_chain(interp):
+    interp.run("(define (countdown n) (if (= n 0) 'bottom (let ([v (countdown (- n 1))]) v)))")
+    assert interp.eval("(countdown 500)").name == "bottom"
 
 
-def test_exception_propagates_through_frames():
-    def boom():
-        raise ValueError("inner boom")
-        yield  # pragma: no cover
-
-    def main():
-        try:
-            yield Call(boom)
-        except ValueError as exc:
-            return f"caught {exc}"
-
-    assert run(main) == "caught inner boom"
-
-
-def test_uncaught_exception_raises_from_run():
-    def main():
-        yield Call(lambda: 1 / 0)
-
-    with pytest.raises(ZeroDivisionError):
-        run(main)
+def test_exception_propagates_through_frames(interp):
+    interp.load_library("exceptions")
+    result = interp.eval_to_string(
+        """
+        (with-handler (lambda (e) (list 'caught e))
+                      (lambda (raise)
+                        (define (boom) (raise 'inner-boom))
+                        (+ 1 (* 2 (boom)))))
+        """
+    )
+    assert result == "(caught inner-boom)"
 
 
-def test_spawn_normal_return():
-    def main():
-        def process(ctrl):
-            yield Call(lambda: None)
-            return "process-value"
+def test_uncaught_exception_raises_from_run(interp):
+    with pytest.raises(SchemeError, match="division by zero"):
+        interp.eval("(+ 1 (/ 1 0))")
 
-        value = yield Spawn(process)
-        return value
 
-    assert run(main) == "process-value"
+def test_spawn_normal_return(interp):
+    assert interp.eval("(spawn (lambda (c) (+ 1 2) 'process-value))").name == "process-value"
 
 
 def test_pcall_combines_in_order():
-    def main():
-        def branch(n):
-            def body():
-                for _ in range(n):
-                    yield Call(lambda: None)
-                return n
-
-            return body
-
-        value = yield Pcall(lambda *vs: list(vs), branch(5), branch(1), branch(3))
-        return value
-
-    assert run(main) == [5, 1, 3]
+    interp = Interpreter(quantum=1)
+    interp.run("(define (branch n) (let loop ([i n]) (if (zero? i) n (loop (- i 1)))))")
+    assert interp.eval_to_string("(pcall list (branch 5) (branch 1) (branch 3))") == "(5 1 3)"
 
 
-def test_pcall_zero_branches():
-    def main():
-        value = yield Pcall(lambda: "empty")
-        return value
-
-    assert run(main) == "empty"
+def test_pcall_zero_branches(interp):
+    assert interp.eval("(pcall (lambda () 'empty))").name == "empty"
 
 
 def test_pcall_branches_interleave():
-    progress: list[str] = []
-
-    def main():
-        def branch(tag):
-            def body():
-                for _ in range(5):
-                    progress.append(tag)
-                    yield Call(lambda: None)
-                return tag
-
-            return body
-
-        yield Pcall(lambda *vs: vs, branch("a"), branch("b"))
-        return None
-
-    Runtime(quantum=1).run(main)
-    head = progress[:6]
+    """Each branch displays its tag as it loops; a display is one
+    machine step, so the output is the interleaving."""
+    interp = Interpreter(quantum=1)
+    interp.run(
+        """
+        (define (branch tag)
+          (let loop ([i 5]) (unless (zero? i) (display tag) (loop (- i 1)))) tag)
+        (pcall list (branch "a") (branch "b"))
+        """
+    )
+    head = interp.output.getvalue()[:6]
     assert "a" in head and "b" in head
 
 
-def test_nested_pcall():
-    def main():
-        def leaf(n):
-            def body():
-                yield Call(lambda: None)
-                return n
-
-            return body
-
-        def inner():
-            value = yield Pcall(lambda a, b: a + b, leaf(1), leaf(2))
-            return value
-
-        value = yield Pcall(lambda a, b: a * b, inner, leaf(10))
-        return value
-
-    assert run(main) == 30
-
-
-def test_yielding_non_effect_raises():
-    def main():
-        yield "not an effect"
-
-    with pytest.raises(RuntimeAPIError, match="non-effect"):
-        run(main)
+def test_nested_pcall(interp):
+    assert interp.eval("(pcall * (pcall + 1 2) 10)") == 30
 
 
 def test_max_steps():
-    def main():
-        while True:
-            yield Call(lambda: None)
-
     with pytest.raises(StepBudgetExceeded):
-        Runtime(max_steps=100).run(main)
+        Interpreter(max_steps=100).eval("(let loop () (loop))")
 
 
-def test_step_counting_and_stats():
-    def main():
-        def process(ctrl):
-            return "x"
-            yield  # pragma: no cover
+def test_step_counting_and_stats(interp):
+    def delta(source):
+        before, steps = dict(interp.stats), interp.machine.steps_total
+        interp.run(source)
+        assert interp.machine.steps_total > steps
+        return {key: interp.stats[key] - before[key] for key in ("forks", "label_pops")}
 
-        yield Spawn(process)
-        yield Pcall(lambda: None)
-        return "done"
-
-    runtime = Runtime()
-    assert runtime.run(main) == "done"
-    assert runtime.stats["spawns"] == 1
-    assert runtime.stats["forks"] == 1
-    assert runtime.steps > 0
+    plain = delta("'x")["label_pops"]  # the form's own root
+    assert delta("(spawn (lambda (c) 'x))") == {"forks": 0, "label_pops": plain + 1}
+    assert delta("(pcall (lambda () #f))") == {"forks": 1, "label_pops": plain}
 
 
-def test_runtime_restartable():
-    runtime = Runtime()
-
-    def main_a():
-        return "a"
-        yield  # pragma: no cover
-
-    def main_b():
-        return "b"
-        yield  # pragma: no cover
-
-    assert runtime.run(main_a) == "a"
-    assert runtime.run(main_b) == "b"
+def test_runtime_restartable(interp):
+    assert interp.eval("'a").name == "a"
+    assert interp.eval("'b").name == "b"
