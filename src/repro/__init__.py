@@ -20,7 +20,7 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-claim reproduction index.
 """
 
-from repro.analysis import EffectInfo, ProgramReport, analyze, spawn_report
+from repro.analysis import spawn_report
 from repro.api import Interpreter
 from repro.errors import (
     ReproError,
@@ -56,14 +56,11 @@ from repro.snapshot import SNAPSHOT_VERSION, restore_session, snapshot_session
 from repro.cluster import Cluster, ClusterHandle, ClusterResult, DirectoryStore, MemoryStore
 from repro.gateway import Gateway, GatewayClient, GatewayLimits, TokenBucket
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "Interpreter",
-    "analyze",
     "spawn_report",
-    "EffectInfo",
-    "ProgramReport",
     "Host",
     "HostPolicy",
     "Session",

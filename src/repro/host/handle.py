@@ -112,8 +112,6 @@ class EvalHandle(Handle):
         "tenant",
         "values",
         "submitted_at",
-        "report",
-        "classification",
         "_cancel_requested",
         "_node_index",
         "_node_running",
@@ -137,12 +135,6 @@ class EvalHandle(Handle):
         self.tenant = tenant  # attribution label (gateway quota accounting)
         self.values: list[Any] = []  # one value per completed top-level form
         self.submitted_at = monotonic()  # for request-latency histograms
-        # Capture/effect analysis results (repro.analysis.effects): the
-        # ProgramReport from submit (transient — not serialized) and the
-        # request classification pure/capture-heavy/spawning ("unknown"
-        # with analysis off).
-        self.report: Any = None
-        self.classification: str = "unknown"
         self._cancel_requested = False
         self._node_index = 0  # next form to evaluate
         self._node_running = False  # a tree for nodes[_node_index] is in flight

@@ -99,16 +99,6 @@ class Host:
         it is shared with every attached session (unless a session
         brought its own), so host ticks, session pumps, quanta and
         control events land in one stream as a span tree.
-    class_weights:
-        Optional analysis-aware budgeting: a mapping from a session's
-        :meth:`~repro.host.session.Session.backlog_classification`
-        (``"pure"``, ``"capture-heavy"``, ``"spawning"``, ``"unknown"``)
-        to a multiplier applied to that session's per-tick quantum —
-        e.g. ``{"pure": 2.0, "spawning": 0.5}`` serves proven-pure
-        backlogs twice the steps and throttles spawning ones.  Under
-        the deficit policy the credit accrual *and* its cap scale with
-        the weight.  ``None`` (default) budgets every session
-        identically — byte-identical to the pre-analysis scheduler.
     """
 
     def __init__(
@@ -119,11 +109,9 @@ class Host:
         max_pending: int = 1024,
         name: str | None = None,
         record: "Recorder | bool | None" = None,
-        class_weights: dict[str, float] | None = None,
     ):
         self.policy = HostPolicy(policy)
         self.quantum = max(1, quantum)
-        self.class_weights = dict(class_weights) if class_weights else None
         self.max_pending = max(1, max_pending)
         self.name = name if name is not None else f"host-{next(_host_ids)}"
         self.sessions: list[Session] = []
@@ -253,15 +241,10 @@ class Host:
     def _tick(self) -> int:
         self.metrics.ticks += 1
         deficit = self.policy is HostPolicy.DEFICIT
-        weights = self.class_weights
+        quantum = self.quantum
         total = 0
         # Snapshot: sessions added mid-tick wait for the next round.
         for session in list(self.sessions):
-            quantum = self.quantum
-            if weights is not None and not session.idle:
-                weight = weights.get(session.backlog_classification())
-                if weight is not None:
-                    quantum = max(1, int(self.quantum * weight))
             if deficit:
                 cap = DEFICIT_CAP_TICKS * quantum
                 credit = min(cap, self._deficit[session.name] + quantum)

@@ -54,12 +54,6 @@ from repro.errors import (
     SessionCancelled,
     StepBudgetExceeded,
 )
-from repro.analysis.effects import (
-    ANALYSIS_METRICS,
-    GRANT_QUANTUM,
-    annotate_program,
-    single_task_form,
-)
 from repro.expander import ExpandEnv, expand_program
 from repro.control import register_control_primitives
 from repro.host.handle import EvalHandle, HandleState
@@ -98,15 +92,24 @@ SESSION_METRICS = declare(
         ("quanta_served", COUNTER, "pump calls that found work"),
         ("steps_served", COUNTER, "machine steps executed on behalf of evaluations"),
         ("max_queue_depth", HIGH_WATER, "peak of queued plus in-flight evaluations"),
-        ("submits_pure", COUNTER, "submits the analysis classified pure"),
-        ("submits_capture_heavy", COUNTER, "submits the analysis classified capture-heavy"),
-        ("submits_spawning", COUNTER, "submits the analysis classified spawning"),
         ("latency_us", HISTOGRAM, "submit to terminal state, per request, in µs"),
         ("steps_per_request", HISTOGRAM, "machine steps, per request"),
     ],
 )
 
 _session_ids = itertools.count()
+
+
+def annotate_program(nodes: list[Node], globals_: Any, stats: Any = None) -> None:
+    """A stub that nothing calls, kept bound here for one reader.
+
+    The benchmark harness times each frontend phase by wrapping its
+    name as bound in this module (``bench/spans.py``, ``FRONTEND``),
+    and it still names the capture/effect analysis phase that 3.0
+    removed.  With no caller its span never fires, so
+    ``analysis.us_per_req`` reads 0.  Delete this once the harness no
+    longer names it."""
+
 
 #: Constant types the prelude image may hold: atoms no session can
 #: mutate, so sharing them between sessions shares no state.
@@ -181,9 +184,6 @@ class Base(NamedTuple):
     objects: tuple
 
 
-#: Ordering for backlog_classification: higher = more demanding.
-_CLASS_RANK = {"pure": 0, "unknown": 1, "capture-heavy": 2, "spawning": 3}
-
 #: Default pump chunk for synchronous driving (drive()/result()): big
 #: enough that chunking is invisible, small enough that wall-clock
 #: deadlines are still honoured promptly inside one pump.
@@ -240,17 +240,6 @@ class Session:
         label pops, join fires) and per-quantum timings stream into it;
         export with ``session.recorder.to_chrome_trace()`` or
         ``session.recorder.render()``.  Default None: zero overhead.
-    analysis:
-        Run the capture/effect analysis phase
-        (:mod:`repro.analysis.effects`, ``docs/ANALYSIS.md``) on every
-        submit: lambdas are stamped with conservative facts
-        (capture-free, spawn-free, controller-confined, known-total),
-        requests are classified pure / capture-heavy / spawning, and
-        forms proven single-task run with an enlarged scheduler
-        quantum.  On by default; ``analysis=False`` (the REPL's
-        ``--no-analysis``) is the ablation baseline.  Semantics are
-        identical either way (the analysis-ablation matrix of
-        ``tests/integration/test_engine_matrix.py``).
     max_pending:
         Bound on queued + in-flight evaluations; :meth:`submit` beyond
         it raises :class:`~repro.errors.HostSaturated` — the same
@@ -270,7 +259,6 @@ class Session:
         engine: str | Engine | None = None,
         profile: bool = False,
         record: "Recorder | bool | None" = None,
-        analysis: bool = True,
         max_pending: int = 64,
         *,
         name: str | None = None,
@@ -278,8 +266,6 @@ class Session:
         engine = normalize_engine(engine if engine is not None else "compiled")
         self.name = name if name is not None else f"session-{next(_session_ids)}"
         self.engine = engine
-        self.analysis = bool(analysis)
-        self.analysis_stats = ANALYSIS_METRICS()
         self.resolver_stats = RESOLVER_METRICS()
         self.compile_stats = COMPILE_METRICS()
         self.codegen_stats = CODEGEN_METRICS()
@@ -387,9 +373,13 @@ class Session:
         deadline: float | None = None,
         tenant: str | None = None,
     ) -> EvalHandle:
-        """Resolve, analyse and compile expanded ``nodes`` against this
-        session's globals, and queue them as one evaluation."""
-        code, report = self._compile(nodes)
+        """Resolve and compile expanded ``nodes`` against this session's
+        globals, and queue them as one evaluation."""
+        nodes = resolve_program(nodes, self.globals, self.resolver_stats)
+        if self.engine == "codegen":
+            code = codegen_program(nodes, self.codegen_stats)
+        else:
+            code = compile_program(nodes, self.compile_stats)
         handle = EvalHandle(
             self,
             code,
@@ -397,32 +387,12 @@ class Session:
             deadline_at=None if deadline is None else _monotonic() + deadline,
             tenant=tenant,
         )
-        if report is not None:
-            handle.report = report
-            handle.classification = report.classification
-            if report.classification == "pure":
-                self.metrics.submits_pure += 1
-            elif report.classification == "capture-heavy":
-                self.metrics.submits_capture_heavy += 1
-            elif report.classification == "spawning":
-                self.metrics.submits_spawning += 1
         self._pending.append(handle)
         self.metrics.submits += 1
         depth = self.queue_depth
         if depth > self.metrics.max_queue_depth:
             self.metrics.max_queue_depth = depth
         return handle
-
-    def _compile(self, nodes: list[Node]) -> tuple[list[Any], Any]:
-        nodes = resolve_program(nodes, self.globals, self.resolver_stats)
-        report = None
-        if self.analysis:
-            # The phase runs on resolved IR, before compilation, so the
-            # compiler bakes the stamped facts into closures.
-            report = annotate_program(nodes, self.globals, self.analysis_stats)
-        if self.engine == "codegen":
-            return codegen_program(nodes, self.codegen_stats), report
-        return compile_program(nodes, self.compile_stats), report
 
     # -- state -----------------------------------------------------------
 
@@ -435,23 +405,6 @@ class Session:
     def idle(self) -> bool:
         """True when the session has no queued or in-flight work."""
         return self._active is None and not self._pending
-
-    def backlog_classification(self) -> str:
-        """The most demanding analysis classification among queued and
-        in-flight evaluations: ``spawning`` > ``capture-heavy`` >
-        ``unknown`` > ``pure``; ``idle`` with no work.  A host with
-        ``class_weights`` budgets its deficit-round-robin credits by
-        this label."""
-        best: str | None = None
-        best_rank = -1
-        handles: list[EvalHandle] = list(self._pending)
-        if self._active is not None:
-            handles.append(self._active)
-        for handle in handles:
-            rank = _CLASS_RANK.get(handle.classification, 1)
-            if rank > best_rank:
-                best, best_rank = handle.classification, rank
-        return best if best is not None else "idle"
 
     # -- observability ---------------------------------------------------
 
@@ -542,30 +495,7 @@ class Session:
                     self._active = None
                     continue
                 if not handle._node_running:
-                    node = handle.nodes[handle._node_index]
-                    # Quantum grant: decided here, against *current*
-                    # global cell values, because submit-time facts can
-                    # go stale (an earlier form may have redefined a
-                    # global this form applies).  Between this proof
-                    # and the form's end nothing foreign runs — the
-                    # machine has no parked futures or waiting tasks —
-                    # and self-mutation is rejected inside the walk.
-                    # The random policy draws from the RNG once per
-                    # pick even for a solo task, so enlarging quanta
-                    # there would perturb seeded schedules of *later*
-                    # forms; grants are FIFO-policy only.
-                    granted = (
-                        self.analysis
-                        and machine.policy is SchedulerPolicy.ROUND_ROBIN
-                        and machine.quantum < GRANT_QUANTUM
-                        and not machine.parked_futures
-                        and not machine.waiting_tasks
-                        and single_task_form(node, self.globals)
-                    )
-                    machine.quantum_grant = GRANT_QUANTUM if granted else None
-                    if granted:
-                        self.analysis_stats.grants += 1
-                    machine.begin_eval(node)
+                    machine.begin_eval(handle.nodes[handle._node_index])
                     handle._node_running = True
                 handle_cap = None
                 if handle.max_steps is not None:
@@ -619,7 +549,6 @@ class Session:
                     continue
                 spent += self._account(handle, machine.steps_total - before)
                 if finished:
-                    machine.quantum_grant = None
                     handle.values.append(machine.finish())
                     handle._node_running = False
                     handle._node_index += 1
@@ -679,7 +608,6 @@ class Session:
         handle = self._active
         assert handle is not None
         if handle._node_running:
-            self.machine.quantum_grant = None
             self.machine.abort_tree()
             handle._node_running = False
         self._flush_output(handle)
@@ -875,13 +803,11 @@ class Session:
     @property
     def stats(self) -> dict[str, int]:
         """Machine counters plus the compile-stage, VM and serving
-        counters, namespaced (``resolver.*``, ``analysis.*``,
-        ``compile.*`` or ``codegen.*``, ``vm.*``, ``session.*``), so no
-        key can overwrite a machine counter."""
+        counters, namespaced (``resolver.*``, ``compile.*`` or
+        ``codegen.*``, ``vm.*``, ``session.*``), so no key can overwrite
+        a machine counter."""
         out = dict(self.machine.stats)
         out.update(self.resolver_stats.as_dict())
-        if self.analysis:
-            out.update(self.analysis_stats.as_dict())
         if self.engine == "codegen":
             out.update(self.codegen_stats.as_dict())
         else:

@@ -14,8 +14,8 @@ The emitted functions obey exactly the established code-thunk contract
 (``code(machine, task) -> (tag, payload) | None``, with ``.triv`` and
 ``.node`` attributes), so the codegen engine reuses the compiled
 engine's run loop (:func:`repro.machine.step.run_quantum_compiled`),
-frame VALUE delivery, snapshot ``_N_CODE`` round-trip, the analysis
-quantum grant, and cross-engine closure interop without modification.
+frame VALUE delivery, snapshot ``_N_CODE`` round-trip and cross-engine
+closure interop without modification.
 Everything outside the straight line — control primitives, ``pcall``
 forks, continuation application, suspension — delegates through
 :func:`~repro.machine.step.apply_deliver` with the task registers
@@ -52,13 +52,15 @@ What one emitted function fuses (per machine step):
   function — exact speculation, since a rebound global or foreign
   closure falls through to the generic dispatch.
 
-S25 ``EffectInfo`` facts gate one further emit-time specialization: a
-direct lambda application ``((lambda (x...) body) arg...)`` — the
-``let`` shape — whose body is proven ``capture_free`` **and**
-``spawn_free`` is inlined into the current function with its rib as a
-plain Python local, eliding the ``task.env`` spill on the straight-line
-path; every delegation edge inside the region re-syncs ``task.env``
-first, so the elision is unobservable.
+A body inlined into its caller — a direct lambda application
+``((lambda (x...) body) arg...)``, the ``let`` shape, or the self-call
+above — keeps its rib in a plain Python local and defers the
+``task.env`` write to the region's delegation edges, usually eliding it
+on the straight-line path.  No one else can see the difference: an
+emitted function reads ``task.env`` only in its first line, every edge
+that ends in ``(EVAL, f)`` or delegates writes ``task.env`` first
+(``sync``), and a ``VALUE`` step never reads it, because frames carry
+their own environment.
 
 A function never loops and never recurses through an application —
 ``apply`` only *schedules* a closure body — so one emitted call is one
@@ -67,12 +69,12 @@ and quantum preemption is byte-identical to the compiled engine.
 
 The code cache is module-level (shared by every session in the
 process, which is what makes cluster restore cheap): a bounded LRU of
-``digest -> (source, code object)``.  Because derived lambda facts
-(``effects``) are excluded from the digest but can change the emitted
-source, a hit additionally verifies the regenerated source matches
-before reusing the code object; a mismatch recompiles and replaces the
-entry (counted as a miss).  Stats: ``codegen.hits`` / ``misses`` /
-``evictions`` / ``emit_us`` plus emit-shape counters.
+``digest -> (source, code object)``.  A hit also checks that the
+regenerated source matches before reusing the code object, so a digest
+that leaves out something the emitter reads can never serve stale code;
+a mismatch recompiles and replaces the entry (counted as a miss).
+Stats: ``codegen.hits`` / ``misses`` / ``evictions`` / ``emit_us`` plus
+emit-shape counters.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ _HELPERS: dict[str, Any] = {
 #: compiler's ``triv`` set).
 _TRIVIAL = (Const, LocalRef, GlobalRef, Lambda)
 
-#: Inline a direct-lambda body only when it is proven quiet and small.
+#: Inline a direct-lambda body only when it is small and shallow.
 _INLINE_BODY_BUDGET = 60
 _INLINE_BODY_DEPTH = 3
 
@@ -181,7 +183,7 @@ CODEGEN_METRICS = declare(
         ("prims_inlined", COUNTER, "primitive-guard inline sites: (global-op trivial...)"),
         ("inline_bodies", COUNTER, "direct-lambda (let-shaped) bodies inlined into their caller"),
         ("self_inlines", COUNTER, "self-call sites inlined one level behind a body guard"),
-        ("spill_elisions", COUNTER, "inlined capture- and spawn-free bodies: env spill elided"),
+        ("spill_elisions", COUNTER, "inlined bodies whose env spill waits for a delegation edge"),
         ("fallback_nodes", COUNTER, "cold fallback thunks built with the closure compiler"),
     ],
 )
@@ -429,11 +431,10 @@ class _Emitter:
         self.lambda_body_fn[id(node)] = bodyf
         params = self.bind(node.params, w)
         rest = "None" if node.rest is None else self.bind(node.rest, w)
-        eff = "None" if node.effects is None else self.bind(node.effects, w)
         return (
             f"{self.helper('_Closure', w)}({params}, {rest}, "
             f"{self.use_fn(bodyf, w)}, "
-            f"{env.expr}, {node.name!r}, {node.nslots}, {eff})"
+            f"{env.expr}, {node.name!r}, {node.nslots})"
         )
 
     # -- the inline primitive guard ------------------------------------------
@@ -671,12 +672,9 @@ class _Emitter:
         to the generic ``(EVAL, body)`` dispatch.  The body function is
         referenced as a plain module global (not a default-arg fast
         local): child functions are ``def``'d before it exists and the
-        body cannot self-reference in its own defaults.
-
-        Whether to inline is decided on static shape alone — never on
-        analysis facts — so step counts are ablation-invariant; as in
-        ``tail_direct_lambda``, the S25 proof gates only the eager-vs-
-        lazy ``task.env`` spill inside the inlined region."""
+        body cannot self-reference in its own defaults.  As in
+        ``tail_direct_lambda``, the inlined region defers its
+        ``task.env`` write to its delegation edges."""
         sl = self.self_lambda
         if (
             sl is None
@@ -690,11 +688,8 @@ class _Emitter:
         bodyname = self._fn_memo.get(id(sl.body))
         if bodyname is None:
             return
-        eff = sl.effects
-        proven = eff is not None and eff.capture_free and eff.spawn_free
         self.stats.self_inlines += 1
-        if proven:
-            self.stats.spill_elisions += 1
+        self.stats.spill_elisions += 1
         w.line(ind, f"if {f}.body is {bodyname}:")
         rib = self.fresh_env()
         if k:
@@ -705,16 +700,14 @@ class _Emitter:
         else:
             w.line(ind + 1, f"{rib} = {f}.env")
         inner = _Env(rib, False)
-        if not proven:
-            self.sync(inner, w, ind + 1)
         self._self_depth += 1
         self.emit_tail(sl.body, inner, w, ind + 1)
         self._self_depth -= 1
 
     # ((lambda (x...) body) arg...) — the let shape.  Constructing the
     # closure is pure allocation, so when the arity matches statically
-    # we skip it: evaluate the operands, build the rib, run the body.
-    # Under the S25 proof the body inlines into this very function.
+    # we skip it: evaluate the operands, build the rib, run the body —
+    # inlined into this very function when it is small enough.
     def tail_direct_lambda(
         self, node: App, fn: Lambda, env: _Env, w: _Fn, ind: int
     ) -> None:
@@ -785,19 +778,12 @@ class _Emitter:
             self._inline_depth < _INLINE_BODY_DEPTH
             and _node_size(fn.body) <= _INLINE_BODY_BUDGET
         ):
-            # Inline the body into this function.  Whether to inline is
-            # decided on size/depth alone — never on analysis facts —
-            # so step counts are identical with analysis on or off.
-            # The S25 proof gates only the *register spill*: a body
-            # proven capture- and spawn-free defers the ``task.env``
-            # write to its delegation edges (usually eliding it
-            # entirely on the straight line), which no observer can
-            # see; an unproven body writes it eagerly.
-            eff = fn.effects
-            proven = eff is not None and eff.capture_free and eff.spawn_free
+            # Inline the body into this function, decided on size and
+            # depth alone.  The ``task.env`` write waits for the body's
+            # delegation edges (usually eliding it entirely on the
+            # straight line), which no observer can see.
             self.stats.inline_bodies += 1
-            if proven:
-                self.stats.spill_elisions += 1
+            self.stats.spill_elisions += 1
             self._inline_depth += 1
             if k:
                 rib = self.fresh_env()
@@ -808,8 +794,6 @@ class _Emitter:
                 inner = _Env(rib, False)
             else:
                 inner = _Env(env.expr, env.synced)
-            if not proven:
-                self.sync(inner, w, ind)
             self.emit_tail(fn.body, inner, w, ind)
             self._inline_depth -= 1
             return
@@ -998,8 +982,7 @@ def _build_triv(
     if kind is Lambda:
         body = ns[em.lambda_body_fn[id(node)]]
         params, rest, name, nslots = node.params, node.rest, node.name, node.nslots
-        effects = node.effects
-        return lambda env: Closure(params, rest, body, env, name, nslots, effects)
+        return lambda env: Closure(params, rest, body, env, name, nslots)
     return None
 
 

@@ -215,13 +215,12 @@ class _Compiler:
         self.stats.lambdas += 1
         body = self.compile(node.body)
         params, rest, name, nslots = node.params, node.rest, node.name, node.nslots
-        effects = node.effects
 
         def triv(env: Any) -> Any:
-            return Closure(params, rest, body, env, name, nslots, effects)
+            return Closure(params, rest, body, env, name, nslots)
 
         def run(machine: Any, task: Task) -> Any:
-            return (VALUE, Closure(params, rest, body, task.env, name, nslots, effects))
+            return (VALUE, Closure(params, rest, body, task.env, name, nslots))
 
         return _finish(run, node, triv)
 

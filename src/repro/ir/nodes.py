@@ -86,12 +86,6 @@ class Lambda(Node):
     #: proved no rib is needed (a thunk) and application reuses the
     #: closure's environment directly.
     nslots: int | None = field(default=None, compare=False)
-    #: Conservative capture/effect facts (an
-    #: :class:`repro.analysis.effects.EffectInfo`) stamped by the
-    #: analysis phase after resolution; ``None`` until the phase runs.
-    #: Derived data, like ``nslots``: excluded from equality and from
-    #: the ``ir-hash-v1`` digest.
-    effects: Any = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)

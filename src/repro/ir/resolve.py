@@ -25,12 +25,6 @@ environment directly.
 The scope discipline mirrors :mod:`repro.ir.free_vars` (the proven
 walker for "is this name lambda-bound here?"); the resolver only adds
 *where* — the ``(depth, index)`` coordinates.
-
-Resolved lambdas are also where the capture/effect phase
-(:mod:`repro.analysis.effects`) hangs its facts: ``annotate_program``
-runs right after ``resolve_program`` and stamps each ``Lambda`` with an
-:class:`~repro.analysis.effects.EffectInfo`; the resolver itself only
-passes any pre-existing ``effects`` through unchanged.
 """
 
 from __future__ import annotations
@@ -155,7 +149,7 @@ class _Resolver:
         if nslots == 0:
             # A thunk allocates no rib, so it contributes no depth.
             body = self.resolve(node.body)
-            return Lambda(node.params, node.rest, body, node.name, 0, node.effects)
+            return Lambda(node.params, node.rest, body, node.name, 0)
         rib = {name: index for index, name in enumerate(node.params)}
         if node.rest is not None:
             rib[node.rest] = len(node.params)
@@ -164,7 +158,7 @@ class _Resolver:
             body = self.resolve(node.body)
         finally:
             self.scope.pop()
-        return Lambda(node.params, node.rest, body, node.name, nslots, node.effects)
+        return Lambda(node.params, node.rest, body, node.name, nslots)
 
 
 def resolve_node(

@@ -105,13 +105,6 @@ class Machine:
         self.globals = globals_ if globals_ is not None else GlobalEnv()
         self.policy = SchedulerPolicy(policy)
         self.quantum = max(1, quantum)
-        # Analysis-granted quantum enlargement.  The session layer sets
-        # this (to repro.analysis.effects.GRANT_QUANTUM) after proving
-        # the form about to run capture- and spawn-free — single-task
-        # forever — and clears it at form end.  step_n honours it only
-        # while no other task is runnable, so multi-task scheduling is
-        # untouched.  Transient by design: never serialized.
-        self.quantum_grant: int | None = None
         self.max_steps = max_steps
         # Wall-clock deadline (absolute ``time.monotonic`` timestamp, or
         # None).  Checked once per quantum by step_n, so the host's
@@ -438,8 +431,15 @@ class Machine:
         is clamped to both ``n`` and the remaining ``max_steps``
         headroom, so :class:`StepBudgetExceeded` is raised at *exactly*
         the budget — never after an overflow step.
+
+        Under round-robin the run loop also gets that clamp as its
+        ``limit``: a lone runnable task keeps running past its quantum,
+        because rotating a queue of one picks it again.  The random
+        policy draws from its RNG on every pick, so it never extends;
+        serial already hands over the whole budget.
         """
         serial = self.policy is SchedulerPolicy.SERIAL
+        rotating = self.policy is SchedulerPolicy.ROUND_ROBIN
         max_steps = self.max_steps
         deadline = self.deadline
         rec = self.recorder
@@ -470,18 +470,7 @@ class Machine:
                     "dropped process continuation holds the only path to "
                     "the root)"
                 )
-            if serial:
-                budget = remaining
-            else:
-                budget = min(self.quantum, remaining)
-                grant = self.quantum_grant
-                if grant is not None and grant > budget and not self.queue:
-                    # The session proved this form single-task (capture-
-                    # and spawn-free), so with no rotation partner a
-                    # larger batch executes the identical step sequence.
-                    # The empty-queue check is defense in depth: any
-                    # second runnable task reverts to the base quantum.
-                    budget = min(grant, remaining)
+            limit = remaining
             if max_steps is not None:
                 headroom = max_steps - self.steps_total
                 if headroom <= 0:
@@ -489,19 +478,23 @@ class Machine:
                     # the overflow step is refused, not executed.
                     self.queue.appendleft(task)
                     raise StepBudgetExceeded(self.steps_total)
-                if budget > headroom:
-                    budget = headroom
+                if limit > headroom:
+                    limit = headroom
+            budget = limit if serial else min(self.quantum, limit)
+            if not rotating:
+                limit = budget
             if rec is None:
-                taken = run_quantum_compiled(self, task, budget)
+                taken = run_quantum_compiled(self, task, budget, limit)
             else:
-                # One X (complete) event per quantum: which task ran,
-                # for how many steps, and how long it took.  Emitted
-                # even when the quantum raises (budget/deadline/error)
-                # so aborted work stays visible in the trace.
+                # One X (complete) event per run-loop call: which task
+                # ran, for how many steps (a lone task's extended batch
+                # included), and how long it took.  Emitted even when
+                # the call raises (budget/deadline/error) so aborted
+                # work stays visible in the trace.
                 t0 = rec.clock()
                 s0 = self.steps_total
                 try:
-                    taken = run_quantum_compiled(self, task, budget)
+                    taken = run_quantum_compiled(self, task, budget, limit)
                 finally:
                     rec.complete(
                         "quantum",

@@ -51,6 +51,7 @@ Code thunks follow the same convention.
 
 from __future__ import annotations
 
+from time import monotonic as _monotonic
 from types import FunctionType
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -113,6 +114,7 @@ def run_quantum_compiled(
     machine: "Machine",
     task: Task,
     budget: int,
+    limit: int,
     *,
     # Keyword-only defaults bind the hot globals as locals (LOAD_FAST
     # instead of LOAD_GLOBAL on every transition); callers never pass
@@ -131,6 +133,14 @@ def run_quantum_compiled(
 ) -> int:
     """Run ``task`` for up to ``budget`` transitions; return the number
     taken.
+
+    ``limit`` (at least ``budget``) lets a lone task run on past
+    ``budget``, one quantum at a time, up to ``limit`` transitions in
+    all; ``limit=budget`` runs exactly one quantum.  At each quantum
+    boundary the loop carries on only while the machine's run queue is
+    empty and its deadline has not passed.  Round-robin would then pick
+    this task again, so the steps taken are exactly those of one call
+    per quantum.
 
     The control tag/payload live in locals; frames and environment stay
     on the task because the code thunks read and push them directly
@@ -151,7 +161,17 @@ def run_quantum_compiled(
     steps = 0
     spills = 0
     try:
-        while steps < budget:
+        while True:
+            if steps >= budget:
+                # A quantum boundary: extend only where step_n would
+                # re-pick this task, and read the clock once per quantum
+                # as step_n does.
+                if steps >= limit or machine.queue:
+                    break
+                deadline = machine.deadline
+                if deadline is not None and _monotonic() >= deadline:
+                    break
+                budget = min(budget + machine.quantum, limit)
             if hook is not None:
                 task.tag = tag
                 task.payload = payload
@@ -526,15 +546,7 @@ def _eval_global_ref(machine: "Machine", task: Task, node: GlobalRef):
 def _eval_lambda(machine: "Machine", task: Task, node: Lambda):
     return (
         VALUE,
-        Closure(
-            node.params,
-            node.rest,
-            node.body,
-            task.env,
-            node.name,
-            node.nslots,
-            node.effects,
-        ),
+        Closure(node.params, node.rest, node.body, task.env, node.name, node.nslots),
     )
 
 

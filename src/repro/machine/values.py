@@ -80,14 +80,9 @@ class Closure:
     so the apply fast path can bounds-check with two int compares and
     only falls into :func:`check_arity` to raise (``high is None``
     means a rest parameter accepts any surplus).
-
-    ``effects`` carries the source lambda's capture/effect facts (an
-    :class:`repro.analysis.effects.EffectInfo`, or ``None`` when the
-    analysis phase did not run) so the analyzer can reason about calls
-    through globals bound to already-built closures.
     """
 
-    __slots__ = ("params", "rest", "body", "env", "name", "nslots", "low", "high", "effects")
+    __slots__ = ("params", "rest", "body", "env", "name", "nslots", "low", "high")
 
     def __init__(
         self,
@@ -97,7 +92,6 @@ class Closure:
         env: "Environment",
         name: str | None = None,
         nslots: int | None = None,
-        effects: Any = None,
     ):
         self.params = params
         self.rest = rest
@@ -105,7 +99,6 @@ class Closure:
         self.env = env
         self.name = name
         self.nslots = nslots
-        self.effects = effects
         self.low = len(params)
         self.high = None if rest is not None else self.low
 

@@ -1,8 +1,8 @@
 """Declared metrics: one record type for the counters of every tier.
 
-Each tier — the resolver, compiler, code generator and analysis phase,
-then session, host, cluster front and gateway — declares its metrics
-once, as a namespace plus an ordered list of ``(name, kind, help)``::
+Each tier — the resolver, compiler and code generator, then session,
+host, cluster front and gateway — declares its metrics once, as a
+namespace plus an ordered list of ``(name, kind, help)``::
 
     RESOLVER_METRICS = declare("resolver", [
         ("locals", COUNTER, "references and assignments given a slot address"),

@@ -59,7 +59,8 @@ class ObsEvent:
     * ``"i"`` — instant (capture, reinstate, fork, label-pop, ...);
       ``span`` is the innermost open span.
     * ``"X"`` — complete event with a duration (``dur``, seconds);
-      used for scheduler quanta.
+      used for scheduler quanta, one per run-loop call (a lone task's
+      quanta run as one extended batch and share one event).
 
     ``ts`` is a ``time.perf_counter`` timestamp (seconds; monotonic),
     ``step`` the machine's ``steps_total`` at emission (quantum

@@ -5,7 +5,6 @@
     python -m repro -e "(+ 1 2)"      # evaluate and print
     python -m repro --examples        # list the paper's programs
     python -m repro --engine codegen  # pick an execution engine
-    python -m repro --no-analysis ... # skip the capture/effect phase (A/B)
     python -m repro --deadline 0.5    # per-evaluation wall-clock budget
 
 REPL meta-commands:
@@ -15,14 +14,12 @@ REPL meta-commands:
     ,examples        list paper example names
     ,stats           engine + machine + compile-stage counters (forks,
                      captures, locals resolved, nodes compiled,
-                     analysis.* facts and grants, ...); with --profile
+                     ...); with --profile
                      also the VM run-loop counters (quanta, spill
                      causes, write-backs avoided)
     ,tree            render the last process-tree statistics
     ,trace <expr>    evaluate with a control-event trace
-    ,analyze <expr>  capture/effect analysis: per-form facts and the
-                     pure/capture-heavy/spawning classification, plus
-                     the controller escape report for spawn sites
+    ,analyze <expr>  the controller escape report for each spawn site
     ,codegen <expr>  show the Python source the codegen engine emits
                      for a form (against this REPL's live globals and
                      macros) and its ir-hash code-cache status
@@ -122,13 +119,9 @@ class Repl:
             if not argument:
                 self._print("usage: ,analyze <expression>")
             else:
-                from repro.analysis import analyze, spawn_report
+                from repro.analysis import spawn_report
 
                 try:
-                    # Facts against this REPL's live globals and macros,
-                    # exactly what submit would compute for it.
-                    report = analyze(argument, session=self.interp)
-                    self._print(report.summary())
                     self._print(spawn_report(argument))
                 except ReproError as exc:
                     self._print(f"error: {exc}")
@@ -143,8 +136,8 @@ class Repl:
 
     def _show_codegen(self, source: str) -> None:
         """,codegen — the emitted Python for each top-level form, plus
-        the ir-hash code-cache verdict (mirrors ,analyze: the form is
-        expanded and resolved against this REPL's live session)."""
+        the ir-hash code-cache verdict (the form is expanded and
+        resolved against this REPL's live session)."""
         from repro.expander import expand_program
         from repro.ir import resolve_program, stable_hash
         from repro.ir.codegen import cache_info, emitted_source, is_cached
@@ -154,10 +147,6 @@ class Repl:
             forms = read_all(source)
             nodes = expand_program(forms, session.expand_env)
             nodes = resolve_program(nodes, session.globals)
-            if session.analysis:
-                from repro.analysis import annotate_program
-
-                annotate_program(nodes, session.globals)
             for node in nodes:
                 digest = stable_hash(node)
                 status = "hit" if is_cached(node) else "miss"
@@ -269,14 +258,6 @@ def main(argv: list[str] | None = None) -> int:
         "ir-hash)",
     )
     parser.add_argument(
-        "--no-analysis",
-        action="store_true",
-        help="skip the capture/effect analysis phase (repro.analysis."
-        "effects): no lambda facts, no request classification, no "
-        "enlarged quanta for proven single-task forms — the ablation "
-        "baseline",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="keep VM run-loop counters (quanta, spill causes, "
@@ -305,7 +286,6 @@ def main(argv: list[str] | None = None) -> int:
         engine=args.engine,
         profile=args.profile,
         record=args.trace_out is not None,
-        analysis=not args.no_analysis,
     )
     repl = Repl(interp, deadline=args.deadline, eval_max_steps=args.eval_max_steps)
 

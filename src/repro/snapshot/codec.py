@@ -55,7 +55,9 @@ output buffer, are never serialized.
 
 Version 3 blobs, written before bases existed, decode with the same
 decoder onto a bare session: they hold every cell and no ``BASE``
-reference.
+reference.  Version 3 and 4 blobs carry fields and metric roots of the
+capture/effect analysis that 3.0 removed; a restore reads them in their
+own layouts and drops them.
 
 Not serialized (by design): the observability recorder (pass ``record=``
 to :func:`restore_session`), ``Machine.trace_hook``, and in-flight pump
@@ -72,7 +74,6 @@ from time import monotonic as _monotonic
 from typing import Any, Callable, NamedTuple
 
 from repro.control.callcc import LeafContinuation, RootContinuation
-from repro.analysis.effects import EffectInfo
 from repro.control.engines import EngineValue
 from repro.control.fcontrol import FunctionalContinuation
 from repro.control.futures import FuturePlaceholder
@@ -141,9 +142,13 @@ MAGIC = b"RSNP"
 #: v4: boot-relative blobs — the header's base kind and digest, the
 #: ``BASE`` value tag, cells left out while they hold their boot value,
 #: an interned cell's name written once, and RNG state only under the
-#: random policy.  Version 3 blobs still restore.
-FORMAT_VERSION = 4
-_READABLE_VERSIONS = (3, 4)
+#: random policy.
+#: v5: the analysis is gone — the effects and classification fields are
+#: reserved, the analysis flag bit is reserved, and the analysis-metrics
+#: root and the submits_* session counters leave the roots.  Version 3
+#: and 4 blobs still restore.
+FORMAT_VERSION = 5
+_READABLE_VERSIONS = (3, 4, 5)
 
 #: The header's base kinds: primitives only, or primitives plus the
 #: prelude image.
@@ -378,11 +383,6 @@ _CONTROL_TAG = (
     lambda codec, tag: _CONTROL_TAGS[tag],
     lambda codec, index: _CONTROL_TAG_LIST[index],
 )
-# EffectInfo travels as its bitmask and is interned again on read.
-_EFFECTS = (
-    lambda codec, effects: None if effects is None else effects.bits,
-    lambda codec, bits: None if bits is None else EffectInfo.from_bits(bits),
-)
 # A deadline as the seconds it has left, an age as the seconds it has
 # run: both re-anchored to the restoring process's monotonic clock.
 _DEADLINE = (
@@ -501,7 +501,7 @@ _OBJECT_RECORDS = (
     _Record(6, ControlPrimitive, head=_NAME_HEAD),
     _Record(
         7, Closure, "params", "rest", "body", "env", "name", "nslots", "low", "high",
-        _Field("effects", *_EFFECTS),
+        _reserved(None),  # the pre-3.0 ``effects`` field
     ),
     _Record(
         8, Environment, _Field("bindings", *_ITEMS), "parent",
@@ -594,13 +594,11 @@ _OBJECT_RECORDS = (
         "_cancel_requested",
         "_node_index",
         "_node_running",
-        # The classification survives; the full ProgramReport is
-        # transient (re-derivable by re-analyzing the source).
-        "classification",
+        _reserved(None),  # the pre-3.0 ``classification`` field
         head=_UID_HEAD,
         # The session is wired when the roots are read; listeners are
         # process-local.
-        transient=dict(session=None, report=None, _exception=None, _listener=None),
+        transient=dict(session=None, _exception=None, _listener=None),
     ),
 )
 
@@ -608,9 +606,7 @@ _OBJECT_RECORDS = (
 _NODE_RECORDS = (
     _Record(1, Const, "value"),
     _Record(2, Var, "name"),
-    _Record(
-        3, Lambda, "params", "rest", _node("body"), "name", "nslots", _Field("effects", *_EFFECTS)
-    ),
+    _Record(3, Lambda, "params", "rest", _node("body"), "name", "nslots", _reserved(None)),
     _Record(4, App, _node("fn"), _node("args")),
     _Record(5, If, _node("test"), _node("then"), _node("els")),
     _Record(6, SetBang, "name", _node("expr")),
@@ -824,15 +820,11 @@ class _Encoder:
         w.str_(session.engine)
         w.str_(machine.policy.value)
         w.varint(machine.quantum)
-        # Bit 0 is reserved: pre-1.5 builds stored a ``batched`` flag
-        # there.  It is written set, as those builds' default was, and
-        # ignored on read.
-        w.u8(
-            1
-            | (2 if machine.profile else 0)
-            | (4 if session.output.echo else 0)
-            | (8 if session.analysis else 0)
-        )
+        # Bits 0 and 3 are reserved: pre-1.5 builds stored a
+        # ``batched`` flag in bit 0 and pre-3.0 builds an ``analysis``
+        # flag in bit 3.  Both are written set, as those builds'
+        # defaults were, and ignored on read.
+        w.u8(1 | (2 if machine.profile else 0) | (4 if session.output.echo else 0) | 8)
         w.varint(session.max_pending)
         for stream in _uid_streams():
             w.varint(stream.peek())
@@ -882,9 +874,27 @@ def _metric_roots(session: Session) -> tuple[Metrics, ...]:
         session.resolver_stats,
         session.compile_stats,
         session.codegen_stats,
-        session.analysis_stats,
         session.metrics,
     )
+
+
+#: The session-metric scalars of version 3 and 4 blobs, in their wire
+#: order.  The last three, the analysis's ``submits_*`` request-class
+#: counts, left in version 5: they have no name here, so they are dropped.
+_V4_SESSION_SCALARS = (
+    "submits",
+    "evals_completed",
+    "evals_failed",
+    "deadline_misses",
+    "cancellations",
+    "saturations",
+    "quanta_served",
+    "steps_served",
+    "max_queue_depth",
+    None,
+    None,
+    None,
+)
 
 
 def _uid_streams() -> tuple[SerialCounter, ...]:
@@ -1026,10 +1036,9 @@ class _Decoder:
         self.engine = engine
         policy = r.str_()
         quantum = r.varint()
-        flags = r.u8()  # bit 0 reserved
+        flags = r.u8()  # bits 0 and 3 reserved
         profile = bool(flags & 2)
         echo = bool(flags & 4)
-        analysis = bool(flags & 8)
         max_pending = r.varint()
         watermarks = tuple(r.varint() for _ in range(6))
         prelude = False  # a version 3 blob holds its whole prelude
@@ -1045,9 +1054,8 @@ class _Decoder:
                     "than this build boots"
                 )
 
-        # Boot the base afresh, with the blob's analysis flag (so the
-        # prelude's closures carry the same effect stamps) and under the
-        # restoring engine; the blob then applies onto it.
+        # Boot the base afresh, under the restoring engine; the blob
+        # then applies onto it.
         streams = _uid_streams()
         before_boot = [stream.peek() for stream in streams]
         session = Session(
@@ -1060,7 +1068,6 @@ class _Decoder:
             max_pending=max_pending,
             name=self.name_override if self.name_override is not None else name,
             record=self.record,
-            analysis=analysis,
         )
         self.session = session
         self.globals = session.globals
@@ -1124,8 +1131,16 @@ class _Decoder:
         macros = rv(r)
         loaded = rv(r)
         parts = rv(r)
-        for record in _metric_roots(session):
+        resolver, compiled, codegen, metrics = _metric_roots(session)
+        for record in (resolver, compiled, codegen):
             record.restore(rv(r))
+        if version < 5:
+            rv(r)  # the analysis root
+            scalars, *states = rv(r)
+            by_name = dict(zip(_V4_SESSION_SCALARS, scalars, strict=True))
+            metrics.restore((tuple(by_name[name] for name in metrics.scalars), *states))
+        else:
+            metrics.restore(rv(r))
         pending = rv(r)
         active = rv(r)
 
@@ -1192,4 +1207,11 @@ def restore_session(
     """
     if engine is not None:
         engine = normalize_engine(engine)
-    return _Decoder(blob, record=record, name=name, engine=engine).decode()
+    try:
+        return _Decoder(blob, record=record, name=name, engine=engine).decode()
+    except SnapshotError:
+        raise
+    except (ValueError, TypeError, AttributeError, ArithmeticError, LookupError) as exc:
+        # A corrupt byte can land anywhere: in a UTF-8 string, an enum
+        # value, a record's field count, a Fraction's denominator.
+        raise SnapshotFormatError(f"malformed snapshot: {type(exc).__name__}: {exc}") from exc

@@ -53,9 +53,10 @@ _names = itertools.count()
 
 @lru_cache(maxsize=None)
 def legacy_blob(engine: str, kind: str = "idle") -> bytes:
-    """The snapshot the pre-1.5 ``engine`` wrote: ``idle`` (a fresh
-    session with the prelude loaded) or ``mid-pcall`` (suspended with
-    three ``pcall`` branches in flight)."""
+    """The fixture ``<engine>-<kind>.rsnp``: for a pre-1.5 ``engine``,
+    ``idle`` (a fresh session with the prelude loaded) or ``mid-pcall``
+    (suspended with three ``pcall`` branches in flight); for
+    ``v4-compiled`` or ``v4-codegen``, a 1.8.0 golden-corpus case."""
     with open(os.path.join(LEGACY_DIR, f"{engine}-{kind}.rsnp"), "rb") as fh:
         return fh.read()
 
@@ -81,7 +82,6 @@ def make_session(
     max_steps: int | None = None,
     profile: bool = False,
     record=None,
-    analysis: bool = True,
     max_pending: int = 64,
     name: str | None = None,
     prelude: bool = True,
@@ -99,7 +99,6 @@ def make_session(
             max_steps=max_steps,
             profile=profile,
             record=record,
-            analysis=analysis,
             max_pending=max_pending,
             name=name,
         )
@@ -115,6 +114,5 @@ def make_session(
     machine.quantum = max(1, quantum)
     machine.max_steps = max_steps
     machine.profile = profile
-    session.analysis = analysis
     session.max_pending = max(1, max_pending)
     return session

@@ -148,6 +148,34 @@ def test_wall_deadline_mid_run():
     assert handle.exception().steps == handle.steps
 
 
+class _TickingClock:
+    """A monotonic clock that advances one second at every reading."""
+
+    def __init__(self) -> None:
+        self.readings = 0
+
+    def __call__(self) -> float:
+        self.readings += 1
+        return float(self.readings)
+
+
+def test_wall_deadline_admits_one_quantum_per_clock_reading(monkeypatch):
+    # A lone task runs on past its quantum, but it reads the clock at
+    # every quantum boundary, so a deadline still fires within one
+    # quantum of expiry: each reading admits at most one quantum.
+    clock = _TickingClock()
+    for module in ("repro.host.session", "repro.machine.scheduler", "repro.machine.step"):
+        monkeypatch.setattr(f"{module}._monotonic", clock, raising=False)
+    session = Session(quantum=16)
+    session.run(LOOP)
+    before = clock.readings
+    handle = session.submit("(loop 0)", deadline=17)
+    session.pump(1 << 20)
+    assert isinstance(handle.exception(), DeadlineExceeded)
+    readings = clock.readings - before
+    assert 0 < handle.steps <= (readings + 2) * 16, (handle.steps, readings)
+
+
 def test_budget_miss_does_not_poison_session(bare_session):
     doomed = bare_session.submit(SUM_100, max_steps=5)
     after = bare_session.submit("(+ 40 2)")

@@ -15,16 +15,20 @@ so its value is interleaving-independent; the stats assertions
 additionally require that the number of continuation captures is
 fixed by the program, not by the schedule.
 
-The batching and analysis-ablation matrices run over the whole engine
-axis of ``tests/engines.py``, legacy-snapshot cells included.
+The batching matrices run over the whole engine axis of
+``tests/engines.py``, legacy-snapshot cells included.
 """
 
 import pytest
 
-from repro import Interpreter
-from repro.machine.scheduler import ENGINES
+from repro import Interpreter, Session
+from repro.datum import scheme_repr
+from repro.machine.scheduler import _NO_HALT, ENGINES
+from repro.machine.step import run_quantum_compiled
+from repro.machine.task import TaskState
 from tests.engines import ENGINES as ENGINE_AXIS
 from tests.engines import make_session
+from tests.snapshot.test_randomized import gen_program
 
 POLICIES = ("round-robin", "random", "serial")
 
@@ -256,63 +260,66 @@ def test_batched_matches_stepped(engine, quantum):
 
 
 # ---------------------------------------------------------------------------
-# Analysis ablation axis: the capture/effect phase (repro.analysis.
-# effects) stamps facts and grants enlarged quanta to proven
-# single-task forms, but must be semantically invisible — identical
-# values, total step counts and machine stats with analysis on or off,
-# across engines × policies × quanta.
+# The run-loop rule: under round-robin, step_n lets a lone runnable task
+# run on past its quantum, because rotating a queue of one picks the
+# same task again.  So it must schedule exactly as plain round-robin
+# does: the same task at every step.  The reference driver below is
+# that policy by hand, one quantum per pick and never extended.
 # ---------------------------------------------------------------------------
 
-ANALYSIS_ENGINES = ("resolved", "compiled", "codegen")
-ANALYSIS_QUANTA = (1, 16, 4096)
+RULE_QUANTA = (1, 3, 16)
 
 
-def _run_case_analysis(engine, policy, quantum, analysis, case):
-    session = make_session(
-        engine, policy=policy, seed=7, quantum=quantum, analysis=analysis
-    )
+def _round_robin(machine, node):
+    """Evaluate ``node`` by plain round-robin: pick the next runnable
+    task, run it for one quantum (``limit=budget``), rotate it to the
+    back of the queue."""
+    machine.begin_eval(node)
+    while machine.halt_value is _NO_HALT:
+        task = machine.queue.popleft()
+        if task.state is not TaskState.RUNNABLE:
+            continue
+        budget = machine.quantum
+        run_quantum_compiled(machine, task, budget, limit=budget)
+        if task.state is TaskState.RUNNABLE and machine.halt_value is _NO_HALT:
+            machine.queue.append(task)
+    machine._park_surviving_futures()
+    return machine.halt_value
+
+
+def _traced_run(engine, quantum, case, by_hand):
+    """Run ``case`` and record which task took every step: the uids,
+    renumbered in order of first appearance."""
+    session = Session(engine=engine, quantum=quantum)
     for example in case.examples:
         session.load_paper_example(example)
     if case.setup:
         session.run(case.setup)
-    value = session.eval_to_string(case.expr)
-    return (value, session.machine.steps_total, dict(session.machine.stats))
+    uids = []
+    session.machine.trace_hook = lambda machine, task: uids.append(task.uid)
+    if by_hand:
+        handle = session.submit(case.expr)
+        session.cancel(handle)  # keep its compiled forms, run them below
+        values = [_round_robin(session.machine, node) for node in handle.nodes]
+    else:
+        values = session.run(case.expr)
+    order = {}
+    steps = [order.setdefault(uid, len(order)) for uid in uids]
+    return [scheme_repr(v) for v in values], session.output_text(), steps
 
 
-@pytest.mark.parametrize("quantum", ANALYSIS_QUANTA)
-@pytest.mark.parametrize("engine", ANALYSIS_ENGINES)
-def test_analysis_ablation_no_divergence(engine, quantum):
-    for case in CASES:
-        if not case.check_stats:
-            continue
-        on = _run_case_analysis(engine, "round-robin", quantum, True, case)
-        off = _run_case_analysis(engine, "round-robin", quantum, False, case)
-        assert on == off, (case.id, on, off)
+RULE_CASES = CASES + [
+    Case(f"random-{seed}", gen_program(seed)) for seed in (3, 17, 29)
+]
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-def test_analysis_ablation_across_policies(policy):
-    # The engine × quantum plane is covered above; this sweeps the
-    # policy axis at the default quantum (grants only ever fire under
-    # round-robin, but the off-path must be untouched everywhere).
-    for case in CASES:
-        if not case.check_stats:
-            continue
-        on = _run_case_analysis("compiled", policy, 16, True, case)
-        off = _run_case_analysis("compiled", policy, 16, False, case)
-        assert on == off, (case.id, on, off)
-
-
-@pytest.mark.parametrize("source", EQUIV_PROGRAMS)
-def test_equivalence_programs_analysis_ablation(source):
-    for engine in ENGINES:
-        runs = {
-            analysis: Interpreter(
-                engine=engine, policy="round-robin", seed=3, analysis=analysis
-            ).eval_to_string(source)
-            for analysis in (True, False)
-        }
-        assert runs[True] == runs[False], (engine, source)
+@pytest.mark.parametrize("quantum", RULE_QUANTA)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_run_loop_rule_is_round_robin(engine, quantum):
+    for case in RULE_CASES:
+        ruled = _traced_run(engine, quantum, case, by_hand=False)
+        by_hand = _traced_run(engine, quantum, case, by_hand=True)
+        assert ruled == by_hand, case.id
 
 
 @pytest.mark.parametrize("engine", ENGINE_AXIS)

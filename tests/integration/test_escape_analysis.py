@@ -239,3 +239,23 @@ class TestResolvedDialect:
             unresolved = [s.classification for s in analyze_source(source)]
             resolved = [s.classification for s in resolved_sites(source)]
             assert unresolved == resolved, source
+
+
+# Spawn-site classification stability: the paper's examples and the
+# prelude classify identically in both IR dialects.
+
+
+@pytest.mark.parametrize("name", sorted(paper_examples.ALL))
+def test_paper_example_spawn_stable(name):
+    source, _ = paper_examples.ALL[name]
+    unresolved = [s.classification for s in analyze_source(source)]
+    assert unresolved == [s.classification for s in resolved_sites(source)], name
+    for c in unresolved:
+        assert c in ("unused", "confined", "captured", "escaping", "opaque")
+
+
+def test_prelude_spawn_classification_stable():
+    from repro.lib.prelude import PRELUDE
+
+    unresolved = [s.classification for s in analyze_source(PRELUDE)]
+    assert unresolved == [s.classification for s in resolved_sites(PRELUDE)]

@@ -191,12 +191,9 @@ def test_meta_stats_includes_resolver_counters(repl):
     assert "resolver.cells_interned" in text
 
 
-def test_meta_stats_no_analysis_rows_when_disabled():
-    from repro import Interpreter
-
-    out = io.StringIO()
-    pair = (Repl(Interpreter(echo_output=False, analysis=False), out=out), out)
-    text, _ = feed(pair, "(+ 1 2)", ",stats")
+def test_meta_stats_has_no_analysis_rows(repl):
+    # The capture/effect analysis and its counters were removed in 3.0.
+    text, _ = feed(repl, "(+ 1 2)", ",stats")
     assert "forks" in text
     assert "resolver.locals" in text
     assert "analysis." not in text

@@ -6,8 +6,8 @@ Four layers of coverage:
   on every node kind, rest args, closures, deep recursion, delegation
   through capture / spawn / pcall / futures);
 * the code cache — ir-hash keyed hits and misses, the source
-  verification that makes analysis-fact changes safe, LRU eviction at
-  capacity, ``clear_cache``;
+  verification behind every hit, LRU eviction at capacity,
+  ``clear_cache``;
 * the emitted artifact itself — thunk contract (``.node`` / ``.triv``),
   emitted-source smoke, dialect rejection, the self-call inline guard
   falling through on rebinding;
@@ -206,21 +206,24 @@ def _CODE_CACHE_snapshot():
 
 
 def test_source_mismatch_recompiles():
-    # Effects facts are excluded from ir-hash-v1 but change the emitted
-    # source (eager vs lazy spill), so a digest hit must verify the
-    # source before reusing the code object.
+    # A digest hit reuses the code object only when the regenerated
+    # source matches the cached one; otherwise it recompiles, counts a
+    # miss and replaces the entry.
+    from repro.ir import codegen
+
     clear_cache()
-    source = "(let ([f (lambda (x) (+ x 1))]) (f 41))"
-    with_analysis = Session(engine="codegen", prelude=False, analysis=True)
-    with_analysis.run(source)
-    without = Session(engine="codegen", prelude=False, analysis=False)
-    without.run(source)
-    # Whether or not the sources differ for this exact shape, the two
-    # runs must agree on the value and never serve a stale code object;
-    # a second no-analysis run must hit.
-    without2 = Session(engine="codegen", prelude=False, analysis=False)
-    without2.run(source)
-    assert without2.codegen_stats.hits >= 1
+    sess = Session(engine="codegen", prelude=False)
+    (node,) = _resolved_nodes("(let ([f (lambda (x) (+ x 1))]) (f 41))", sess.globals)
+    stats = CODEGEN_METRICS()
+    codegen_node(node, stats)
+    digest = stable_hash(node)
+    source, code = codegen._CODE_CACHE[digest]
+    codegen._CODE_CACHE[digest] = ("# some other source", code)
+    codegen_node(node, stats)
+    assert (stats.hits, stats.misses) == (0, 2)
+    assert codegen._CODE_CACHE[digest][0] == source
+    codegen_node(node, stats)
+    assert stats.hits == 1
 
 
 # -- the emitted artifact ----------------------------------------------

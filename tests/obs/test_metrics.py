@@ -132,14 +132,6 @@ def test_host_rollup_takes_the_largest_session_queue_peak():
 # -- golden: Session ----------------------------------------------------------
 
 _SESSION_COMMON = {
-    "analysis.capture_free": 22,
-    "analysis.fixpoint_passes": 33,
-    "analysis.forms": 33,
-    "analysis.grants": 31,
-    "analysis.known_total": 18,
-    "analysis.lambdas": 50,
-    "analysis.spawn_free": 22,
-    "analysis.spawn_sites": 1,
     "captures": 2,
     "forks": 1,
     "join_fires": 1,
@@ -158,9 +150,6 @@ _SESSION_COMMON = {
     "session.quanta_served": 2,
     "session.saturations": 0,
     "session.submits": 3,
-    "session.submits_capture_heavy": 0,
-    "session.submits_pure": 2,
-    "session.submits_spawning": 1,
     "tasks_created": 40,
     "vm.quanta": 40,
     "vm.spill_budget": 1,
@@ -195,7 +184,7 @@ SESSION_GOLDEN = {
         "codegen.nodes": 244,
         "codegen.prims_inlined": 86,
         "codegen.self_inlines": 10,
-        "codegen.spill_elisions": 10,
+        "codegen.spill_elisions": 14,
         "codegen.tests_inlined": 31,
         "session.steps_served": 31,
         "vm.allocations_avoided": 37,
@@ -235,9 +224,6 @@ HOST_GOLDEN = {
     "host.sessions.saturations": 0,
     "host.sessions.steps_served": 648,
     "host.sessions.submits": 6,
-    "host.sessions.submits_capture_heavy": 0,
-    "host.sessions.submits_pure": 0,
-    "host.sessions.submits_spawning": 6,
     "host.steps_served": 648,
     "host.submits": 6,
     "host.ticks": 6,
@@ -343,9 +329,6 @@ BACKEND_GOLDEN = {
         "host.sessions.saturations": 0,
         "host.sessions.steps_served": 6,
         "host.sessions.submits": 2,
-        "host.sessions.submits_capture_heavy": 0,
-        "host.sessions.submits_pure": 2,
-        "host.sessions.submits_spawning": 0,
         "host.steps_served": 6,
         "host.submits": 2,
         "host.ticks": 2,

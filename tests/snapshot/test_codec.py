@@ -4,6 +4,8 @@ format errors, and the in-pump guard."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import Session
@@ -389,6 +391,27 @@ def test_truncated_blob_rejected():
     for cut in (5, len(blob) // 2, len(blob) - 1):
         with pytest.raises(SnapshotError):
             restore_session(blob[:cut])
+
+
+def test_corrupt_bytes_raise_only_snapshot_errors():
+    # A byte flipped anywhere may land in a UTF-8 string, an enum value,
+    # a field count or a denominator; restore still reports it as a
+    # snapshot problem, with the underlying error chained.
+    s = Session()
+    s.run("(define counter 0) (define (bump!) (set! counter (+ counter 1)) counter)")
+    s.run("(define v (vector 1 2.5 'a \"s\" #\\x 1/3))")
+    blob = s.snapshot()
+    rng = random.Random(20)
+    causes = []
+    for _ in range(500):
+        corrupt = bytearray(blob)
+        corrupt[rng.randrange(len(corrupt))] = rng.randrange(256)
+        try:
+            restore_session(bytes(corrupt))
+        except SnapshotError as exc:
+            causes.append(type(exc.__cause__))
+    assert len(causes) > 250
+    assert UnicodeDecodeError in causes
 
 
 def test_empty_blob_rejected():

@@ -8,11 +8,12 @@ fresh process, because a header carries the process-wide uid
 watermarks; frozen clocks, because a live handle's blob carries its age
 and a codegen session's its emit time.
 
-The digests are ``_CORPUS``'s output on the 1.8.0 source, exported with
-``git archive`` rather than taken from the working tree, so they hold
-the codec to the bytes that release wrote.  Regenerate them only with a
-deliberate wire-format bump, by running :func:`corpus_digests` on the
-exported ``src/`` of the build that defines the new format.
+The digests are ``_CORPUS``'s output on the 3.0.0 source, which defines
+wire version 5, so they hold the codec to the bytes that release
+writes.  Regenerate them only with a deliberate wire-format bump, by
+running :func:`corpus_digests` on an exported copy of the ``src/`` of
+the build that defines the new format.  The version 4 blobs behind the
+previous table are kept as ``tests/snapshot/legacy/v4-*.rsnp``.
 """
 
 from __future__ import annotations
@@ -109,22 +110,22 @@ for engine in ("compiled", "codegen"):
 print(json.dumps(digests, indent=1, sort_keys=True))
 """
 
-#: ``_CORPUS``'s output on the 1.8.0 source.
+#: ``_CORPUS``'s output on the 3.0.0 source (wire version 5).
 GOLDEN = {
-    "codegen/captured_continuation": "b7abb9aec9de621a2abcc73aa77165d9dc7bbace7bad9ae0b6bb8d607a71aea2",
-    "codegen/gensym_cell": "410617aa9d489dea3adc7a040367b21fe6e3419ece5b281777b87ddfc3ad1772",
-    "codegen/idle": "6be2c376e66d3bb100553fcd2f7b7acbbe82efe9a9224e82b972c89e7c1a7900",
-    "codegen/mid_pcall": "f1f4b7358bb966179b0e19c9134a5124c0c5f6d70fc5eb7ed6dd1c68286d6a49",
-    "codegen/parked_future": "9aa08e43401ff3486ad1b3b9ce2783b9fdea8d6ea3c88dc58cfcf58a05f0c438",
-    "codegen/redefined_prelude_name": "f323428f86ff9d1e5ca929de2825600b1a16f2258ff323e911f7dfe937b6b3cc",
-    "codegen/user_macro": "6046e735d70d2ef1db61811e29bd834498f752ffdc66ff4e0706d641a7bb7cd8",
-    "compiled/captured_continuation": "d821e1d19c2551a095853d8c846a0699f210661b6bdb666434ba541045c5c623",
-    "compiled/gensym_cell": "ef7432561d58e5d607a51f650c9fd0a4665faed27b59fe8cd7b8853ae40b0631",
-    "compiled/idle": "28148904f5db8b0e490737bc113d29c2d6521d5034346fed27b7e7b8c937f9b1",
-    "compiled/mid_pcall": "43545133ea1f9a3c0aade0dc0b0e675fc5700fc37e0e6c8b866a7f7b1e5a4e43",
-    "compiled/parked_future": "3c95f789a8b55a891153bc6e990f3e13b6fd406c2dacbccaf73e45e1dfb20d09",
-    "compiled/redefined_prelude_name": "75fdb729655377939c12e86f2381e348a59e6c6a81d41fb08518fd84c12a3070",
-    "compiled/user_macro": "2527e49da4c4a0b149ba454db63b08cbe7b22b1f48436631e4c5de84a0bf0fed",
+    "codegen/captured_continuation": "76d5dfae080cc2f43af83d5c51b9a1d9b67b0a46c7aeda54fbb7b12a49203bd6",
+    "codegen/gensym_cell": "8ffd6c7151d5f11ad26c19c317a63279b48307ce14047e8861d0672f57860259",
+    "codegen/idle": "0d3de941cdee415ffafb653f377fbfcdc14404cabb3b73d00cdea9d21f24eba2",
+    "codegen/mid_pcall": "357d6a211865a9a83830e210050cd770512819acdba019165aca87efadd8a20b",
+    "codegen/parked_future": "5d2dd6003412a0e46d1803e67648439244b99d032a0b37d60634180386ca17cd",
+    "codegen/redefined_prelude_name": "7fe76c7ec88e9bc12d9f578c93a960ec0eafd9c56b1458a7d96d165d2cfcdbda",
+    "codegen/user_macro": "465fc5acef7ef5440d86436deb4e0eac5039e0a4da17ecb7b789bdf23a8d752b",
+    "compiled/captured_continuation": "29d00e038bd4c3ee5e22ce4a892a5e960400e83fb721565819a3bc2eaa742458",
+    "compiled/gensym_cell": "ab0f4afe43045cb6a276f93407db8c9323c2ab3043dec4f027d8dfbcb795abde",
+    "compiled/idle": "430001f3021952253df1d73195d7bf884cb584ab9d37628cd879cef3c4b1fa8b",
+    "compiled/mid_pcall": "cef73b89f4d40ca1cc8edb40a915678cb43e4cc353a8e4c3f02d0b44c1af4a94",
+    "compiled/parked_future": "4db46a0cbe7e9a56bb3504d3d7fe50c56d61b260f31cc4a9b1bb46b971855547",
+    "compiled/redefined_prelude_name": "2320d8aa9c39a138a0b1d6181036da29c99f17a9a11d22943ec9f95728232f4a",
+    "compiled/user_macro": "5f941ed26573730f525e41d20225eb1496127150ef9d28110aa36f0d3b8184b4",
 }
 
 

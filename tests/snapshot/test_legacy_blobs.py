@@ -1,12 +1,15 @@
-"""Snapshots written before 1.5, when ``dict`` and ``resolved`` were
-engines of their own, still restore.
+"""Snapshots written by older builds still restore.
 
-They are format version 3 blobs, which decode onto a bare session: the
-header's engine name maps to ``compiled``, the reserved ``batched``
-flag bit and ``fold`` field are read and ignored, and the old engines'
-closures — unresolved bodies over dict ribs, raw resolved IR — run on
-the run loop's raw-IR fallback.  The fixtures are described in
-``tests/snapshot/legacy/README.md``.
+The pre-1.5 fixtures, written when ``dict`` and ``resolved`` were
+engines of their own, are format version 3 blobs, which decode onto a
+bare session: the header's engine name maps to ``compiled``, the
+reserved ``batched`` flag bit and ``fold`` field are read and ignored,
+and the old engines' closures — unresolved bodies over dict ribs, raw
+resolved IR — run on the run loop's raw-IR fallback.  The ``v4-*``
+fixtures are the 1.8.0 golden corpus, relative to the boot base this
+build still boots.  Both versions carry the capture/effect analysis's
+fields and metric roots, which a restore reads and drops.  The fixtures
+are described in ``tests/snapshot/legacy/README.md``.
 """
 
 from __future__ import annotations
@@ -98,52 +101,26 @@ def _counts(namespace: str, **nonzero: int) -> dict[str, int]:
     return {f"{namespace}.{name}": value for name, value in nonzero.items()}
 
 
-_RESOLVED_IDLE = {
-    **_counts(
-        "resolver", locals=153, globals=113, lambdas=46, cells_interned=28, cell_cache_hits=113
-    ),
-    **_counts(
-        "analysis",
-        forms=28,
-        lambdas=46,
-        capture_free=21,
-        spawn_free=21,
-        known_total=17,
-        fixpoint_passes=32,
-        grants=28,
-    ),
-}
-
 #: What each fixture's metric records hold once restored; every other
 #: declared metric is zero.  A declaration reordered against the wire
-#: order puts these values under the wrong names.
+#: order puts these values under the wrong names.  The fixtures also
+#: carry the analysis root and three ``submits_*`` session counters,
+#: which 3.0 removed: a restore reads them in the fixture's layout and
+#: drops them (``resolved/mid-pcall`` counted ``submits_spawning=1``).
 LEGACY_METRICS = {
     ("dict", "idle"): {},
     ("dict", "mid-pcall"): _counts(
         "session", submits=1, quanta_served=20, steps_served=39, max_queue_depth=1
     ),
-    ("resolved", "idle"): _RESOLVED_IDLE,
+    ("resolved", "idle"): _counts(
+        "resolver", locals=153, globals=113, lambdas=46, cells_interned=28, cell_cache_hits=113
+    ),
     ("resolved", "mid-pcall"): {
         **_counts(
             "resolver", locals=11, globals=15, lambdas=4, cells_interned=3, cell_cache_hits=15
         ),
         **_counts(
-            "analysis",
-            forms=4,
-            lambdas=4,
-            capture_free=3,
-            spawn_free=3,
-            known_total=2,
-            fixpoint_passes=2,
-            grants=3,
-        ),
-        **_counts(
-            "session",
-            submits=1,
-            quanta_served=18,
-            steps_served=37,
-            max_queue_depth=1,
-            submits_spawning=1,
+            "session", submits=1, quanta_served=18, steps_served=37, max_queue_depth=1
         ),
     },
 }
@@ -153,15 +130,10 @@ LEGACY_METRICS = {
 def test_fixture_metrics_restore_in_declaration_order(engine, kind):
     s = Session.restore(legacy_blob(engine, kind))
     restored: dict[str, int] = {}
-    for record in (
-        s.resolver_stats,
-        s.compile_stats,
-        s.codegen_stats,
-        s.analysis_stats,
-        s.metrics,
-    ):
+    for record in (s.resolver_stats, s.compile_stats, s.codegen_stats, s.metrics):
         restored.update(record.as_dict())
     assert restored == {**dict.fromkeys(restored, 0), **LEGACY_METRICS[engine, kind]}
+    assert not any(key.startswith(("analysis.", "session.submits_")) for key in s.stats)
     assert {name: h["count"] for name, h in s.metrics.histograms().items()} == {
         "session.latency_us": 0,
         "session.steps_per_request": 0,
@@ -179,3 +151,32 @@ def test_reserved_flag_bit_is_ignored_on_read():
     blob[offset] = flags & ~1
     r = Session.restore(bytes(blob))
     assert r.eval("(+ x 1)") == 42
+
+
+#: The 1.8.0 golden corpus (``tests/snapshot/test_golden.py``), kept as
+#: the version 4 blobs that release wrote: per case, the output its
+#: suspended work prints once drained, a follow-up request and that
+#: request's answer.
+V4_CORPUS = {
+    "idle": ("", "(bump!)", "2"),
+    "mid-pcall": ("0", "(loop 3)", "0"),
+    "parked-future": ("", "(touch f)", "7"),
+    "captured-continuation": ("", "(list out (procedure? saved))", "(5 #t)"),
+    "gensym-cell": ("", "(peek)", "41"),
+    "user-macro": ("", "(swap! x y) (list x y)", "(1 2)"),
+    "redefined-prelude-name": ("", "(list (filter odd? '(1 2)) identity)", "(mine 42)"),
+}
+
+
+@pytest.mark.parametrize("engine", ["compiled", "codegen"])
+@pytest.mark.parametrize("case", sorted(V4_CORPUS))
+def test_v4_corpus_restores_and_serves(engine, case):
+    blob = legacy_blob(f"v4-{engine}", case)
+    assert _header(blob)[:2] == (4, engine)
+    restored = Session.restore(blob)
+    again = restored.snapshot()
+    assert _header(again)[0] == FORMAT_VERSION
+    output, source, value = V4_CORPUS[case]
+    for session in (restored, Session.restore(again)):
+        assert drained(session).output_text() == output
+        assert session.eval_to_string(source) == value
