@@ -50,8 +50,7 @@ class SerialCounter:
             self.value = floor
 
     def reset(self, start: int = 0) -> None:
-        """Restart the stream: for test determinism, and for a snapshot
-        restore giving back the uids its own discarded boot took."""
+        """Restart the stream, for test determinism."""
         self.value = start
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

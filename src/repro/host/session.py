@@ -61,16 +61,19 @@ from repro.ir import (
     CODEGEN_METRICS,
     COMPILE_METRICS,
     RESOLVER_METRICS,
+    codegen_node,
     codegen_program,
+    compile_node,
     compile_program,
+    pretty,
     resolve_program,
 )
-from repro.ir.nodes import Const, Node
+from repro.ir.nodes import Const, DefineTop, Lambda, Node
 from repro.lib import PRELUDE, paper_examples
 from repro.lib.derived import LIBRARIES
-from repro.machine.environment import UNBOUND, GlobalEnv
+from repro.machine.environment import GlobalEnv
 from repro.machine.scheduler import Engine, Machine, SchedulerPolicy, normalize_engine
-from repro.machine.values import Closure, ControlPrimitive, Primitive
+from repro.machine.values import Closure
 from repro.obs.metrics import COUNTER, HIGH_WATER, HISTOGRAM, declare
 from repro.obs.recorder import Recorder
 from repro.primitives import OutputBuffer, install_primitives
@@ -130,7 +133,9 @@ def prelude_image() -> tuple[tuple[Node, ...], dict[Symbol, Any]]:
     Expansion depends only on the macros in scope, so the image is valid
     only for a fresh ``ExpandEnv``.  It is shared, so it must be
     immutable: the resolver rebuilds every node except ``Const``, whose
-    values are checked here to be immutable atoms."""
+    values are checked here to be immutable atoms.  A session binds the
+    image instead of running it, so every form must be ``(define name
+    <lambda|atom>)``; anything else raises :class:`TypeError`."""
     global _prelude_image
     image = _prelude_image
     if image is None:
@@ -139,9 +144,19 @@ def prelude_image() -> tuple[tuple[Node, ...], dict[Symbol, Any]]:
             if image is None:
                 env = ExpandEnv()
                 nodes = tuple(expand_program(read_all(PRELUDE), env))
+                _check_bindable(nodes)
                 _check_immutable(nodes)
                 image = _prelude_image = (nodes, dict(env.macros))
     return image
+
+
+def _check_bindable(nodes: tuple[Node, ...]) -> None:
+    for node in nodes:
+        if type(node) is not DefineTop or type(node.expr) not in (Lambda, Const):
+            raise TypeError(
+                f"prelude form {pretty(node)} is not (define name <lambda|atom>); "
+                "a session binds the prelude without running it"
+            )
 
 
 def _check_immutable(nodes: tuple[Node, ...]) -> None:
@@ -163,9 +178,30 @@ def _check_immutable(nodes: tuple[Node, ...]) -> None:
                 stack.extend(c for c in child if isinstance(c, Node))
 
 
-#: Value types a boot base may hold: objects no session can mutate, so a
-#: snapshot may name them by position instead of writing them down.
-_BASE_KINDS = _IMMUTABLE_ATOMS | {Primitive, ControlPrimitive, type(UNBOUND)}
+def _first_call_body(closure: Closure, define: DefineTop, engine: Engine) -> Any:
+    """A prelude closure's body until its first application: a code
+    thunk that builds the real body (``compile_node`` of the lambda's
+    body, or under codegen the body function of the define's emitted
+    module, so its self-call guard holds), stores it in
+    ``closure.body`` and runs it in the same machine step.
+
+    The real body is a pure function of the resolved IR in ``.node``,
+    so deferring it changes no transition; a snapshot that catches a
+    task at ``(EVAL, stub)`` writes that IR like any other code."""
+
+    def enter(machine: Any, task: Any) -> Any:
+        body = closure.body
+        if body is enter:
+            if engine == "codegen":
+                body = codegen_node(define, lambda_body=True)
+            else:
+                body = compile_node(define.expr.body)
+            closure.body = body
+        return body(machine, task)
+
+    enter.node = define.expr.body  # type: ignore[attr-defined]
+    enter.triv = None  # type: ignore[attr-defined]
+    return enter
 
 
 class Base(NamedTuple):
@@ -175,9 +211,12 @@ class Base(NamedTuple):
 
     ``objects`` holds the global cells' values in cell order — its first
     ``cells`` entries: primitives, control primitives and, with the
-    prelude, its closures — then the closures' top-level environment,
-    then the prelude's macros.  A tuple, not a dict: a host holds many
-    sessions, and each pays only one pointer per object."""
+    prelude, its closures and atoms — then the closures' top-level
+    environment, then the prelude's macros.  No session can mutate any
+    of them (:func:`prelude_image` admits only lambdas and immutable
+    atoms), so a snapshot may name them by position instead of writing
+    them down.  A tuple, not a dict: a host holds many sessions, and
+    each pays only one pointer per object."""
 
     prelude: bool
     cells: int
@@ -277,7 +316,7 @@ class Session:
             policy=policy,
             seed=seed,
             quantum=quantum,
-            max_steps=None,  # budgets apply to user code only
+            max_steps=max_steps,
             engine=engine,
             profile=profile,
             record=record,
@@ -293,33 +332,24 @@ class Session:
         if prelude:
             nodes, macros = prelude_image()
             self.expand_env.macros.update(macros)
-            # The prelude is not user traffic: its events are never
-            # recorded and its metrics are dropped.
-            recorder, self.machine.recorder = self.machine.recorder, None
-            self.drive(self._enqueue(list(nodes)))
-            self.machine.recorder = recorder
-            self.metrics = SESSION_METRICS()
-        self.machine.steps_total = 0
-        self.machine.max_steps = max_steps
-        self.base = self._boot_base(prelude)
-
-    def _boot_base(self, prelude: bool) -> Base:
-        """Record what booting created as this session's :class:`Base`.
-        Every boot value must be a procedure over the top-level
-        environment or an immutable atom, so a snapshot that names it
-        instead of writing it down loses no state."""
-        env = self.machine.toplevel_env
-        values = []
-        for name, cell in self.globals.cells.items():
-            value = cell.value
-            kind = type(value)
-            if kind not in _BASE_KINDS and not (kind is Closure and value.env is env):
-                raise TypeError(
-                    f"prelude global {name.name} holds {scheme_repr(value)}; a boot "
-                    "base may hold only top-level procedures and immutable atoms"
-                )
-            values.append(value)
-        return Base(prelude, len(values), (*values, env, *self.expand_env.macros.values()))
+            # Bound, not run: resolving interns the cells in the order
+            # running would, then each define binds its atom, or a
+            # closure whose body is built at its first call.
+            env = self.machine.toplevel_env
+            for define in resolve_program(list(nodes), self.globals, self.resolver_stats):
+                expr = define.expr
+                if type(expr) is Const:
+                    value = expr.value
+                else:
+                    value = Closure(expr.params, expr.rest, None, env, expr.name, expr.nslots)
+                    value.body = _first_call_body(value, define, engine)
+                self.globals.define(define.name, value)
+        values = [cell.value for cell in self.globals.cells.values()]
+        self.base = Base(
+            prelude,
+            len(values),
+            (*values, self.machine.toplevel_env, *self.expand_env.macros.values()),
+        )
 
     # -- submission ------------------------------------------------------
 

@@ -1007,9 +1007,15 @@ def emitted_source(node: Node, stats: Metrics | None = None) -> str:
     return source
 
 
-def codegen_node(node: Node, stats: Metrics | None = None) -> Callable:
+def codegen_node(
+    node: Node, stats: Metrics | None = None, *, lambda_body: bool = False
+) -> Callable:
     """Emit, compile (or fetch by ``ir-hash-v1`` digest) and
-    instantiate the code thunk for one resolved top-level node."""
+    instantiate the code thunk for one resolved top-level node.
+
+    With ``lambda_body``, ``node`` is a ``DefineTop`` of a ``Lambda`` and
+    the result is that lambda's emitted body function instead: the one
+    the module's self-call guard compares a closure's ``.body`` with."""
     if stats is None:
         stats = CODEGEN_METRICS()
     t0 = perf_counter()
@@ -1035,6 +1041,8 @@ def codegen_node(node: Node, stats: Metrics | None = None) -> Callable:
             fn = ns[fname]
             fn.node = fnode
             fn.triv = _build_triv(fnode, em, ns)
+        if lambda_body:
+            return ns[em.lambda_body_fn[id(node.expr)]]
         return ns[main]
     finally:
         stats.emit_us += int((perf_counter() - t0) * 1_000_000)

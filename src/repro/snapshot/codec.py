@@ -1056,8 +1056,6 @@ class _Decoder:
 
         # Boot the base afresh, under the restoring engine; the blob
         # then applies onto it.
-        streams = _uid_streams()
-        before_boot = [stream.peek() for stream in streams]
         session = Session(
             policy=SchedulerPolicy(policy),
             quantum=quantum,
@@ -1156,16 +1154,12 @@ class _Decoder:
             handle.session = session
         if active is not None:
             active.session = session
-        # The boot ran its forms on the machine just replaced, so nothing
-        # restored holds a uid it took: each stream goes back to where it
-        # stood, then up to the blob's watermark — never below either,
-        # since other sessions in this process may be further along.  A
-        # restore so takes no uids, and snapshot → restore → snapshot
-        # stays byte-identical.  This holds while no other thread mints
-        # uids during the boot: a process drives its sessions from one
-        # thread (a host's, a shard's), as the unlocked streams require.
-        for stream, before, watermark in zip(streams, before_boot, watermarks):
-            stream.reset(max(before, watermark))
+        # Boot takes no uids, so each stream only rises to the blob's
+        # watermark — never lower, since other sessions in this process
+        # may be further along.  A restore so takes no uids, and
+        # snapshot → restore → snapshot stays byte-identical.
+        for stream, watermark in zip(_uid_streams(), watermarks):
+            stream.advance(watermark)
         return session
 
 

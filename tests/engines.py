@@ -56,7 +56,8 @@ def legacy_blob(engine: str, kind: str = "idle") -> bytes:
     """The fixture ``<engine>-<kind>.rsnp``: for a pre-1.5 ``engine``,
     ``idle`` (a fresh session with the prelude loaded) or ``mid-pcall``
     (suspended with three ``pcall`` branches in flight); for
-    ``v4-compiled`` or ``v4-codegen``, a 1.8.0 golden-corpus case."""
+    ``v4-<engine>`` or ``v5-<engine>``, a 1.8.0 or 3.0.0 golden-corpus
+    case."""
     with open(os.path.join(LEGACY_DIR, f"{engine}-{kind}.rsnp"), "rb") as fh:
         return fh.read()
 

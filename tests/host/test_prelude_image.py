@@ -1,6 +1,11 @@
 """The prelude image: ``PRELUDE`` is read and expanded once per process,
-then resolved, analysed, compiled and run by every session that loads
-it.  Sessions booted from the shared image stay fully isolated."""
+then resolved and bound by every session that loads it.  Sessions
+booted from the shared image stay fully isolated.
+
+A boot runs nothing: each prelude closure's body is built at its first
+call, in the step that enters it, so boot compiles nothing and takes no
+uids, every program takes the steps it took when boot ran the prelude,
+and a snapshot may catch a task about to enter a body not yet built."""
 
 from __future__ import annotations
 
@@ -9,12 +14,15 @@ import threading
 
 import pytest
 
+import repro.host.handle as handle_mod
 import repro.host.session as session_mod
+import repro.snapshot.codec as codec_mod
 from repro import Cluster, Session
 from repro.datum import intern
 from repro.expander import ExpandEnv, expand_program
 from repro.ir.hashing import stable_hash
 from repro.lib import PRELUDE
+from repro.machine.task import EVAL
 from repro.reader import read_all
 
 
@@ -117,3 +125,103 @@ def test_immutability_guard_rejects_a_quoted_list(no_image, monkeypatch):
         Session()
     assert session_mod._prelude_image is None
     assert Session(prelude=False).eval("(+ 1 2)") == 3
+
+
+@pytest.mark.parametrize(
+    "form", ["(display 1)", "(define x (car '(1)))", "(define y x)", "(set! map car)"]
+)
+def test_image_holds_only_bindable_defines(no_image, monkeypatch, form):
+    monkeypatch.setattr(session_mod, "PRELUDE", PRELUDE + "\n" + form + "\n")
+    with pytest.raises(TypeError, match=r"is not \(define name <lambda\|atom>\)"):
+        Session()
+    assert session_mod._prelude_image is None
+    assert Session(prelude=False).eval("(+ 1 2)") == 3
+
+
+# -- booting binds, it does not run ------------------------------------------
+
+
+@pytest.mark.parametrize("engine", ["compiled", "codegen"])
+def test_boot_compiles_nothing_and_takes_no_uids(engine):
+    Session(engine=engine)  # the image is built
+    streams = codec_mod._uid_streams()
+    before = [stream.peek() for stream in streams]
+    s = Session(engine=engine)
+    assert [stream.peek() for stream in streams] == before
+    stats = s.stats
+    assert stats["compile.nodes" if engine == "compiled" else "codegen.nodes"] == 0
+    assert stats["tasks_created"] == 0
+    assert s.machine.steps_total == 0
+
+
+#: Steps each program took when boot ran the prelude (3.0.0), on its
+#: first call and on every later one.
+PRELUDE_STEPS = {
+    "(map (lambda (x) (* x x)) '(1 2 3 4 5))": {"compiled": 38, "codegen": 31},
+    "(tree->list (list->tree '(5 3 8 1 4 7)))": {"compiled": 224, "codegen": 259},
+    "(fold-right cons '() (filter odd? '(1 2 3 4 5 6 7)))": {"compiled": 53, "codegen": 26},
+    "(list-copy '(1 2 3 4 5 6 7 8))": {"compiled": 37, "codegen": 16},
+}
+
+
+@pytest.mark.parametrize("engine", ["compiled", "codegen"])
+@pytest.mark.parametrize("source", sorted(PRELUDE_STEPS))
+def test_a_lazily_built_body_takes_the_steps_a_booted_one_did(engine, source):
+    s = Session(engine=engine)
+    steps = []
+    for _ in range(2):
+        handle = s.submit(source)
+        s.drive(handle)
+        steps.append(handle.steps)
+    assert steps == [PRELUDE_STEPS[source][engine]] * 2
+
+
+def test_codegen_builds_the_body_its_self_call_guard_names():
+    # The define's emitted module inlines a self-call behind ``f.body is
+    # <body function>``, naming the body as a module global: the first
+    # call must install that function, not a standalone emission.
+    s = Session(engine="codegen")
+    closure = s.eval("list-copy")
+    stub = closure.body
+    assert s.eval_to_string("(list-copy '(1 2))") == "(1 2)"
+    body = closure.body
+    assert body is not stub and body.node is stub.node
+    assert body.__globals__[body.__name__] is body
+    assert body.__name__ in body.__code__.co_names  # the guard
+
+
+def _park_at_stub(engine: str, source: str, name: str) -> Session:
+    """A ``quantum=1`` session that has applied the prelude closure
+    ``name`` and not yet entered its body: a task sits at ``(EVAL,
+    stub)``."""
+    s = Session(engine=engine, quantum=1)
+    stub = s.eval(name).body
+    s.submit(source)
+    while not any(task.tag is EVAL and task.payload is stub for task in s.machine.queue):
+        assert not s.idle
+        s.pump(1)
+    return s
+
+
+def _finish(session: Session) -> tuple[list, int]:
+    handle = session._active
+    return session.drive(handle), handle.steps
+
+
+@pytest.mark.parametrize("engine", ["compiled", "codegen"])
+def test_snapshot_of_a_task_about_to_enter_an_unbuilt_body(engine, monkeypatch):
+    # A frozen clock: a live handle's blob carries its age.
+    monkeypatch.setattr(handle_mod, "monotonic", lambda: 1000.0)
+    monkeypatch.setattr(codec_mod, "_monotonic", lambda: 1000.0)
+    source = "(display (list-copy '(1 2 3))) (fold-left + 0 '(4 5 6))"
+    fresh = Session(engine=engine, quantum=1)
+    handle = fresh.submit(source)
+    expected = (fresh.drive(handle), handle.steps)
+
+    blob = _park_at_stub(engine, source, "fold-left").snapshot()
+    restored = Session.restore(blob)
+    assert restored.snapshot() == blob
+    assert _finish(restored) == expected
+    assert restored.output_text() == "(1 2 3)"
+    other = "codegen" if engine == "compiled" else "compiled"
+    assert _finish(Session.restore(blob, engine=other))[0] == expected[0]

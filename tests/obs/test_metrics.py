@@ -6,6 +6,11 @@ exported them before they became declarations.  Two values differ
 from that export, both bug fixes: ``host.sessions.max_queue_depth`` is
 the largest session peak, not their sum, and the gateway ``stats`` op
 carries ``gateway.tracked_requests`` like ``Gateway.stats``.
+
+Since 3.1 a session binds its prelude instead of running it, so the
+session goldens count only the program: boot compiles nothing and runs
+no task (the ``resolver.*`` rows still count the prelude, which boot
+resolves), and a prelude body built at its first call is not counted.
 """
 
 from __future__ import annotations
@@ -135,7 +140,7 @@ _SESSION_COMMON = {
     "captures": 2,
     "forks": 1,
     "join_fires": 1,
-    "label_pops": 33,
+    "label_pops": 5,
     "reinstatements": 2,
     "resolver.cell_cache_hits": 122,
     "resolver.cells_interned": 29,
@@ -150,47 +155,47 @@ _SESSION_COMMON = {
     "session.quanta_served": 2,
     "session.saturations": 0,
     "session.submits": 3,
-    "tasks_created": 40,
-    "vm.quanta": 40,
+    "tasks_created": 12,
+    "vm.quanta": 12,
     "vm.spill_budget": 1,
     "vm.spill_fallback": 0,
-    "vm.spill_suspend": 39,
+    "vm.spill_suspend": 11,
     "vm.spill_trace": 0,
 }
 
 SESSION_GOLDEN = {
     "compiled": {
         **_SESSION_COMMON,
-        "compile.apps_inlined": 98,
-        "compile.lambdas": 50,
-        "compile.nodes": 600,
-        "compile.tests_inlined": 2,
+        "compile.apps_inlined": 9,
+        "compile.lambdas": 4,
+        "compile.nodes": 38,
+        "compile.tests_inlined": 0,
         "session.steps_served": 30,
-        "vm.allocations_avoided": 36,
-        "vm.quantum_steps": 114,
+        "vm.allocations_avoided": 8,
+        "vm.quantum_steps": 30,
         "vm.spill_apply": 4,
-        "vm.spill_control": 74,
+        "vm.spill_control": 18,
     },
     "codegen": {
         **_SESSION_COMMON,
-        "codegen.apps_inlined": 76,
+        "codegen.apps_inlined": 9,
         "codegen.emit_us": 0,
         "codegen.evictions": 0,
-        "codegen.fallback_nodes": 50,
+        "codegen.fallback_nodes": 0,
         "codegen.hits": 0,
-        "codegen.inline_bodies": 4,
-        "codegen.lambdas": 45,
-        "codegen.misses": 33,
-        "codegen.nodes": 244,
-        "codegen.prims_inlined": 86,
-        "codegen.self_inlines": 10,
-        "codegen.spill_elisions": 14,
-        "codegen.tests_inlined": 31,
+        "codegen.inline_bodies": 0,
+        "codegen.lambdas": 4,
+        "codegen.misses": 5,
+        "codegen.nodes": 13,
+        "codegen.prims_inlined": 1,
+        "codegen.self_inlines": 0,
+        "codegen.spill_elisions": 0,
+        "codegen.tests_inlined": 0,
         "session.steps_served": 31,
-        "vm.allocations_avoided": 37,
-        "vm.quantum_steps": 115,
+        "vm.allocations_avoided": 9,
+        "vm.quantum_steps": 31,
         "vm.spill_apply": 5,
-        "vm.spill_control": 73,
+        "vm.spill_control": 17,
     },
 }
 

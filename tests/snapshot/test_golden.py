@@ -8,12 +8,20 @@ fresh process, because a header carries the process-wide uid
 watermarks; frozen clocks, because a live handle's blob carries its age
 and a codegen session's its emit time.
 
-The digests are ``_CORPUS``'s output on the 3.0.0 source, which defines
-wire version 5, so they hold the codec to the bytes that release
-writes.  Regenerate them only with a deliberate wire-format bump, by
-running :func:`corpus_digests` on an exported copy of the ``src/`` of
-the build that defines the new format.  The version 4 blobs behind the
-previous table are kept as ``tests/snapshot/legacy/v4-*.rsnp``.
+The digests are ``_CORPUS``'s output on the 3.1.0 source (wire version
+5), so they hold the codec to the bytes that release writes.
+Regenerate them only with a deliberate wire-format bump, by running
+:func:`corpus_digests` on an exported copy of the ``src/`` of the build
+that defines the new format.  The version 4 blobs behind an earlier
+table are kept as ``tests/snapshot/legacy/v4-*.rsnp``.
+
+3.1.0 re-pinned the table without a format change.  Its sessions bind
+the prelude instead of running it, so a boot takes no task or label
+uids and compiles nothing: the header's uid watermarks, the task and
+label uids inside records (and so some record lengths), the machine's
+counters and the compile/codegen metric roots hold smaller numbers,
+and every blob decodes through the same sequence of wire reads as
+before.  The 3.0.0 bytes are kept as ``tests/snapshot/legacy/v5-*.rsnp``.
 """
 
 from __future__ import annotations
@@ -110,22 +118,22 @@ for engine in ("compiled", "codegen"):
 print(json.dumps(digests, indent=1, sort_keys=True))
 """
 
-#: ``_CORPUS``'s output on the 3.0.0 source (wire version 5).
+#: ``_CORPUS``'s output on the 3.1.0 source (wire version 5).
 GOLDEN = {
-    "codegen/captured_continuation": "76d5dfae080cc2f43af83d5c51b9a1d9b67b0a46c7aeda54fbb7b12a49203bd6",
-    "codegen/gensym_cell": "8ffd6c7151d5f11ad26c19c317a63279b48307ce14047e8861d0672f57860259",
-    "codegen/idle": "0d3de941cdee415ffafb653f377fbfcdc14404cabb3b73d00cdea9d21f24eba2",
-    "codegen/mid_pcall": "357d6a211865a9a83830e210050cd770512819acdba019165aca87efadd8a20b",
-    "codegen/parked_future": "5d2dd6003412a0e46d1803e67648439244b99d032a0b37d60634180386ca17cd",
-    "codegen/redefined_prelude_name": "7fe76c7ec88e9bc12d9f578c93a960ec0eafd9c56b1458a7d96d165d2cfcdbda",
-    "codegen/user_macro": "465fc5acef7ef5440d86436deb4e0eac5039e0a4da17ecb7b789bdf23a8d752b",
-    "compiled/captured_continuation": "29d00e038bd4c3ee5e22ce4a892a5e960400e83fb721565819a3bc2eaa742458",
-    "compiled/gensym_cell": "ab0f4afe43045cb6a276f93407db8c9323c2ab3043dec4f027d8dfbcb795abde",
-    "compiled/idle": "430001f3021952253df1d73195d7bf884cb584ab9d37628cd879cef3c4b1fa8b",
-    "compiled/mid_pcall": "cef73b89f4d40ca1cc8edb40a915678cb43e4cc353a8e4c3f02d0b44c1af4a94",
-    "compiled/parked_future": "4db46a0cbe7e9a56bb3504d3d7fe50c56d61b260f31cc4a9b1bb46b971855547",
-    "compiled/redefined_prelude_name": "2320d8aa9c39a138a0b1d6181036da29c99f17a9a11d22943ec9f95728232f4a",
-    "compiled/user_macro": "5f941ed26573730f525e41d20225eb1496127150ef9d28110aa36f0d3b8184b4",
+    "codegen/captured_continuation": "4c148fd7b55bd7d5087eb522c0d584e8772ad6fa2ebd91f6d01188bede205962",
+    "codegen/gensym_cell": "a40f84b8df0ed4dc3b9da549be03d07192f4b61fa5d61806c9e93b6a71715276",
+    "codegen/idle": "e77658718a6277c26b68b736d09b0e573908c49268791447d360b34f4e0ee322",
+    "codegen/mid_pcall": "f9330f554b28ec1b0ec27f4a7b90ab0cb3b702c7d8d19f5af862c30ebe18bc4f",
+    "codegen/parked_future": "78c8b7b93c41a9d1f88056de2e0ead5bf63bf20a3818d6de20d0760d65be1124",
+    "codegen/redefined_prelude_name": "ac379082a869b3f618207e2b2fea0a24821d48eac7c8015d30fc1f83f159fe24",
+    "codegen/user_macro": "6bb258f3f169abe93875a5be35301bb9983e4166a75d9be6d44e48c54132e1e6",
+    "compiled/captured_continuation": "978a013f08557a91d1a369bc11d8ddf6ca5d27515c3c6554f29e82fc3b4beee7",
+    "compiled/gensym_cell": "826ee7861176b233d177f93ed15c34ed9e8d75950bdef5762586fb8b3a9051cf",
+    "compiled/idle": "6f172d0924c8257238901cb0a9c6245bd47682031ee85f1ace9366997bf20648",
+    "compiled/mid_pcall": "20eb9412ff3e9a36be59036b718e6e612325b683984d54fa5c71c917f1dae435",
+    "compiled/parked_future": "70a6ea8d8482abc58c2a7b79f80f7f89da81d0312ee7acdfc8aa8a7b0f7be3f2",
+    "compiled/redefined_prelude_name": "1486135c82b4957042a1a9b9d79c858dccc0c270135f916f9a5924d94404fe10",
+    "compiled/user_macro": "ee97c73442b62e1c4bc0c29059da1cf57a1c24fef85e395d8d92c7f4c3984447",
 }
 
 

@@ -6,10 +6,11 @@ bare session: the header's engine name maps to ``compiled``, the
 reserved ``batched`` flag bit and ``fold`` field are read and ignored,
 and the old engines' closures — unresolved bodies over dict ribs, raw
 resolved IR — run on the run loop's raw-IR fallback.  The ``v4-*``
-fixtures are the 1.8.0 golden corpus, relative to the boot base this
-build still boots.  Both versions carry the capture/effect analysis's
-fields and metric roots, which a restore reads and drops.  The fixtures
-are described in ``tests/snapshot/legacy/README.md``.
+fixtures are the 1.8.0 golden corpus and the ``v5-*`` fixtures the
+3.0.0 one, both relative to the boot base this build still boots.
+Versions 3 and 4 carry the capture/effect analysis's fields and metric
+roots, which a restore reads and drops.  The fixtures are described in
+``tests/snapshot/legacy/README.md``.
 """
 
 from __future__ import annotations
@@ -153,11 +154,11 @@ def test_reserved_flag_bit_is_ignored_on_read():
     assert r.eval("(+ x 1)") == 42
 
 
-#: The 1.8.0 golden corpus (``tests/snapshot/test_golden.py``), kept as
-#: the version 4 blobs that release wrote: per case, the output its
-#: suspended work prints once drained, a follow-up request and that
-#: request's answer.
-V4_CORPUS = {
+#: The golden corpus (``tests/snapshot/test_golden.py``) as two releases
+#: wrote it: 1.8.0 in version 4 (``v4-*``) and 3.0.0 in version 5
+#: (``v5-*``).  Per case, the output its suspended work prints once
+#: drained, a follow-up request and that request's answer.
+CORPUS = {
     "idle": ("", "(bump!)", "2"),
     "mid-pcall": ("0", "(loop 3)", "0"),
     "parked-future": ("", "(touch f)", "7"),
@@ -168,15 +169,27 @@ V4_CORPUS = {
 }
 
 
-@pytest.mark.parametrize("engine", ["compiled", "codegen"])
-@pytest.mark.parametrize("case", sorted(V4_CORPUS))
-def test_v4_corpus_restores_and_serves(engine, case):
-    blob = legacy_blob(f"v4-{engine}", case)
-    assert _header(blob)[:2] == (4, engine)
+def _restores_and_serves(version: int, engine: str, case: str) -> None:
+    blob = legacy_blob(f"v{version}-{engine}", case)
+    assert _header(blob)[:2] == (version, engine)
     restored = Session.restore(blob)
     again = restored.snapshot()
     assert _header(again)[0] == FORMAT_VERSION
-    output, source, value = V4_CORPUS[case]
+    output, source, value = CORPUS[case]
     for session in (restored, Session.restore(again)):
         assert drained(session).output_text() == output
         assert session.eval_to_string(source) == value
+
+
+@pytest.mark.parametrize("engine", ["compiled", "codegen"])
+@pytest.mark.parametrize("case", sorted(CORPUS))
+def test_v4_corpus_restores_and_serves(engine, case):
+    _restores_and_serves(4, engine, case)
+
+
+@pytest.mark.parametrize("engine", ["compiled", "codegen"])
+@pytest.mark.parametrize("case", sorted(CORPUS))
+def test_v5_corpus_restores_and_serves(engine, case):
+    # Written by a build whose boot ran the prelude, so the blob's uid
+    # watermarks and counters include that boot.
+    _restores_and_serves(5, engine, case)
