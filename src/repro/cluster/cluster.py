@@ -14,17 +14,18 @@ other shards noticing.
 logic inline in the calling process (no ``multiprocessing``): handy for
 tests, debugging, and platforms where fork is unavailable.
 
-The shard protocol is synchronous, but the front offers both request
-shapes of the shared submit contract (``docs/API.md``):
-:meth:`Cluster.submit_async` queues the request on a bounded front-side
-queue and returns a :class:`~repro.cluster.handle.ClusterHandle`
-immediately (poll/result/cancel parity with the host tier's
-``EvalHandle`` — same :class:`~repro.host.handle.HandleState` state
-machine, same :class:`~repro.errors.HostSaturated` refusal when the
-queue is full), while the classic blocking :meth:`Cluster.submit` is a
-thin wrapper that waits on the handle.  A single dispatcher thread
-drains the queue and performs the blocking shard round-trips, so the
-machinery below it stays synchronous.
+The front is driven like a Host, by one owner thread.
+:meth:`Cluster.submit_async` only queues the request on a bounded
+front-side queue and returns a :class:`~repro.cluster.handle.ClusterHandle`
+(poll/result/cancel parity with the host tier's ``EvalHandle`` — same
+:class:`~repro.host.handle.HandleState` state machine, same
+:class:`~repro.errors.HostSaturated` refusal when the queue is full).
+:meth:`Cluster.tick` sends every shard with nothing outstanding the
+oldest queued request routed to it, then waits on all of them at once
+and finishes whatever answered.  A handle drives ``tick`` itself when
+waited on, the way an ``EvalHandle`` pumps its session, so the classic
+blocking :meth:`Cluster.submit` is a thin wrapper that waits on the
+handle.
 
 Shard-side evaluation failures come back in-band as ``status="error"``
 results; a dead worker raises :class:`~repro.errors.ShardDied` only
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-import threading
+import socket
 import zlib
 from collections import deque
 from dataclasses import dataclass
@@ -87,12 +88,6 @@ CLUSTER_METRICS = declare(
 
 _cluster_ids = itertools.count()
 
-#: Default seconds :meth:`Cluster.close` waits for the dispatcher
-#: thread to finish its in-flight shard round-trip before abandoning
-#: the request (the handle is then force-resolved CANCELLED, so no
-#: caller is ever left holding a non-terminal handle).
-_CLOSE_JOIN_TIMEOUT = 5.0
-
 
 @dataclass(frozen=True)
 class ClusterResult:
@@ -120,18 +115,23 @@ class ClusterResult:
 
 
 class _InlineShard:
-    """``workers=0``: the shard runtime in the front process."""
+    """``workers=0``: the shard runtime in the front process.  A command
+    runs when its reply is read, so an outstanding inline request has
+    nothing to wait on (no ``waitables``) and is always ready."""
+
+    waitables: tuple[Any, ...] = ()
 
     def __init__(self, index: int):
         self.runtime = ShardRuntime(index)
+        self._command: tuple[str, dict[str, Any]] = ("", {})
 
-    def request(self, op: str, payload: dict[str, Any]) -> dict[str, Any]:
-        return self.runtime.handle(op, payload)
+    def send(self, op: str, payload: dict[str, Any]) -> None:
+        self._command = (op, payload)
 
-    def alive(self) -> bool:
-        return True
+    def recv(self) -> dict[str, Any]:
+        return self.runtime.handle(*self._command)
 
-    def shutdown(self) -> None:
+    def shutdown(self, busy: bool) -> None:
         pass
 
 
@@ -142,6 +142,7 @@ class _ProcessShard:
     def __init__(self, index: int, ctx: Any):
         self.index = index
         self.ctx = ctx
+        self._op = ""
         self._spawn()
 
     def _spawn(self) -> None:
@@ -159,31 +160,30 @@ class _ProcessShard:
         commands_in.close()
         replies_out.close()
 
-    def alive(self) -> bool:
-        return self.process.is_alive()
+    @property
+    def waitables(self) -> tuple[Any, ...]:
+        """What becomes ready when the worker replies or exits."""
+        return (self._replies, self.process.sentinel)
 
     def respawn(self) -> None:
         """Fresh process, fresh pipes: nothing from the dead worker's
-        life can be read by the next one.
+        life can be read by the next one."""
+        self._stop()
+        self._spawn()
 
-        The old pipe ends and the old process's sentinel are closed
-        *explicitly* before the new ones are created: a wedged worker
-        that survives the 1s ``join`` would otherwise orphan them and
-        leak the front out of file descriptors under repeated worker
-        churn (gated by the 50-respawn FD test in ``tests/cluster``).
-        """
+    def _stop(self) -> None:
+        """End the worker, then close the front's pipe ends and the
+        process sentinel — every front-side FD its plumbing held.  They
+        are closed *explicitly*: a wedged worker that survives the 1s
+        ``join`` would otherwise orphan them and leak the front out of
+        file descriptors under repeated worker churn (gated by the
+        50-respawn FD test in ``tests/cluster``)."""
         if self.process.is_alive():
             self.process.terminate()
         self.process.join(timeout=1.0)
         if self.process.is_alive():  # pragma: no cover - wedged worker
             self.process.kill()
             self.process.join(timeout=1.0)
-        self._release_resources()
-        self._spawn()
-
-    def _release_resources(self) -> None:
-        """Close the front's pipe ends plus the process sentinel —
-        every front-side FD the worker's plumbing held."""
         self._commands.close()
         self._replies.close()
         try:
@@ -191,16 +191,25 @@ class _ProcessShard:
         except ValueError:  # pragma: no cover - still alive; GC reclaims
             pass
 
-    def request(self, op: str, payload: dict[str, Any]) -> dict[str, Any]:
-        """Send one command and block until its reply or the worker's
+    def send(self, op: str, payload: dict[str, Any]) -> None:
+        """Hand the worker one command.  A dead worker's broken pipe is
+        not an error here: its sentinel makes :meth:`recv` raise
+        :class:`ShardDied`."""
+        self._op = op
+        try:
+            self._commands.send((op, payload))
+        except OSError:
+            pass
+
+    def recv(self) -> dict[str, Any]:
+        """Block until the reply to the last command or the worker's
         exit, whichever comes first; raises :class:`ShardDied` if the
         process exits (or is killed) before replying."""
         # Imported here: in-process users of repro need not load it.
         from multiprocessing.connection import wait
 
         try:
-            self._commands.send((op, payload))
-            wait([self._replies, self.process.sentinel])
+            wait(self.waitables)
             # Reply first: a worker that replied and then exited makes
             # both ready, and its reply still counts.
             if self._replies.poll():
@@ -211,29 +220,32 @@ class _ProcessShard:
         except (EOFError, OSError):  # a closed or half-written pipe
             pass
         raise ShardDied(
-            f"shard {self.index} (pid {self.process.pid}) died while serving {op!r}"
+            f"shard {self.index} (pid {self.process.pid}) died while serving {self._op!r}"
         )
 
-    def shutdown(self) -> None:
+    def shutdown(self, busy: bool) -> None:
+        """Stop the worker: an idle one is asked to exit, a ``busy`` one
+        (a request outstanding) is terminated rather than waited for."""
         try:
             alive = self.process.is_alive()
         except ValueError:  # pragma: no cover - already shut down
             return
-        if alive:
+        if alive and not busy:
             try:
                 self._commands.send(("shutdown", {}))
                 self.process.join(timeout=2.0)
             except OSError:  # pragma: no cover - died meanwhile
                 pass
-            finally:
-                if self.process.is_alive():  # pragma: no cover - stuck worker
-                    self.process.terminate()
-                    self.process.join(timeout=1.0)
-        self._release_resources()
+        self._stop()
 
 
 class Cluster:
     """A sharded pool of interpreter hosts behind one submit interface.
+
+    A cluster has one owner thread, like a
+    :class:`~repro.host.host.Host`: it submits, cancels, ticks, waits on
+    handles and moves sessions.  :meth:`wake` is the one method another
+    thread may call.
 
     Parameters
     ----------
@@ -250,10 +262,11 @@ class Cluster:
         submit (``engine=``, ``quantum=``, ...).
     record:
         Optional :class:`~repro.obs.recorder.Recorder` (or ``True``)
-        for front-side spans: every submit/migrate/recovery is
-        bracketed on the ``cluster`` track.
+        for front-side events: each answered request lands as a
+        ``cluster.submit`` complete event (dispatch to reply), and
+        recoveries and migrations as instant events.
     max_pending:
-        Bound on front-side queued + in-flight requests;
+        Bound on front-side queued + outstanding requests;
         :meth:`submit_async` beyond it raises
         :class:`~repro.errors.HostSaturated` — the same backpressure
         contract as the host tier's bounded queues.
@@ -283,21 +296,19 @@ class Cluster:
         self.session_defaults = dict(session_defaults or {})
         self.max_pending = max(1, max_pending)
         self.metrics = CLUSTER_METRICS()
-        # The dispatcher thread serializes shard round-trips; the op
-        # lock additionally serializes them against mobility calls
-        # (evict/migrate/snapshot_now) from the caller's thread, so
-        # store/_resident bookkeeping stays single-writer-at-a-time.
-        self._cv = threading.Condition()
-        self._op_lock = threading.RLock()
-        self._queue: deque[ClusterHandle] = deque()
-        self._inflight: ClusterHandle | None = None
-        self._dispatcher: threading.Thread | None = None
         self.recorder = as_recorder(record)
+        self._queue: deque[ClusterHandle] = deque()
+        #: shard index -> the one request that shard is serving: its
+        #: handle, perf_counter when sent, and whether it is a replay.
+        self._outstanding: dict[int, tuple[ClusterHandle, float, bool]] = {}
         #: session id -> shard index where the session is live in RAM.
         self._resident: dict[str, int] = {}
         #: session id -> pinned shard (set by migrate); else hashed.
         self._placement: dict[str, int] = {}
         self._closed = False
+        # tick() waits on one end; wake() writes a byte to the other.
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_w.setblocking(False)
         if self.session_defaults.get("prelude", True):
             # Built before the fork, so every worker (respawns
             # included) inherits it instead of reading the prelude.
@@ -328,21 +339,19 @@ class Cluster:
 
     def sessions(self) -> list[str]:
         """Every session id the cluster knows: resident or stored."""
-        with self._op_lock:
-            return sorted(set(self._resident) | set(self.store.ids()))
+        return sorted(set(self._resident) | set(self.store.ids()))
 
     # -- the request path ------------------------------------------------
 
     @property
     def queue_depth(self) -> int:
-        """Front-side queued plus in-flight requests."""
-        with self._cv:
-            return len(self._queue) + (1 if self._inflight is not None else 0)
+        """Front-side queued plus outstanding requests."""
+        return len(self._queue) + len(self._outstanding)
 
     @property
     def idle(self) -> bool:
-        """True when no request is queued or in flight on the front."""
-        return self.queue_depth == 0
+        """True when no request is queued or outstanding on the front."""
+        return not self._queue and not self._outstanding
 
     def submit(
         self,
@@ -384,6 +393,7 @@ class Cluster:
         and return a :class:`~repro.cluster.handle.ClusterHandle`
         immediately — poll/result/cancel parity with the host tier's
         ``EvalHandle`` (same state machine, same refusal types).
+        Nothing runs until the next :meth:`tick`.
 
         The front-side queue is bounded (``max_pending``); beyond it
         this raises :class:`~repro.errors.HostSaturated` —
@@ -393,6 +403,12 @@ class Cluster:
         shard.
         """
         self._check_open()
+        depth = self.queue_depth
+        if depth >= self.max_pending:
+            self.metrics.saturations += 1
+            raise HostSaturated(
+                f"cluster {self.name}: submit queue full ({depth}/{self.max_pending})"
+            )
         handle = ClusterHandle(
             self,
             session_id,
@@ -401,121 +417,89 @@ class Cluster:
             deadline=deadline,
             tenant=tenant,
         )
-        with self._cv:
-            depth = len(self._queue) + (1 if self._inflight is not None else 0)
-            if depth >= self.max_pending:
-                self.metrics.saturations += 1
-                raise HostSaturated(
-                    f"cluster {self.name}: submit queue full "
-                    f"({depth}/{self.max_pending})"
-                )
-            self.metrics.submits += 1
-            self._queue.append(handle)
-            if self._dispatcher is None:
-                self._dispatcher = threading.Thread(
-                    target=self._dispatch_loop,
-                    name=f"{self.name}-dispatch",
-                    daemon=True,
-                )
-                self._dispatcher.start()
-            self._cv.notify()
+        self.metrics.submits += 1
+        self._queue.append(handle)
         return handle
 
     def _cancel_async(self, handle: ClusterHandle) -> bool:
         """Cancel ``handle`` if still queued (running/terminal requests
         return False); the :meth:`ClusterHandle.cancel` backend."""
-        with self._cv:
-            if handle.state is not HandleState.PENDING:
-                return False
-            try:
+        if handle.state is not HandleState.PENDING:
+            return False
+        self._queue.remove(handle)
+        self._settle(
+            handle,
+            SessionCancelled(f"cluster {self.name}: request {handle.uid} cancelled while queued"),
+        )
+        return True
+
+    def tick(self, timeout: float | None = None) -> None:
+        """Send every free shard the oldest queued request routed to it,
+        then wait on every outstanding shard at once — at most
+        ``timeout`` seconds, or until :meth:`wake` — and finish each
+        request that answered.  Returns at once when nothing is
+        outstanding."""
+        self._dispatch()
+        if not self._outstanding:
+            return
+        objects: list[Any] = []
+        for index in self._outstanding:
+            objects.extend(self.shards[index].waitables)
+        ready: list[Any] = []
+        if objects:  # process shards: an inline one answers when read
+            from multiprocessing.connection import wait
+
+            ready = wait([self._wake_r, *objects], timeout)
+            if self._wake_r in ready:
+                self._wake_r.recv(1 << 16)
+        for index in list(self._outstanding):
+            waitables = self.shards[index].waitables
+            if not waitables or any(obj in ready for obj in waitables):
+                self._complete(index)
+
+    def wake(self) -> None:
+        """Make a blocked :meth:`tick` return now; the one method
+        another thread may call."""
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:  # a full buffer (a wake is pending) or a closed cluster
+            pass
+
+    def _dispatch(self) -> None:
+        """Each free shard takes the oldest queued request routed to it;
+        one whose deadline passed while queued fails without touching a
+        shard.  :meth:`migrate` re-pins a session only once it has no
+        request outstanding, so its requests run in submit order
+        wherever it is placed."""
+        if not self._queue:
+            return
+        now = self._clock()
+        for handle in list(self._queue):
+            if handle.deadline_at is not None and handle.deadline_at <= now:
                 self._queue.remove(handle)
-            except ValueError:  # pragma: no cover - defensive
-                return False
-            self.metrics.cancellations += 1
-            handle._resolve(
-                exc=SessionCancelled(
-                    f"cluster {self.name}: request {handle.uid} cancelled while queued"
-                ),
-                state=HandleState.CANCELLED,
-            )
-            return True
+                self._settle(
+                    handle,
+                    DeadlineExceeded(
+                        f"cluster {self.name}: request {handle.uid} missed its "
+                        "wall-clock deadline while queued",
+                        steps=0,
+                    ),
+                )
+                continue
+            index = self.shard_for(handle.session_id)
+            if index not in self._outstanding:
+                self._send(index, handle)
+                self._queue.remove(handle)
 
-    def _dispatch_loop(self) -> None:
-        """The dispatcher thread: drain the front queue, performing one
-        blocking shard round-trip at a time."""
-        while True:
-            with self._cv:
-                while not self._queue and not self._closed:
-                    self._cv.wait()
-                if not self._queue:  # closed and drained
-                    return
-                handle = self._queue.popleft()
-                if handle.done():  # pragma: no cover - cancel raced the pop
-                    continue
-                handle._start()
-                self._inflight = handle
-            try:
-                self._execute(handle)
-            finally:
-                with self._cv:
-                    self._inflight = None
-
-    def _execute(self, handle: ClusterHandle) -> None:
-        """One request, start to terminal state (dispatcher thread)."""
-        t0 = perf_counter()
-        result: ClusterResult | None = None
-        failure: BaseException | None = None
-        deadline: float | None = None
-        if handle.deadline_at is not None:
-            deadline = handle.deadline_at - self._clock()
-        if deadline is not None and deadline <= 0:
-            failure = DeadlineExceeded(
-                f"cluster {self.name}: request {handle.uid} missed its "
-                "wall-clock deadline while queued",
-                steps=0,
-            )
-        else:
-            rec = self.recorder
-            try:
-                with self._op_lock:
-                    if rec is not None and rec.enabled:
-                        with rec.span("cluster.submit", handle.session_id, track="cluster"):
-                            result = self._submit_once(
-                                handle.session_id, handle.source, handle.max_steps, deadline
-                            )
-                    else:
-                        result = self._submit_once(
-                            handle.session_id, handle.source, handle.max_steps, deadline
-                        )
-            except BaseException as exc:  # noqa: BLE001 - resolve, never kill the loop
-                failure = exc
-        with self._cv:
-            # close() may have abandoned the request meanwhile; the
-            # resolution that wins is the only outcome counted, and it
-            # is counted before the handle wakes anyone.
-            if handle.done():
-                return
-            if result is not None:
-                self.metrics.request_us.observe((perf_counter() - t0) * 1e6)
-            if result is not None and result.ok:
-                self.metrics.completed += 1
-            else:
-                self.metrics.failed += 1
-            handle._resolve(result=result, exc=failure)
-
-    def _submit_once(
-        self,
-        session_id: str,
-        source: str,
-        max_steps: float | None,
-        deadline: float | None,
-    ) -> ClusterResult:
-        index = self.shard_for(session_id)
+    def _send(self, index: int, handle: ClusterHandle, recovered: bool = False) -> None:
+        """Start ``handle`` on shard ``index`` (PENDING → RUNNING)."""
+        session_id = handle.session_id
+        deadline_at = handle.deadline_at
         payload: dict[str, Any] = {
             "session_id": session_id,
-            "source": source,
-            "max_steps": max_steps,
-            "deadline": deadline,
+            "source": handle.source,
+            "max_steps": handle.max_steps,
+            "deadline": None if deadline_at is None else deadline_at - self._clock(),
         }
         if self._resident.get(session_id) != index:
             # Not live on the target shard: ship the last snapshot, or
@@ -525,46 +509,71 @@ class Cluster:
                 payload["blob"] = blob
             else:
                 payload["session_kwargs"] = self.session_defaults
-        recovered = False
-        try:
-            reply = self.shards[index].request("submit", payload)
-        except ShardDied:
-            if self._closed:
-                # close() stopped the worker under us; respawning it now
-                # would race close() for the same pipes.
-                raise
-            reply = self._recover(index, session_id, payload)
-            recovered = True
-        return self._finish(reply, recovered=recovered)
+        if not recovered:
+            handle._move(HandleState.RUNNING)
+        self._outstanding[index] = (handle, perf_counter(), recovered)
+        self.shards[index].send("submit", payload)
 
-    def _recover(
-        self, index: int, session_id: str, payload: dict[str, Any]
-    ) -> dict[str, Any]:
-        """A worker died under this request: respawn it, invalidate its
-        residents, and replay against the last snapshot."""
-        shard = self.shards[index]
+    def _complete(self, index: int) -> None:
+        """Persist and resolve the request shard ``index`` answered, or
+        recover the worker that died under it."""
+        handle, started, recovered = self._outstanding.pop(index)
+        try:
+            reply = self.shards[index].recv()
+            if recovered:
+                self.metrics.recoveries += 1
+            result = self._finish(reply, recovered=recovered)
+        except ShardDied as exc:
+            if recovered:  # died again under the replay
+                self._settle(handle, exc)
+            else:
+                self._recover(index, handle)
+            return
+        except Exception as exc:  # noqa: BLE001 - a shard-side fault or a failed store write
+            self._settle(handle, exc)
+            return
+        dur = perf_counter() - started
+        self.metrics.request_us.observe(dur * 1e6)
+        rec = self.recorder
+        if rec is not None and rec.enabled:
+            rec.complete("cluster.submit", started, dur, detail=handle.session_id)
+        self._settle(handle, result)
+
+    def _recover(self, index: int, handle: ClusterHandle) -> None:
+        """Respawn the worker, invalidate its residents, and replay the
+        request against the session's last snapshot — or fail it with
+        :class:`ShardDied` when there is none."""
         self.metrics.respawns += 1
-        shard.respawn()
+        self.shards[index].respawn()
         # Every session that was live on that worker is gone from RAM;
         # they all rehydrate from the store on next touch.
         for sid, at in list(self._resident.items()):
             if at == index:
                 del self._resident[sid]
-        blob = self.store.get(session_id)
-        if blob is None:
-            raise ShardDied(
-                f"shard {index} died and session {session_id!r} has no "
-                "snapshot to replay"
+        session_id = handle.session_id
+        if self.store.get(session_id) is None:
+            self._settle(
+                handle,
+                ShardDied(
+                    f"shard {index} died and session {session_id!r} has no "
+                    "snapshot to replay"
+                ),
             )
-        payload = dict(payload)
-        payload["blob"] = blob
-        payload.pop("session_kwargs", None)
+            return
         rec = self.recorder
         if rec is not None and rec.enabled:
             rec.emit("cluster.recover", session_id)
-        reply = self.shards[index].request("submit", payload)
-        self.metrics.recoveries += 1
-        return reply
+        self._send(index, handle, recovered=True)  # no longer resident: ships the blob
+
+    def _settle(self, handle: ClusterHandle, outcome: ClusterResult | BaseException) -> None:
+        """Count the request's one outcome, then resolve its handle."""
+        if isinstance(outcome, SessionCancelled):
+            self.metrics.cancellations += 1
+        elif isinstance(outcome, ClusterResult) and outcome.ok:
+            self.metrics.completed += 1
+        else:
+            self.metrics.failed += 1
+        handle._resolve(outcome)
 
     def _finish(self, reply: dict[str, Any], *, recovered: bool) -> ClusterResult:
         """Persist the piggybacked snapshot and fold shard-side timings
@@ -611,6 +620,23 @@ class Cluster:
 
     # -- session mobility ------------------------------------------------
 
+    def _shard_op(self, op: str, session_id: str) -> dict[str, Any] | None:
+        """Run ``op`` on the shard holding ``session_id`` in memory (None
+        when not resident), ticking until neither the session nor that
+        shard has a request outstanding."""
+        while True:
+            index = self._resident.get(session_id)
+            if index not in self._outstanding and all(
+                handle.session_id != session_id for handle, _, _ in self._outstanding.values()
+            ):
+                break
+            self.tick()
+        if index is None:
+            return None
+        shard = self.shards[index]
+        shard.send(op, {"session_id": session_id})
+        return shard.recv()
+
     def evict(self, session_id: str) -> bool:
         """Snapshot a session to the store and release its shard
         memory; returns True if it was resident.  The session stays
@@ -618,15 +644,13 @@ class Cluster:
         :class:`~repro.errors.SnapshotError`, and leaves the session
         resident, when it cannot be snapshotted."""
         self._check_open()
-        with self._op_lock:
-            index = self._resident.get(session_id)
-            if index is None:
-                return False
-            reply = self.shards[index].request("evict", {"session_id": session_id})
-            self._persist(session_id, reply)
-            del self._resident[session_id]
-            self.metrics.evictions += 1
-            return bool(reply.get("resident"))
+        reply = self._shard_op("evict", session_id)
+        if reply is None:
+            return False
+        self._persist(session_id, reply)
+        del self._resident[session_id]
+        self.metrics.evictions += 1
+        return bool(reply.get("resident"))
 
     def migrate(self, session_id: str, to_shard: int) -> int:
         """Move a session to ``to_shard`` (pinning it there): snapshot
@@ -643,11 +667,9 @@ class Cluster:
         rec = self.recorder
         if rec is not None and rec.enabled:
             rec.emit("cluster.migrate", f"{session_id} -> shard {to_shard}")
-        with self._op_lock:
-            if self._resident.get(session_id) is not None:
-                self.evict(session_id)
-            self._placement[session_id] = to_shard
-            self.metrics.migrations += 1
+        self.evict(session_id)
+        self._placement[session_id] = to_shard
+        self.metrics.migrations += 1
         return to_shard
 
     def snapshot_now(self, session_id: str) -> bytes | None:
@@ -657,12 +679,10 @@ class Cluster:
         :class:`~repro.errors.SnapshotError` when the session cannot be
         snapshotted."""
         self._check_open()
-        with self._op_lock:
-            index = self._resident.get(session_id)
-            if index is None:
-                return self.store.get(session_id)
-            reply = self.shards[index].request("snapshot", {"session_id": session_id})
-            return self._persist(session_id, reply)
+        reply = self._shard_op("snapshot", session_id)
+        if reply is None:
+            return self.store.get(session_id)
+        return self._persist(session_id, reply)
 
     # -- introspection / lifecycle ---------------------------------------
 
@@ -685,51 +705,26 @@ class Cluster:
         if self._closed:
             raise ClusterError(f"cluster {self.name} is closed")
 
-    def close(self, *, join_timeout: float = _CLOSE_JOIN_TIMEOUT) -> None:
-        """Shut the front down (idempotent): still-queued requests
-        resolve CANCELLED immediately, the in-flight request gets up to
-        ``join_timeout`` seconds to finish its shard round-trip and is
-        then abandoned — force-resolved CANCELLED, so **every**
-        outstanding :class:`ClusterHandle` reaches a terminal state
-        before this returns — the dispatcher thread exits, and every
-        worker is shut down.  Stored snapshots are untouched — a new
-        cluster over the same store resumes them."""
-        with self._cv:
-            if self._closed:
-                return
-            self._closed = True
-            while self._queue:
-                handle = self._queue.popleft()
-                self.metrics.cancellations += 1
-                handle._resolve(
-                    exc=SessionCancelled(
-                        f"cluster {self.name}: request {handle.uid} abandoned "
-                        "at close"
-                    ),
-                    state=HandleState.CANCELLED,
-                )
-            self._cv.notify_all()
-            dispatcher = self._dispatcher
-        if dispatcher is not None:
-            dispatcher.join(timeout=join_timeout)
-        # A wedged shard can hold the dispatcher past the join timeout;
-        # the caller still gets the terminal-state guarantee.  Both
-        # sides resolve under the condition lock and only a handle that
-        # is not yet terminal, so if the round-trip does eventually
-        # return, the dispatcher neither resolves nor counts it again.
-        with self._cv:
-            inflight = self._inflight
-            if inflight is not None and not inflight.done():
-                self.metrics.cancellations += 1
-                inflight._resolve(
-                    exc=SessionCancelled(
-                        f"cluster {self.name}: request {inflight.uid} abandoned "
-                        "in flight at close"
-                    ),
-                    state=HandleState.CANCELLED,
-                )
-        for shard in self.shards:
-            shard.shutdown()
+    def close(self) -> None:
+        """Shut the front down (idempotent): every queued and
+        outstanding request resolves CANCELLED at once, each counted
+        once; a worker serving a request is terminated, the others are
+        asked to exit.  Stored snapshots are untouched — a new cluster
+        over the same store resumes them."""
+        if self._closed:
+            return
+        self._closed = True
+        busy = set(self._outstanding)
+        abandoned = [handle for handle, _, _ in self._outstanding.values()] + list(self._queue)
+        self._outstanding.clear()
+        self._queue.clear()
+        for handle in abandoned:
+            message = f"cluster {self.name}: request {handle.uid} abandoned at close"
+            self._settle(handle, SessionCancelled(message))
+        for index, shard in enumerate(self.shards):
+            shard.shutdown(busy=index in busy)
+        self._wake_r.close()
+        self._wake_w.close()
 
     def __enter__(self) -> "Cluster":
         return self

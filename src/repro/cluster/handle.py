@@ -12,10 +12,10 @@ machine, reported to the same kind of listener::
 so code written against the handle-state machine — the gateway, the
 shared submit-contract test — drives host and cluster backends
 identically.  The differences are inherent to the tier: a cluster
-request is executed *blocking* on the front's dispatcher thread (the
-shard protocol is synchronous), so ``cancel`` succeeds only while the
-request is still queued — once the shard holds it, it runs to
-completion — and ``result`` waits on an event rather than pumping.
+request runs to completion on its shard (the shard protocol is
+synchronous), so ``cancel`` succeeds only while the request is still
+queued on the front; and ``wait``/``result`` drive the cluster's
+``tick`` rather than pumping a session.
 
 Evaluation errors come back from shards in-band (``status="error"``):
 the handle records them as a FAILED state whose :meth:`exception` is a
@@ -26,11 +26,11 @@ the classic blocking API.
 
 from __future__ import annotations
 
-import threading
+from time import monotonic
 from typing import TYPE_CHECKING, Any
 
 from repro.counters import SerialCounter
-from repro.errors import ClusterEvalError
+from repro.errors import ClusterEvalError, SessionCancelled
 from repro.host.handle import Handle, HandleState, Listener
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,8 +42,9 @@ _handle_ids = SerialCounter()
 
 
 class ClusterHandle(Handle):
-    """A submitted cluster request; resolved by the front's dispatcher
-    thread.  Thread-safe: any thread may poll, wait or cancel."""
+    """A submitted cluster request; resolved by its cluster's
+    :meth:`~repro.cluster.cluster.Cluster.tick`.  Like the cluster, it
+    belongs to the cluster's owner thread."""
 
     __slots__ = (
         "uid",
@@ -55,8 +56,6 @@ class ClusterHandle(Handle):
         "tenant",
         "submitted_at",
         "_result",
-        "_done",
-        "_resolve_lock",
     )
 
     def __init__(
@@ -84,15 +83,18 @@ class ClusterHandle(Handle):
         self.tenant = tenant
         self.submitted_at = now
         self._result: "ClusterResult | None" = None
-        self._done = threading.Event()
-        self._resolve_lock = threading.Lock()
 
     # -- inspection ------------------------------------------------------
 
     def wait(self, timeout: float | None = None) -> bool:
-        """Block until terminal (or ``timeout`` seconds); returns
-        :meth:`done`."""
-        self._done.wait(timeout)
+        """Tick the cluster until this request is terminal, or for at
+        most ``timeout`` seconds; returns :meth:`done`."""
+        end = None if timeout is None else monotonic() + timeout
+        while not self.done():
+            left = None if end is None else end - monotonic()
+            if left is not None and left <= 0:
+                break
+            self.cluster.tick(left)
         return self.done()
 
     def result(self, timeout: float | None = None) -> Any:
@@ -115,7 +117,7 @@ class ClusterHandle(Handle):
         inside it, ``status="error"``).  Infrastructure failures —
         shard death with no snapshot, cancellation, a closed cluster —
         still raise."""
-        if not self._done.wait(timeout):
+        if not self.wait(timeout):
             raise TimeoutError(
                 f"cluster request {self.uid} ({self.session_id!r}) still "
                 f"{self.state.value} after {timeout}s"
@@ -135,61 +137,38 @@ class ClusterHandle(Handle):
         return self.cluster._cancel_async(self)
 
     def subscribe(self, listener: Listener) -> None:
-        """As :meth:`Handle.subscribe`, under the resolve lock (the
-        dispatcher, a canceller or ``Cluster.close`` may move the
-        handle); a finished request reports its output first."""
-        with self._resolve_lock:
-            if self._result is not None and self._result.output:
-                listener(None, self._result.output)
-            super().subscribe(listener)
+        """As :meth:`Handle.subscribe`; a finished request reports its
+        output first."""
+        if self._result is not None and self._result.output:
+            listener(None, self._result.output)
+        super().subscribe(listener)
 
-    # -- internal (dispatcher-thread side) -------------------------------
+    # -- internal (the cluster's side) -----------------------------------
 
-    def _start(self) -> None:
-        """PENDING → RUNNING, as the dispatcher takes the request."""
-        with self._resolve_lock:
-            if not self._done.is_set():
-                self._move(HandleState.RUNNING)
-
-    def _resolve(
-        self,
-        result: "ClusterResult | None" = None,
-        exc: BaseException | None = None,
-        state: HandleState | None = None,
-    ) -> None:
-        """Record the outcome and wake waiters.  Exactly one of
-        ``result``/``exc`` is set; in-band error results also surface
-        as a :class:`ClusterEvalError` so the parity path raises.
-
-        The request's output is reported before its terminal state.
-
-        Idempotent — the *first* resolution wins and later ones are
-        no-ops.  This is what lets :meth:`Cluster.close` force an
-        abandoned in-flight handle to a terminal state without racing
-        the dispatcher thread, which may still resolve it for real if
-        the shard round-trip eventually returns.
-        """
-        with self._resolve_lock:
-            if self._done.is_set():
-                return
-            if result is not None:
-                self._result = result
-                self.steps = result.steps
-                self._output(result.output)
-                if result.ok:
-                    self._move(HandleState.DONE)
-                else:
-                    self._move(
-                        HandleState.FAILED,
-                        ClusterEvalError(
-                            f"session {self.session_id!r}: {result.error}",
-                            error_type=result.error_type,
-                        ),
-                    )
+    def _resolve(self, outcome: "ClusterResult | BaseException") -> None:
+        """Record the outcome: a shard's result or the failure that
+        ended the request (a :class:`~repro.errors.SessionCancelled`
+        ends CANCELLED).  In-band error results also surface as a
+        :class:`ClusterEvalError` so the parity path raises.  The
+        request's output is reported before its terminal state."""
+        if isinstance(outcome, SessionCancelled):
+            self._move(HandleState.CANCELLED, outcome)
+        elif isinstance(outcome, BaseException):
+            self._move(HandleState.FAILED, outcome)
+        else:
+            self._result = outcome
+            self.steps = outcome.steps
+            self._output(outcome.output)
+            if outcome.ok:
+                self._move(HandleState.DONE)
             else:
-                assert exc is not None
-                self._move(state if state is not None else HandleState.FAILED, exc)
-            self._done.set()
+                self._move(
+                    HandleState.FAILED,
+                    ClusterEvalError(
+                        f"session {self.session_id!r}: {outcome.error}",
+                        error_type=outcome.error_type,
+                    ),
+                )
 
     def __repr__(self) -> str:
         return (

@@ -10,14 +10,14 @@ whole design:
   admission state (:class:`~repro.gateway.quota.QuotaTable`) and the
   metrics.  Connection handlers parse frames, admit or shed, and await
   futures.  Nothing here ever blocks on evaluation.
-* **The pump thread** owns the backend.  The host tier is deliberately
-  synchronous and not thread-safe (ROADMAP: the machine stays
+* **The pump thread** owns the backend.  Host and Cluster are
+  deliberately synchronous and single-owner (ROADMAP: the machine stays
   synchronous; concurrency lives in the continuation algebra), so all
-  backend calls — submit, cancel, stats, ``host.tick()`` — run here,
-  fed by a command queue.  Between commands it ticks a Host backend
-  while the host has work; otherwise it blocks on the queue.  A Cluster
-  backend brings its own dispatcher thread, so its pump only runs
-  commands.
+  backend calls — submit, cancel, stats, ``tick()`` — run here, fed by
+  a command queue.  Between commands it ticks the backend while it has
+  work; otherwise it blocks on the queue.  A Cluster's tick blocks
+  until a shard answers, so every command posted to the queue also
+  wakes the backend (:meth:`~repro.cluster.cluster.Cluster.wake`).
 
 Nobody polls a request: the gateway subscribes to each handle at
 submit (:meth:`~repro.host.handle.Handle.subscribe`), and the listener
@@ -112,6 +112,9 @@ class _HostBackend:
         self.session_defaults = dict(session_defaults or {})
         self.session_defaults.setdefault("prelude", False)
 
+    def wake(self) -> None:
+        """A host tick never blocks: there is nothing to interrupt."""
+
     def submit(
         self,
         session: str,
@@ -145,12 +148,15 @@ class _HostBackend:
 
 
 class _ClusterBackend:
-    """Adapter: a :class:`Cluster` as a gateway backend.  The cluster
-    front is thread-safe (its own dispatcher thread does the blocking
-    shard round-trips), so the pump thread only forwards commands."""
+    """Adapter: a :class:`Cluster` as a gateway backend, owned by the
+    pump thread like a host; ``wake`` is the loop thread's way to
+    interrupt a tick blocked on the shards."""
 
     def __init__(self, cluster: Cluster):
         self.cluster = cluster
+
+    def wake(self) -> None:
+        self.cluster.wake()
 
     def submit(
         self,
@@ -317,6 +323,7 @@ class Gateway:
             raise TypeError(
                 f"backend must be a Host or Cluster, got {type(backend).__name__}"
             )
+        self._tier = backend  # both tiers are driven through idle and tick()
         self.name = name if name is not None else f"gateway-{next(_gateway_ids)}"
         self.host = host
         self.port = port
@@ -363,7 +370,7 @@ class Gateway:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        self._cmds.put(None)
+        self._post(None)
         if self._pump is not None:
             await asyncio.get_running_loop().run_in_executor(None, self._pump.join)
 
@@ -380,20 +387,26 @@ class Gateway:
     # -- the pump thread -------------------------------------------------
 
     def _pump_loop(self) -> None:
-        """Run commands as they come.  While a Host backend has work,
-        drain the queue without blocking and tick the host between
-        drains; otherwise block until the next command."""
-        host = self.backend.host if isinstance(self.backend, _HostBackend) else None
+        """Run commands as they come.  While the backend has work, take
+        commands without blocking and tick the backend between them;
+        otherwise block until the next command."""
+        tier = self._tier
         while True:
-            busy = host is not None and not host.idle
+            busy = not tier.idle
             try:
                 command = self._cmds.get(block=not busy)
             except queue_mod.Empty:
-                host.tick()  # type: ignore[union-attr]  # busy implies a host
+                tier.tick()
                 continue
             if command is None:
                 return
             command()
+
+    def _post(self, command: Callable[[], None] | None) -> None:
+        """Queue ``command`` for the pump thread (None stops it) and wake
+        a backend tick that is blocked waiting for work to finish."""
+        self._cmds.put(command)
+        self.backend.wake()
 
     def _call_soon(self, fn: Callable[..., None], *args: Any) -> None:
         loop = self._loop
@@ -417,7 +430,7 @@ class Gateway:
             else:
                 self._call_soon(self._settle, fut, result, None)
 
-        self._cmds.put(command)
+        self._post(command)
         return fut
 
     @staticmethod
@@ -585,7 +598,7 @@ class Gateway:
                 handle = req.handle
                 if handle is not None:
                     self.metrics.disconnect_cancels += 1
-                    self._cmds.put(handle.cancel)
+                    self._post(handle.cancel)
         conn.requests.clear()
 
     async def _dispatch(self, conn: _Connection, frame: dict[str, Any]) -> None:
@@ -662,8 +675,7 @@ class Gateway:
                 self._call_soon(self._on_event, req, state, text)
 
         def _do_submit() -> Any:
-            # Subscribed before a Host backend can tick it; a Cluster
-            # request may have moved already, and reports where it is.
+            # Subscribed before the backend's next tick can move it.
             handle = self.backend.submit(
                 session,
                 source,

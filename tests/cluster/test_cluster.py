@@ -9,6 +9,7 @@ has its own exhaustive matrix in ``tests/snapshot/``.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import signal
@@ -19,7 +20,8 @@ import pytest
 from repro import Session
 from repro.cluster import Cluster, DirectoryStore, MemoryStore
 from repro.datum import intern
-from repro.errors import ClusterError, ShardDied, SnapshotError
+from repro.errors import ClusterError, SessionCancelled, ShardDied, SnapshotError
+from repro.host.handle import HandleState
 
 
 # -- inline mode (workers=0, no multiprocessing) --------------------------
@@ -258,79 +260,88 @@ def test_mp_sigkill_without_snapshot_raises():
         assert c.submit("newborn", "(+ 1 1)").value == "2"
 
 
-def test_close_force_resolves_wedged_inflight_handle():
-    """``close()`` must leave no handle non-terminal: when the
-    dispatcher's in-flight shard round-trip outlives ``join_timeout``,
-    the handle is force-resolved CANCELLED instead of dangling."""
-    from repro.errors import SessionCancelled
-    from repro.host.handle import HandleState
-
-    c = Cluster(workers=1)
-    # Unbounded tail-recursive loop: the shard never replies.
+def test_close_cancels_a_wedged_worker_request():
+    """A request a real worker never answers: ``close()`` returns at
+    once with its handle CANCELLED, terminating the worker instead of
+    waiting for it, and respawns nothing."""
+    c = Cluster(workers=1, session_defaults={"prelude": False})
     handle = c.submit_async("wedged", "(define (f) (f)) (f)")
-    deadline = time.monotonic() + 10.0
-    while handle.state is not HandleState.RUNNING:
-        assert time.monotonic() < deadline, "request never dispatched"
-        time.sleep(0.005)
-    c.close(join_timeout=0.2)
-    assert handle.done()
+    c.tick(timeout=0)
+    assert handle.state is HandleState.RUNNING
+    t0 = time.monotonic()
+    c.close()
+    assert time.monotonic() - t0 < 5.0
     assert handle.state is HandleState.CANCELLED
     with pytest.raises(SessionCancelled):
         handle.result()
-    # The worker died because close() stopped it: nothing respawns it.
-    c._dispatcher.join(timeout=10.0)
-    assert not c._dispatcher.is_alive()
     assert c.metrics.respawns == 0
 
 
 def test_request_abandoned_at_close_is_counted_once():
-    """A request force-cancelled by ``close()`` whose shard round-trip
-    returns afterwards counts as one cancellation, not also as a
-    completion: submits == completed + failed + cancellations."""
-    import threading
-
-    from repro.host.handle import HandleState
-
-    c = Cluster(workers=0, session_defaults={"prelude": False})
-    shard = c.shards[0]
-    release = threading.Event()
-    request = shard.request
-
-    def held_request(op, payload):
-        release.wait(10.0)
-        return request(op, payload)
-
-    shard.request = held_request
-    handle = c.submit_async("s", "(+ 1 2)")
-    deadline = time.monotonic() + 10.0
-    while handle.state is not HandleState.RUNNING:
-        assert time.monotonic() < deadline, "request never dispatched"
-        time.sleep(0.005)
-    c.close(join_timeout=0.01)
-    assert handle.state is HandleState.CANCELLED
-    release.set()  # the round-trip now returns to a closed front
-    c._dispatcher.join(10.0)
-    assert not c._dispatcher.is_alive()
+    """Requests outstanding or queued at ``close()`` count as one
+    cancellation each and nothing else, whatever is ticked or waited on
+    afterwards: submits == completed + failed + cancellations."""
+    c = Cluster(workers=1, session_defaults={"prelude": False})
+    sent = c.submit_async("s", "(+ 1 2)")
+    queued = c.submit_async("s", "(+ 3 4)")
+    c.tick(timeout=0)
+    assert (sent.state, queued.state) == (HandleState.RUNNING, HandleState.PENDING)
+    c.close()
+    c.tick()
+    assert sent.wait() and queued.wait()
+    assert (sent.state, queued.state) == (HandleState.CANCELLED, HandleState.CANCELLED)
     stats = c.stats
     outcomes = [stats[f"cluster.{k}"] for k in ("completed", "failed", "cancellations")]
-    assert stats["cluster.submits"] == sum(outcomes) == 1
-    assert outcomes == [0, 0, 1]
+    assert stats["cluster.submits"] == sum(outcomes) == 2
+    assert outcomes == [0, 0, 2]
+    assert stats["cluster.queue_depth"] == 0
     assert c.histograms()["cluster.request_us"]["count"] == 0
 
 
 def test_close_cancels_queued_handles():
     """Queued (never dispatched) handles also reach a terminal state."""
-    from repro.host.handle import HandleState
+    c = Cluster(workers=0, session_defaults={"prelude": False})
+    queued = [c.submit_async(sid, "(+ 1 1)") for sid in ("a", "b")]
+    c.close()
+    assert [h.state for h in queued] == [HandleState.CANCELLED] * 2
+    assert c.stats["cluster.cancellations"] == 2
 
-    c = Cluster(workers=0)
-    slow = c.submit_async(
-        "busy", "(define (loop n) (if (= n 0) 0 (loop (- n 1)))) (loop 300000)"
-    )
-    queued = c.submit_async("later", "(+ 1 1)")
-    c.close(join_timeout=5.0)
-    assert queued.done()
-    assert queued.state is HandleState.CANCELLED
-    assert slow.done()  # finished or abandoned — terminal either way
+
+def _ids_on_both_shards(c):
+    """Two session ids that hash to shards 0 and 1."""
+    by_shard = {}
+    for i in itertools.count():
+        by_shard.setdefault(c.shard_for(f"s{i}"), f"s{i}")
+        if len(by_shard) == 2:
+            return by_shard[0], by_shard[1]
+
+
+def test_one_tick_starts_a_request_on_every_free_shard():
+    """The front overlaps shards: one tick sends each shard its request
+    before it waits for any reply."""
+    with Cluster(workers=2, session_defaults={"prelude": False}) as c:
+        handles = [c.submit_async(sid, "(+ 1 1)") for sid in _ids_on_both_shards(c)]
+        c.tick(timeout=0)
+        assert all(h.state is not HandleState.PENDING for h in handles)
+        assert [h.result(30.0) for h in handles] == ["2", "2"]
+        assert sorted(h.cluster_result().shard for h in handles) == [0, 1]
+
+
+def test_migrate_behind_an_outstanding_request_keeps_submit_order():
+    """A session with requests queued behind an outstanding one moves
+    shards: migrate waits for the outstanding request only, and the
+    queued ones answer in submit order on the new shard."""
+    with Cluster(workers=2, session_defaults={"prelude": False}) as c:
+        c.submit("m", "(define n 0)")
+        c.evict("m")  # resident nowhere: migrate must wait for the request itself
+        source = c.shard_for("m")
+        handles = [c.submit_async("m", "(set! n (+ n 1)) n") for _ in range(4)]
+        c.tick(timeout=0)
+        assert all(h.state is HandleState.PENDING for h in handles[1:])
+        c.migrate("m", 1 - source)
+        results = [h.cluster_result(30.0) for h in handles]
+        assert [r.value for r in results] == ["1", "2", "3", "4"]
+        assert [r.shard for r in results] == [source] + [1 - source] * 3
 
 
 @pytest.mark.skipif(

@@ -95,30 +95,39 @@ def test_gateway_threads_clock_into_quota():
 
 
 def test_cluster_queued_deadline_expires_by_injected_clock():
-    """A queued request's wall-clock deadline fires when the *injected*
-    clock passes it — driven here by hand while the dispatcher is busy,
-    no real waiting involved."""
+    """A queued request's deadline fires when the *injected* clock
+    passes it.  Nothing runs until the front is ticked, so the clock is
+    advanced by hand with no busy request to race and no real waiting."""
     clock = ManualClock()
-    with Cluster(workers=0, clock=clock) as c:
-        # Occupy the single dispatcher thread with a slow request so
-        # the second one sits queued while we advance the clock.
-        slow = c.submit_async(
-            "busy", "(define (loop n) (if (= n 0) 0 (loop (- n 1)))) (loop 500000)"
-        )
+    with Cluster(workers=0, clock=clock, session_defaults={"prelude": False}) as c:
         doomed = c.submit_async("victim", "(+ 1 1)", deadline=5.0)
         clock.advance(10.0)  # the deadline passes without any real time
-        assert doomed.wait(timeout=30.0)
+        c.tick()
         assert doomed.state is HandleState.FAILED
         with pytest.raises(DeadlineExceeded):
             doomed.result()
-        slow.wait(timeout=30.0)
+        assert c.sessions() == []  # it never reached a shard
 
 
-def test_cluster_deadline_not_fired_early_by_real_time():
-    """Conversely: real time passing does not expire a deadline when
-    the injected clock stands still."""
+def test_cluster_deadline_not_fired_early_by_real_time(monkeypatch):
+    """Real time passing does not expire a queued deadline while the
+    injected clock stands still.  Only that front-side check reads the
+    injected clock: the shard is sent the allowance left on it and
+    enforces that in real time, so the allowance here is one no run
+    can miss."""
     clock = ManualClock()
-    with Cluster(workers=0, clock=clock) as c:
-        handle = c.submit_async("s", "(+ 20 22)", deadline=0.001)
-        assert handle.wait(timeout=30.0)
-        assert handle.result() == "42"
+    with Cluster(workers=0, clock=clock, session_defaults={"prelude": False}) as c:
+        runtime = c.shards[0].runtime
+        handle_op = runtime.handle
+        sent = []
+
+        def spy(op, payload):
+            sent.append(payload["deadline"])
+            return handle_op(op, payload)
+
+        monkeypatch.setattr(runtime, "handle", spy)
+        handle = c.submit_async("s", "(+ 20 22)", deadline=30.0)
+        time.sleep(0.01)  # real time passes; the injected clock does not
+        clock.advance(10.0)
+        assert handle.result(timeout=30.0) == "42"
+        assert sent == [20.0]

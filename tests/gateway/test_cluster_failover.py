@@ -164,16 +164,16 @@ def test_shard_death_transparency(kill_point, snapshotted, tmp_path, monkeypatch
 def test_disconnect_cancels_queued_cluster_work():
     """A client that vanishes with inflight requests against a Cluster
     backend must not leak shard-side work: its queued requests are
-    cancelled on the cluster front (regression: ``Cluster.stats()``
-    shows the cancellations and the queue drains)."""
+    cancelled on the cluster front (regression: the cluster's stats
+    show the cancellations and the queue drains)."""
 
     async def main():
-        cluster = Cluster(workers=0, session_defaults={"prelude": False})
+        cluster = Cluster(workers=1, session_defaults={"prelude": False})
         try:
             async with Gateway(cluster) as gw:
                 client = await GatewayClient.connect(gw.host, gw.port)
-                # The first request occupies the single dispatcher; the
-                # next two sit queued (still cancellable) when we leave.
+                # The first request occupies the one worker; the next
+                # two sit queued (still cancellable) when we leave.
                 await client.submit(
                     "busy",
                     "(define (loop n) (if (= n 0) 0 (loop (- n 1)))) (loop 300000)",
@@ -182,21 +182,21 @@ def test_disconnect_cancels_queued_cluster_work():
                 await client.submit("q2", "(+ 2 2)")
                 await client.close()  # abandon all three inflight
 
-                deadline = time.monotonic() + 30.0
-                while time.monotonic() < deadline:
-                    if cluster.stats["cluster.cancellations"] >= 2:
-                        break
-                    await asyncio.sleep(0.01)
-                assert cluster.stats["cluster.cancellations"] >= 2
-                assert gw.stats["gateway.disconnect_cancels"] == 3
-
                 # The queue drains completely once the running request
                 # finishes — nothing abandoned keeps a slot.
-                while time.monotonic() < deadline:
-                    if cluster.stats["cluster.queue_depth"] == 0:
-                        break
-                    await asyncio.sleep(0.01)
-                assert cluster.stats["cluster.queue_depth"] == 0
+                observer = await GatewayClient.connect(gw.host, gw.port)
+                try:
+                    deadline = time.monotonic() + 30.0
+                    stats = await observer.stats()
+                    while stats["cluster.queue_depth"] and time.monotonic() < deadline:
+                        await asyncio.sleep(0.01)
+                        stats = await observer.stats()
+                finally:
+                    await observer.close()
+                assert stats["cluster.queue_depth"] == 0
+                assert stats["cluster.cancellations"] == 2
+                assert stats["cluster.completed"] == 1
+                assert gw.stats["gateway.disconnect_cancels"] == 3
         finally:
             cluster.close()
 

@@ -308,7 +308,7 @@ def test_stream_reports_running_even_within_one_tick():
 
 
 def test_every_streamed_cluster_request_ends_in_a_terminal_event():
-    """The cluster dispatcher can finish a request before its submit
+    """The pump can tick a cluster request to its end before its submit
     ack is written; the gateway holds those events until the ack is out,
     so no stream loses its terminal event."""
 
@@ -426,8 +426,8 @@ def test_cluster_backend_eval_error_carries_original_type():
 
 
 def test_cluster_session_defaults_rejected_on_gateway():
-    with pytest.raises(ValueError):
-        Gateway(Cluster(workers=0), session_defaults={"prelude": False})
+    with Cluster(workers=0) as cluster, pytest.raises(ValueError):
+        Gateway(cluster, session_defaults={"prelude": False})
 
 
 def test_backend_type_checked():

@@ -5,8 +5,6 @@ Host and an inline ``Cluster(workers=0)``."""
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro import Cluster, Session
@@ -36,23 +34,19 @@ def _recorder():
 
 def test_listener_sees_running_then_one_terminal_state(front):
     calls, listener = _recorder()
-    # Held, so nothing can finish before the listener is attached (a
-    # cluster request may already be RUNNING: subscribe reports it).
-    with front.held():
-        handle = front.submit("(+ 1 2)")
-        handle.subscribe(listener)
+    handle = front.submit("(+ 1 2)")
+    handle.subscribe(listener)
     front.drive(handle)
     assert [state for state, _ in calls] == [RUNNING, DONE]
 
 
 def test_cancel_while_queued_reports_one_cancelled(front):
     calls, listener = _recorder()
-    with front.held():
-        blocker = front.submit(LOOP, max_steps=50_000)
-        queued = front.submit("(+ 1 1)")
-        queued.subscribe(listener)
-        assert queued.cancel() is True
-        assert calls == [(CANCELLED, "")]
+    blocker = front.submit(LOOP, max_steps=50_000)
+    queued = front.submit("(+ 1 1)")
+    queued.subscribe(listener)
+    assert queued.cancel() is True
+    assert calls == [(CANCELLED, "")]
     front.drive(blocker)
     assert calls == [(CANCELLED, "")]
 
@@ -67,36 +61,27 @@ def test_subscribe_to_terminal_handle_reports_it_once(front):
 
 def test_output_reaches_the_listener_before_the_terminal_state(front):
     calls, listener = _recorder()
-    with front.held():
-        handle = front.submit('(display "out") 7')
-        handle.subscribe(listener)
+    handle = front.submit('(display "out") 7')
+    handle.subscribe(listener)
     front.drive(handle)
     text = "".join(t for state, t in calls if state is None)
     assert text == "out"
     assert calls[-1] == (DONE, "")
 
 
-def test_close_force_resolve_notifies_once():
-    """``Cluster.close`` abandons an in-flight request (CANCELLED); the
-    dispatcher's later resolution of the same handle is a no-op, and
-    the listener hears exactly one terminal state."""
-    cluster = Cluster(workers=0, session_defaults={"prelude": False})
+def test_close_notifies_an_outstanding_handle_once():
+    """``Cluster.close`` cancels a request a worker is still serving:
+    its listener hears RUNNING, then exactly one terminal state, and
+    nothing after the close."""
+    cluster = Cluster(workers=1, session_defaults={"prelude": False})
     calls, listener = _recorder()
-    with cluster._op_lock:  # park the dispatcher before the shard call
-        handle = cluster.submit_async("s", "(+ 1 1)")
-        handle.subscribe(listener)
-        deadline = time.monotonic() + 10.0
-        while handle.state is not RUNNING:  # taken by the dispatcher
-            assert time.monotonic() < deadline
-            time.sleep(0.001)
-        cluster.close(join_timeout=0.05)
-        assert handle.state is CANCELLED
-    cluster._dispatcher.join(10.0)
-    assert not cluster._dispatcher.is_alive()
-    assert calls[-1] == (CANCELLED, "")
-    assert [state for state, _ in calls if state is not None and state.terminal] == [
-        CANCELLED
-    ]
+    handle = cluster.submit_async("s", LOOP)
+    handle.subscribe(listener)
+    cluster.tick(timeout=0)
+    cluster.close()
+    cluster.tick()
+    assert handle.wait()
+    assert calls == [(RUNNING, ""), (CANCELLED, "")]
 
 
 def test_listener_leaves_snapshot_bytes_unchanged(monkeypatch):

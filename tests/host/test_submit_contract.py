@@ -11,7 +11,6 @@ through one driver seam, so the contract cannot drift per-tier."""
 
 from __future__ import annotations
 
-import contextlib
 import inspect
 
 import pytest
@@ -33,14 +32,10 @@ class _SessionFront:
         return self.session.submit(source, **kwargs)
 
     def drive(self, handle):
-        """Run until the handle is terminal; never raises."""
+        """Run until the handle is terminal; never raises.  No front
+        starts work before it is driven."""
         while not handle.done():
             self.session.pump(1 << 14)
-
-    def held(self):
-        """A context in which the front starts no work: nothing runs
-        here until the caller pumps."""
-        return contextlib.nullcontext()
 
     def submit_fn(self):
         return self.session.submit
@@ -63,9 +58,6 @@ class _HostFront:
         while not handle.done():
             self.host.tick()
 
-    def held(self):
-        return contextlib.nullcontext()
-
     def submit_fn(self):
         return self.host.submit
 
@@ -85,13 +77,8 @@ class _ClusterFront:
         return self.cluster.submit_async("s", source, **kwargs)
 
     def drive(self, handle):
-        handle.wait(30.0)
-
-    def held(self):
-        """Hold the front's op lock: the dispatcher may take the first
-        request off the queue, but parks on the lock before any shard
-        round-trip, so every later request stays queued."""
-        return self.cluster._op_lock
+        while not handle.done():
+            self.cluster.tick()
 
     def submit_fn(self):
         return self.cluster.submit_async
@@ -143,8 +130,7 @@ def test_submit_kwargs_identical_across_frontends():
 
 def test_handle_reaches_done_with_parity_surface(front):
     handle = front.submit("(+ 40 2)", tenant="acme")
-    # Pre-drive the handle is live (cluster may already be running it).
-    assert handle.state in (HandleState.PENDING, HandleState.RUNNING, HandleState.DONE)
+    assert handle.state is HandleState.PENDING
     front.drive(handle)
     assert handle.state is HandleState.DONE
     assert handle.done()
@@ -162,15 +148,14 @@ def test_handle_failure_is_terminal_failed(front):
 
 
 def test_cancel_while_queued_is_cancelled_with_session_cancelled(front):
-    # While the front cannot start work, a request submitted behind a
-    # blocker is provably still queued when it is cancelled.
-    with front.held():
-        blocker = front.submit(LOOP, max_steps=50_000)
-        queued = front.submit("(+ 1 1)")
-        assert queued.state is HandleState.PENDING
-        assert queued.cancel() is True
-        assert queued.state is HandleState.CANCELLED
-        assert isinstance(queued.exception(), SessionCancelled)
+    # Nothing runs until the front is driven, so a request submitted
+    # behind a blocker is provably still queued when it is cancelled.
+    blocker = front.submit(LOOP, max_steps=50_000)
+    queued = front.submit("(+ 1 1)")
+    assert queued.state is HandleState.PENDING
+    assert queued.cancel() is True
+    assert queued.state is HandleState.CANCELLED
+    assert isinstance(queued.exception(), SessionCancelled)
     front.drive(blocker)
     assert blocker.done()
     assert queued.state is HandleState.CANCELLED
