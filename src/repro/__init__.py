@@ -56,7 +56,7 @@ from repro.snapshot import SNAPSHOT_VERSION, restore_session, snapshot_session
 from repro.cluster import Cluster, ClusterHandle, ClusterResult, DirectoryStore, MemoryStore
 from repro.gateway import Gateway, GatewayClient, GatewayLimits, TokenBucket
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "Interpreter",

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-import socket
 import zlib
 from collections import deque
 from dataclasses import dataclass
@@ -244,8 +243,9 @@ class Cluster:
 
     A cluster has one owner thread, like a
     :class:`~repro.host.host.Host`: it submits, cancels, ticks, waits on
-    handles and moves sessions.  :meth:`wake` is the one method another
-    thread may call.
+    handles and moves sessions.  An owner with other work to wait for,
+    such as an event loop, ticks with ``timeout=0`` and waits on
+    :attr:`waitables` itself.
 
     Parameters
     ----------
@@ -306,9 +306,6 @@ class Cluster:
         #: session id -> pinned shard (set by migrate); else hashed.
         self._placement: dict[str, int] = {}
         self._closed = False
-        # tick() waits on one end; wake() writes a byte to the other.
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_w.setblocking(False)
         if self.session_defaults.get("prelude", True):
             # Built before the fork, so every worker (respawns
             # included) inherits it instead of reading the prelude.
@@ -433,37 +430,35 @@ class Cluster:
         )
         return True
 
-    def tick(self, timeout: float | None = None) -> None:
+    @property
+    def waitables(self) -> list[Any]:
+        """Every outstanding shard's reply pipe and process sentinel:
+        one becomes readable when its worker replies or exits.  An
+        inline shard has none, since it answers when read."""
+        return [obj for index in self._outstanding for obj in self.shards[index].waitables]
+
+    def tick(self, timeout: float | None = None) -> int:
         """Send every free shard the oldest queued request routed to it,
-        then wait on every outstanding shard at once — at most
-        ``timeout`` seconds, or until :meth:`wake` — and finish each
-        request that answered.  Returns at once when nothing is
-        outstanding."""
+        then wait on :attr:`waitables` for at most ``timeout`` seconds
+        and finish each request that answered; returns how many did.  A
+        shard freed this way gets its next request at the next tick.
+        Returns at once when nothing is outstanding."""
         self._dispatch()
         if not self._outstanding:
-            return
-        objects: list[Any] = []
-        for index in self._outstanding:
-            objects.extend(self.shards[index].waitables)
+            return 0
+        waitables = self.waitables
         ready: list[Any] = []
-        if objects:  # process shards: an inline one answers when read
+        if waitables:
             from multiprocessing.connection import wait
 
-            ready = wait([self._wake_r, *objects], timeout)
-            if self._wake_r in ready:
-                self._wake_r.recv(1 << 16)
+            ready = wait(waitables, timeout)
+        answered = 0
         for index in list(self._outstanding):
-            waitables = self.shards[index].waitables
-            if not waitables or any(obj in ready for obj in waitables):
+            objects = self.shards[index].waitables
+            if not objects or any(obj in ready for obj in objects):
                 self._complete(index)
-
-    def wake(self) -> None:
-        """Make a blocked :meth:`tick` return now; the one method
-        another thread may call."""
-        try:
-            self._wake_w.send(b"\0")
-        except OSError:  # a full buffer (a wake is pending) or a closed cluster
-            pass
+                answered += 1
+        return answered
 
     def _dispatch(self) -> None:
         """Each free shard takes the oldest queued request routed to it;
@@ -723,8 +718,6 @@ class Cluster:
             self._settle(handle, SessionCancelled(message))
         for index, shard in enumerate(self.shards):
             shard.shutdown(busy=index in busy)
-        self._wake_r.close()
-        self._wake_w.close()
 
     def __enter__(self) -> "Cluster":
         return self

@@ -4,8 +4,8 @@ An asyncio TCP gateway speaking newline-delimited JSON in front of a
 :class:`~repro.host.host.Host` or :class:`~repro.cluster.cluster.Cluster`
 backend, with per-tenant quotas, bounded inflight, and structured load
 shedding (``busy`` + ``retry_after_ms``) instead of unbounded
-buffering.  The machinery below stays synchronous: one pump thread
-drives the backend; the event loop owns only sockets and admission.
+buffering.  The machinery below stays synchronous: one task on the
+event loop ticks the backend, beside the sockets and admission.
 See ``docs/SERVING.md`` for the wire protocol and shed contract.
 """
 

@@ -126,7 +126,8 @@ class GatewayClient:
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # noqa: BLE001 - fan the failure out
-            self._closed = True
+            self._closed = True  # so close() returns at once: release the socket here
+            self._writer.close()
             self._fail_pending(
                 exc
                 if isinstance(exc, (GatewayClosed, FrameError))

@@ -1,15 +1,18 @@
 """Admission control for the gateway: token buckets and inflight caps.
 
 All admission state lives on the gateway's asyncio thread — admission
-checks happen in the connection handlers and releases are routed back
-to the loop via ``call_soon_threadsafe`` — so none of this needs locks.
-Refusals are *load shedding*: the caller gets a structured ``busy``
-reply with a ``retry_after_ms`` hint and nothing is buffered on its
-behalf (see ``docs/SERVING.md``).
+checks happen in the connection handlers, and a request's slot is
+released there or in the backend tick that ends it — so none of this
+needs locks.  Refusals are *load shedding*: the caller gets a
+structured ``busy`` reply with a ``retry_after_ms`` hint and nothing
+is buffered on its behalf (see ``docs/SERVING.md``).  Memory is
+bounded too: a tenant's token bucket is dropped once it has refilled,
+since a full bucket admits exactly like a fresh one.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from time import monotonic
 from typing import Callable
@@ -84,7 +87,9 @@ class TokenBucket:
 class QuotaTable:
     """Per-tenant admission bookkeeping against a
     :class:`GatewayLimits`: global + per-tenant inflight counters and
-    lazily-created per-tenant token buckets.
+    lazily-created per-tenant token buckets.  A bucket untouched for
+    the ``burst / rate`` seconds it takes to refill is dropped, so the
+    table holds one bucket per tenant seen within that window.
 
     :meth:`admit` either admits (the caller *must* eventually
     :meth:`release` with the same tenant) or returns a refusal
@@ -101,7 +106,8 @@ class QuotaTable:
         self.clock = clock
         self.inflight = 0
         self.tenant_inflight: dict[str, int] = {}
-        self._buckets: dict[str, TokenBucket] = {}
+        #: Least recently used first, so the refilled ones lead.
+        self._buckets: OrderedDict[str, TokenBucket] = OrderedDict()
 
     @staticmethod
     def _key(tenant: str | None) -> str:
@@ -118,17 +124,31 @@ class QuotaTable:
         if self.tenant_inflight.get(key, 0) >= limits.tenant_max_inflight:
             return "tenant-inflight", limits.retry_after_ms / 1000.0
         if limits.tenant_rate is not None:
+            self._drop_refilled()
             bucket = self._buckets.get(key)
             if bucket is None:
                 bucket = self._buckets[key] = TokenBucket(
                     limits.tenant_rate, limits.tenant_burst, clock=self.clock
                 )
+            else:
+                self._buckets.move_to_end(key)
             ok, wait = bucket.try_acquire()
             if not ok:
                 return "tenant-rate", wait
         self.inflight += 1
         self.tenant_inflight[key] = self.tenant_inflight.get(key, 0) + 1
         return None
+
+    def _drop_refilled(self) -> None:
+        """Forget the buckets untouched for ``burst / rate`` seconds:
+        they hold ``burst`` tokens, exactly as a fresh one would."""
+        buckets = self._buckets
+        now = self.clock()
+        while buckets:
+            key, bucket = next(iter(buckets.items()))
+            if (now - bucket.updated) * bucket.rate < bucket.burst - _EPS:
+                return
+            del buckets[key]
 
     def release(self, tenant: str | None) -> None:
         """Return one admitted slot (called when its request reaches a

@@ -3,26 +3,26 @@
 The gateway owns a TCP listener speaking the NDJSON protocol of
 :mod:`repro.gateway.protocol` and a *backend* — a
 :class:`~repro.host.host.Host` or :class:`~repro.cluster.cluster.Cluster`
-— that actually evaluates.  The split of work between threads is the
-whole design:
+— that actually evaluates.  Everything runs on the asyncio thread:
 
-* **The asyncio thread** owns every socket, the request registry, the
-  admission state (:class:`~repro.gateway.quota.QuotaTable`) and the
-  metrics.  Connection handlers parse frames, admit or shed, and await
-  futures.  Nothing here ever blocks on evaluation.
-* **The pump thread** owns the backend.  Host and Cluster are
-  deliberately synchronous and single-owner (ROADMAP: the machine stays
-  synchronous; concurrency lives in the continuation algebra), so all
-  backend calls — submit, cancel, stats, ``tick()`` — run here, fed by
-  a command queue.  Between commands it ticks the backend while it has
-  work; otherwise it blocks on the queue.  A Cluster's tick blocks
-  until a shard answers, so every command posted to the queue also
-  wakes the backend (:meth:`~repro.cluster.cluster.Cluster.wake`).
+* **Connection handlers** parse frames, admit or shed against the
+  :class:`~repro.gateway.quota.QuotaTable`, and call the backend's
+  submit, cancel and stats directly.  Host and Cluster are
+  synchronous and single-owner (ROADMAP: the machine stays
+  synchronous; concurrency lives in the continuation algebra), and
+  none of those calls evaluates anything.
+* **One driver task** ticks the backend while it has work.  A host
+  tick runs bounded quanta, then the driver yields to the loop.  A
+  cluster tick never blocks (``tick(0)``); when no shard answered, the
+  driver waits until a shard's reply pipe or sentinel is readable or
+  a submit arrives.  An idle backend leaves the driver asleep on an
+  :class:`asyncio.Event`: no thread, no timer, no polling.
 
-Nobody polls a request: the gateway subscribes to each handle at
-submit (:meth:`~repro.host.handle.Handle.subscribe`), and the listener
-marshals each reported transition or output delta to the loop, which
-holds them until the submit ack is written.
+Nobody polls a request either: the gateway subscribes to each handle
+at submit (:meth:`~repro.host.handle.Handle.subscribe`), and the
+listener hands each reported transition or output delta straight to
+the gateway.  The submit ack takes the connection's write lock before
+the driver can tick again, so no event frame precedes its ack.
 
 Backpressure is structural: a submit is either *admitted* (counted
 against the tenant's and the gateway's inflight caps, token bucket
@@ -39,8 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import queue as queue_mod
-import threading
+import math
 from collections import deque
 from time import perf_counter
 from typing import Any, Callable
@@ -63,9 +62,8 @@ __all__ = ["ANSWERED_WINDOW", "GATEWAY_METRICS", "Gateway", "RECOVERY_METRICS"]
 #: that has not reached a terminal state is never forgotten.
 ANSWERED_WINDOW = 256
 
-#: Gateway counters and latencies (``gateway.*`` in ``stats``).  Mutated
-#: only on the asyncio thread — terminal states are marshalled there
-#: before they are counted — so reads from that thread need no lock.
+#: Gateway counters and latencies (``gateway.*`` in ``stats``).  Like
+#: everything else in the gateway, they live on the asyncio thread.
 GATEWAY_METRICS = declare(
     "gateway",
     [
@@ -102,18 +100,27 @@ def _failure_info(exc: BaseException) -> dict[str, str]:
     return {"type": type(exc).__name__, "message": str(exc)}
 
 
+def _positive(frame: dict[str, Any], key: str, kind: type | tuple[type, ...]) -> Any:
+    """``frame[key]`` if it is a positive finite number of ``kind``,
+    None if absent; else :class:`_Invalid`.  A JSON ``true`` is not a
+    number, and ``NaN`` or ``Infinity`` is no budget."""
+    value = frame.get(key)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, kind) or not 0 < value < math.inf:
+        noun = "integer" if kind is int else "number"
+        raise _Invalid(f"{key!r} must be a positive finite {noun}")
+    return value
+
+
 class _HostBackend:
-    """Adapter: a :class:`Host` as a gateway backend.  Every method
-    runs on the pump thread (the host is not thread-safe); unknown
-    session names auto-create a session from ``session_defaults``."""
+    """Adapter: a :class:`Host` as a gateway backend; unknown session
+    names auto-create a session from ``session_defaults``."""
 
     def __init__(self, host: Host, session_defaults: dict[str, Any] | None):
         self.host = host
         self.session_defaults = dict(session_defaults or {})
         self.session_defaults.setdefault("prelude", False)
-
-    def wake(self) -> None:
-        """A host tick never blocks: there is nothing to interrupt."""
 
     def submit(
         self,
@@ -148,15 +155,10 @@ class _HostBackend:
 
 
 class _ClusterBackend:
-    """Adapter: a :class:`Cluster` as a gateway backend, owned by the
-    pump thread like a host; ``wake`` is the loop thread's way to
-    interrupt a tick blocked on the shards."""
+    """Adapter: a :class:`Cluster` as a gateway backend."""
 
     def __init__(self, cluster: Cluster):
         self.cluster = cluster
-
-    def wake(self) -> None:
-        self.cluster.wake()
 
     def submit(
         self,
@@ -217,7 +219,6 @@ class _Request:
         "stream",
         "conn",
         "handle",
-        "held",
         "admitted_ts",
         "waiters",
         "terminal",
@@ -230,8 +231,6 @@ class _Request:
         self.stream = stream
         self.conn: "_Connection | None" = conn
         self.handle: Any = None
-        # Events that arrived before the submit ack was written (then None).
-        self.held: list[tuple[HandleState | None, str]] | None = []
         self.admitted_ts = perf_counter()
         self.waiters: list[asyncio.Future] = []  # blocking `result` ops
         self.terminal: dict[str, Any] | None = None  # final state payload
@@ -269,8 +268,8 @@ class Gateway:
     backend:
         A :class:`~repro.host.host.Host` or
         :class:`~repro.cluster.cluster.Cluster`.  The gateway drives it
-        from a dedicated pump thread; the caller must not use it
-        concurrently while the gateway is running.
+        from the event loop; the caller must not use it while the
+        gateway is running.
     host / port:
         Listen address.  ``port=0`` (default) binds an ephemeral port;
         read the bound one from :attr:`port` after :meth:`start`.
@@ -334,19 +333,18 @@ class Gateway:
         self.quota = QuotaTable(self.limits, clock=clock)
         self._requests: dict[int, _Request] = {}
         self._rids = itertools.count(1)
+        self._connections: set[_Connection] = set()
         self._server: asyncio.AbstractServer | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._cmds: queue_mod.Queue[Callable[[], None] | None] = queue_mod.Queue()
-        self._pump: threading.Thread | None = None
+        self._driver: asyncio.Task[None] | None = None
+        self._work = asyncio.Event()  # set by a submit or a readable shard
         self._closed = False
 
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> "Gateway":
-        """Bind the listener and start the pump thread; returns self."""
+        """Bind the listener and start the driver task; returns self."""
         if self._server is not None:
             raise GatewayError(f"gateway {self.name} already started")
-        self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
             self._handle_connection,
             self.host,
@@ -354,14 +352,11 @@ class Gateway:
             limit=self.limits.max_frame_bytes + 1,
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self._pump = threading.Thread(
-            target=self._pump_loop, name=f"{self.name}-pump", daemon=True
-        )
-        self._pump.start()
+        self._driver = asyncio.create_task(self._drive(), name=f"{self.name}-driver")
         return self
 
     async def close(self) -> None:
-        """Stop accepting, drop connections, stop the pump thread
+        """Stop accepting, close every connection and stop the driver
         (idempotent).  The backend object survives and is usable again
         once closed."""
         if self._closed:
@@ -369,10 +364,12 @@ class Gateway:
         self._closed = True
         if self._server is not None:
             self._server.close()
+            for conn in self._connections:
+                conn.writer.close()
             await self._server.wait_closed()
-        self._post(None)
-        if self._pump is not None:
-            await asyncio.get_running_loop().run_in_executor(None, self._pump.join)
+        if self._driver is not None:
+            self._driver.cancel()
+            await asyncio.wait([self._driver])
 
     async def __aenter__(self) -> "Gateway":
         return await self.start()
@@ -384,72 +381,44 @@ class Gateway:
         assert self._server is not None, "call start() first"
         await self._server.serve_forever()
 
-    # -- the pump thread -------------------------------------------------
+    # -- the driver task --------------------------------------------------
 
-    def _pump_loop(self) -> None:
-        """Run commands as they come.  While the backend has work, take
-        commands without blocking and tick the backend between them;
-        otherwise block until the next command."""
+    async def _drive(self) -> None:
+        """Tick the backend while it has work, yielding to the loop
+        after each tick; sleep on ``_work`` while it has none.  A
+        cluster tick that finished nothing waits for a shard to become
+        readable or a submit to arrive."""
         tier = self._tier
+        work = self._work
         while True:
-            busy = not tier.idle
-            try:
-                command = self._cmds.get(block=not busy)
-            except queue_mod.Empty:
+            if tier.idle:
+                work.clear()
+                await work.wait()
+            elif isinstance(tier, Host):
                 tier.tick()
-                continue
-            if command is None:
-                return
-            command()
-
-    def _post(self, command: Callable[[], None] | None) -> None:
-        """Queue ``command`` for the pump thread (None stops it) and wake
-        a backend tick that is blocked waiting for work to finish."""
-        self._cmds.put(command)
-        self.backend.wake()
-
-    def _call_soon(self, fn: Callable[..., None], *args: Any) -> None:
-        loop = self._loop
-        if loop is not None and not loop.is_closed():
-            try:
-                loop.call_soon_threadsafe(fn, *args)
-            except RuntimeError:  # pragma: no cover - loop shut down
-                pass
-
-    def _run_on_pump(self, fn: Callable[[], Any]) -> "asyncio.Future[Any]":
-        """Run ``fn`` on the pump thread; resolve an asyncio future
-        with its result (or exception) back on the loop."""
-        assert self._loop is not None
-        fut: asyncio.Future[Any] = self._loop.create_future()
-
-        def command() -> None:
-            try:
-                result = fn()
-            except BaseException as exc:  # noqa: BLE001 - marshalled
-                self._call_soon(self._settle, fut, None, exc)
+                await asyncio.sleep(0)
+            elif tier.tick(0) or not (waitables := tier.waitables):
+                await asyncio.sleep(0)  # a freed or inline shard is ready now
             else:
-                self._call_soon(self._settle, fut, result, None)
+                await self._readable(waitables)
 
-        self._post(command)
-        return fut
+    async def _readable(self, waitables: list[Any]) -> None:
+        """Until one of ``waitables`` is readable or ``_work`` is set."""
+        loop = asyncio.get_running_loop()
+        fds = [obj if isinstance(obj, int) else obj.fileno() for obj in waitables]
+        self._work.clear()
+        for fd in fds:
+            loop.add_reader(fd, self._work.set)
+        try:
+            await self._work.wait()
+        finally:
+            for fd in fds:
+                loop.remove_reader(fd)
 
-    @staticmethod
-    def _settle(
-        fut: "asyncio.Future[Any]", result: Any, exc: BaseException | None
-    ) -> None:
-        if fut.cancelled():
-            return
-        if exc is not None:
-            fut.set_exception(exc)
-        else:
-            fut.set_result(result)
-
-    # -- state delivery (loop thread) ------------------------------------
+    # -- state delivery ----------------------------------------------------
 
     def _on_event(self, req: _Request, state: HandleState | None, text: str) -> None:
-        if req.held is not None:
-            req.held.append((state, text))  # the submit ack is not out yet
-        elif state is None:
+        if state is None:
             self._on_output(req, text)
         else:
             self._on_state(req, state)
@@ -524,8 +493,8 @@ class Gateway:
         self.metrics.request_us.observe(dur * 1e6)
         rec = self.recorder
         if rec is not None and rec.enabled:
-            # X-events only: the pump thread shares this recorder, so
-            # the gateway never touches the (thread-unsafe) span stack.
+            # X-events only: this runs inside a backend tick, which may
+            # hold a span open on this same recorder.
             rec.complete(
                 "gateway.request",
                 req.admitted_ts,
@@ -533,12 +502,13 @@ class Gateway:
                 detail=f"{req.tenant or '-'} {state}",
             )
 
-    # -- the connection handler (loop thread) ----------------------------
+    # -- the connection handler --------------------------------------------
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         conn = _Connection(writer)
+        self._connections.add(conn)
         self.metrics.connections += 1
         try:
             while True:
@@ -576,6 +546,7 @@ class Gateway:
                 await self._dispatch(conn, frame)
         finally:
             conn.closed = True
+            self._connections.discard(conn)
             self.metrics.disconnects += 1
             self._abandon(conn)
             try:
@@ -598,7 +569,7 @@ class Gateway:
                 handle = req.handle
                 if handle is not None:
                     self.metrics.disconnect_cancels += 1
-                    self._post(handle.cancel)
+                    handle.cancel()
         conn.requests.clear()
 
     async def _dispatch(self, conn: _Connection, frame: dict[str, Any]) -> None:
@@ -638,14 +609,8 @@ class Gateway:
             raise _Invalid("submit needs a non-empty string 'session'")
         if not isinstance(source, str):
             raise _Invalid("submit needs a string 'source'")
-        max_steps = frame.get("max_steps")
-        if max_steps is not None and (not isinstance(max_steps, int) or max_steps <= 0):
-            raise _Invalid("'max_steps' must be a positive integer")
-        deadline_ms = frame.get("deadline_ms")
-        if deadline_ms is not None and (
-            not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0
-        ):
-            raise _Invalid("'deadline_ms' must be a positive number")
+        max_steps = _positive(frame, "max_steps", int)
+        deadline_ms = _positive(frame, "deadline_ms", (int, float))
         tenant = frame.get("tenant")
         if tenant is not None and not isinstance(tenant, str):
             raise _Invalid("'tenant' must be a string")
@@ -668,26 +633,10 @@ class Gateway:
         rid = next(self._rids)
         req = _Request(rid, tenant, stream, conn)
         deadline = None if deadline_ms is None else deadline_ms / 1000.0
-
-        def listener(state: HandleState | None, text: str) -> None:
-            # Runs on whichever thread moved the handle: only marshal.
-            if stream or (state is not None and state.terminal):
-                self._call_soon(self._on_event, req, state, text)
-
-        def _do_submit() -> Any:
-            # Subscribed before the backend's next tick can move it.
-            handle = self.backend.submit(
-                session,
-                source,
-                max_steps=max_steps,
-                deadline=deadline,
-                tenant=tenant,
-            )
-            handle.subscribe(listener)
-            return handle
-
         try:
-            req.handle = await self._run_on_pump(_do_submit)
+            req.handle = self.backend.submit(
+                session, source, max_steps=max_steps, deadline=deadline, tenant=tenant
+            )
         except HostSaturated as exc:
             # The backend itself refused: same shed contract as a
             # quota refusal — structured busy, nothing buffered.
@@ -711,14 +660,20 @@ class Gateway:
         self.metrics.submits += 1
         self._requests[rid] = req
         conn.requests.add(rid)
-        try:
-            await conn.send(
-                {"id": fid, "ok": True, "request": rid, "state": HandleState.PENDING.value}
-            )
-        finally:  # release what the handle reported meanwhile, in order
-            held, req.held = req.held, None
-            for state, text in held:
+
+        def listener(state: HandleState | None, text: str) -> None:
+            if stream or (state is not None and state.terminal):
                 self._on_event(req, state, text)
+
+        # Registered first, so a handle already terminal here is counted
+        # once.  Nothing has awaited since the submit, so the ack below
+        # takes the write lock before the driver can tick and before any
+        # event frame this listener sends.
+        req.handle.subscribe(listener)
+        self._work.set()
+        await conn.send(
+            {"id": fid, "ok": True, "request": rid, "state": HandleState.PENDING.value}
+        )
 
     def _lookup(self, frame: dict[str, Any]) -> _Request:
         rid = frame.get("request")
@@ -748,16 +703,11 @@ class Gateway:
         except _Unknown as exc:
             await conn.send(error_frame(fid, "unknown-request", str(exc)))
             return
-        timeout_ms = frame.get("timeout_ms")
-        if timeout_ms is not None and (
-            not isinstance(timeout_ms, (int, float)) or timeout_ms <= 0
-        ):
-            raise _Invalid("'timeout_ms' must be a positive number")
+        timeout_ms = _positive(frame, "timeout_ms", (int, float))
         t0 = perf_counter()
         payload = req.terminal
         if payload is None:
-            assert self._loop is not None
-            fut: asyncio.Future[dict[str, Any]] = self._loop.create_future()
+            fut: asyncio.Future[dict[str, Any]] = asyncio.get_running_loop().create_future()
             req.waiters.append(fut)
             try:
                 timeout = None if timeout_ms is None else timeout_ms / 1000.0
@@ -795,14 +745,13 @@ class Gateway:
                 {"id": fid, "ok": True, "request": req.rid, "cancelled": False}
             )
             return
-        handle = req.handle
-        cancelled = await self._run_on_pump(handle.cancel)
+        cancelled = req.handle.cancel()
         await conn.send(
             {"id": fid, "ok": True, "request": req.rid, "cancelled": bool(cancelled)}
         )
 
     async def _op_stats(self, conn: _Connection, fid: Any) -> None:
-        stats = await self._run_on_pump(self.backend.stats)
+        stats = self.backend.stats()
         stats.update(self.stats)
         await conn.send({"id": fid, "ok": True, "stats": stats})
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import json
-import threading
+import math
 
 import pytest
 
@@ -150,6 +150,10 @@ def test_invalid_submit_fields():
     async def main():
         async with serving() as (gw, _):
             reader, writer = await _raw_connection(gw)
+            frame = {"op": "submit", "id": 0, "session": "s", "source": LOOP}
+            writer.write(json.dumps(frame).encode() + b"\n")
+            await writer.drain()
+            running = (await _read_frame(reader))["request"]
             bad_frames = [
                 {"op": "submit", "id": 1},  # no session/source
                 {"op": "submit", "id": 2, "session": "", "source": "1"},
@@ -157,6 +161,12 @@ def test_invalid_submit_fields():
                 {"op": "submit", "id": 4, "session": "s", "source": "1", "max_steps": -1},
                 {"op": "submit", "id": 5, "session": "s", "source": "1", "deadline_ms": 0},
                 {"op": "submit", "id": 6, "session": "s", "source": "1", "tenant": 9},
+                # JSON booleans are not numbers, and NaN or Infinity is no budget.
+                {"op": "submit", "id": 7, "session": "s", "source": "1", "max_steps": True},
+                {"op": "submit", "id": 8, "session": "s", "source": "1", "deadline_ms": True},
+                {"op": "submit", "id": 9, "session": "s", "source": "1", "deadline_ms": math.nan},
+                {"op": "submit", "id": 10, "session": "s", "source": "1", "deadline_ms": math.inf},
+                {"op": "result", "id": 11, "request": running, "timeout_ms": math.nan},
             ]
             for frame in bad_frames:
                 writer.write(json.dumps(frame).encode() + b"\n")
@@ -265,6 +275,24 @@ def test_client_write_failure_is_gateway_closed_and_leaks_nothing():
     run(main())
 
 
+def test_close_drops_connected_clients():
+    """``Gateway.close()`` closes every live connection: a client still
+    connected gets ``GatewayClosed`` on its next call, not silence."""
+
+    async def main():
+        gw = await Gateway(Host()).start()
+        client = await GatewayClient.connect(gw.host, gw.port)
+        try:
+            assert await client.ping() is True
+            await gw.close()
+            with pytest.raises(GatewayClosed):
+                await asyncio.wait_for(client.submit("s", "(+ 1 1)"), 2.0)
+        finally:
+            await client.close()
+
+    run(main())
+
+
 def test_client_cancelled_call_leaks_nothing():
     async def main():
         client = GatewayClient(asyncio.StreamReader(), _FakeWriter())
@@ -306,21 +334,23 @@ def test_inflight_cap_sheds_with_retry_after():
 
 def test_overload_burst_answers_every_frame_exactly_once():
     """Four connections burst sixteen submits past ``max_inflight``
-    while the pump is held: every frame gets one answer — a result or a
-    ``busy`` carrying ``retry_after_ms`` — with no protocol errors.
+    while the backend is held: every frame gets one answer — a result
+    or a ``busy`` carrying ``retry_after_ms`` — with no protocol errors.
 
-    A connection's frames are handled in order, so while the pump is
-    held the two connections that won a slot wait on their first submit
-    and the other two are refused all four."""
+    While the host's ticks do nothing, the two requests that won a slot
+    cannot finish, so every later submit is refused."""
 
     async def main():
         limits = GatewayLimits(max_inflight=2)
-        async with serving(Host(), limits=limits) as (gw, _):
+        host = Host()
+        release = asyncio.Event()
+        tick = host.tick
+        # Until released, a tick runs nothing: no admitted request can finish.
+        host.tick = lambda: tick() if release.is_set() else 0
+        async with serving(host, limits=limits) as (gw, _):
             clients = await asyncio.gather(
                 *(GatewayClient.connect(gw.host, gw.port) for _ in range(4))
             )
-            release = threading.Event()
-            gw._cmds.put(release.wait)  # nothing admitted can finish yet
 
             async def one(client, i):
                 try:

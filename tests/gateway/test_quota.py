@@ -3,8 +3,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.clock import ManualClock
 from repro.gateway.quota import GatewayLimits, QuotaTable, TokenBucket
 
 
@@ -112,6 +115,39 @@ def test_tenant_rate_limit_with_retry_after():
     assert table.admit("a") is None
     # Rate buckets are per tenant.
     assert table.admit("b") is None
+
+
+def test_refilled_buckets_are_dropped_without_changing_decisions():
+    """10 000 one-shot tenants leave no bucket behind once every bucket
+    has had ``burst / rate`` seconds to refill, and admission decides
+    exactly as if each tenant kept its bucket forever."""
+    rate, burst = 100.0, 4
+    clock = ManualClock()
+    limits = GatewayLimits(
+        max_inflight=100, tenant_max_inflight=100, tenant_rate=rate, tenant_burst=burst
+    )
+    table = QuotaTable(limits, clock=clock)
+    kept: dict[str, TokenBucket] = {}
+    rng = random.Random(7)
+
+    def admit(tenant: str) -> None:
+        bucket = kept.setdefault(tenant, TokenBucket(rate, burst, clock=clock))
+        ok, wait = bucket.try_acquire()
+        refusal = table.admit(tenant)
+        assert refusal == (None if ok else ("tenant-rate", wait))
+        if refusal is None:
+            table.release(tenant)
+
+    for i in range(10_000):
+        admit(f"once-{i}")
+        for _ in range(rng.randrange(3)):  # a few regulars, some over their rate
+            admit(f"regular-{rng.randrange(5)}")
+        clock.advance(rng.choice((0.0, 0.0, 0.001, 0.01)))
+    assert len(table._buckets) < 10_000
+
+    clock.advance(burst / rate)
+    admit("late")
+    assert list(table._buckets) == ["late"]
 
 
 def test_release_is_balanced():

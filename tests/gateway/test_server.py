@@ -4,6 +4,7 @@ and Cluster backends, streaming, budgets over the wire, and obs."""
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
@@ -340,34 +341,83 @@ def test_every_streamed_cluster_request_ends_in_a_terminal_event():
     run(main())
 
 
-@pytest.mark.parametrize("backend", ["host", "cluster"])
-def test_idle_pump_blocks_on_its_command_queue(backend):
-    """An idle gateway's pump thread sleeps in one blocking ``get``
-    instead of waking up to look for work."""
+def _counting_ticks(tier):
+    """Wrap ``tier.tick`` to count its calls; returns the count cell."""
+    calls = [0]
+    tick = tier.tick
 
-    async def main(gw):
-        async with gw:
-            await asyncio.sleep(0.05)  # let the pump reach its queue
-            calls = 0
-            get = gw._cmds.get
+    def counting_tick(*args):
+        calls[0] += 1
+        return tick(*args)
 
-            def counting_get(*args, **kwargs):
-                nonlocal calls
-                calls += 1
-                return get(*args, **kwargs)
+    tier.tick = counting_tick
+    return calls
 
-            gw._cmds.get = counting_get
-            await asyncio.sleep(0.5)
-            assert calls <= 2
 
+def _tier(backend, workers=0):
     if backend == "host":
-        run(main(Gateway(Host())))
-    else:
-        cluster = Cluster(workers=0, session_defaults={"prelude": False})
-        try:
-            run(main(Gateway(cluster)))
-        finally:
-            cluster.close()
+        return Host()
+    return Cluster(workers=workers, session_defaults={"prelude": False})
+
+
+@pytest.mark.parametrize("backend", ["host", "cluster"])
+def test_idle_gateway_does_not_tick(backend):
+    """Once its work is done, the gateway's driver sleeps on an event
+    instead of waking up to look for work: at most one tier tick in
+    0.5 s."""
+    tier = _tier(backend)
+
+    async def main():
+        async with serving(tier) as (_, client):
+            assert await client.eval("s", "(+ 1 2)") == "3"
+            await asyncio.sleep(0.05)  # let the driver go idle
+            calls = _counting_ticks(tier)
+            await asyncio.sleep(0.5)
+            assert calls[0] <= 1
+
+    try:
+        run(main())
+    finally:
+        if backend == "cluster":
+            tier.close()
+
+
+@pytest.mark.parametrize("backend", ["host", "cluster"])
+def test_serving_starts_no_thread(backend):
+    """The gateway serves from the event loop's own thread: starting it
+    and answering a request leaves the thread count unchanged."""
+    tier = _tier(backend)
+
+    async def main():
+        before = threading.active_count()
+        async with serving(tier) as (_, client):
+            assert await client.eval("s", "(+ 1 2)") == "3"
+            assert threading.active_count() == before
+
+    try:
+        run(main())
+    finally:
+        if backend == "cluster":
+            tier.close()
+
+
+def test_outstanding_shard_is_waited_on_not_polled():
+    """While one ~0.3 s request runs on a worker process, the driver
+    waits for the shard's pipe to become readable: a bounded number of
+    cluster ticks, where a spin or a timer would take hundreds."""
+    cluster = _tier("cluster", workers=1)
+    calls = _counting_ticks(cluster)
+    spin = "(let loop ((i 0)) (if (< i 60000) (loop (+ i 1)) i))"
+
+    async def main():
+        async with serving(cluster) as (_, client):
+            assert await client.eval("s", spin) == "60000"
+
+    try:
+        run(main())
+    finally:
+        cluster.close()
+    assert calls[0] <= 10
 
 
 def test_events_requires_stream_submit():
