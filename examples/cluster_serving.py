@@ -2,9 +2,9 @@
 """Sharded serving with durable sessions: the cluster tier demo.
 
 A :class:`repro.cluster.Cluster` spreads interpreter sessions over
-worker OS processes by hashing their ids, snapshots every session to a
-directory store whenever it goes idle, and rehydrates from the store
-on any shard.  This demo exercises the whole lifecycle:
+worker OS processes by hashing their ids, keeps each session in a
+directory store as a checkpoint plus a log of the requests since, and
+rehydrates from the store on any shard.  This demo exercises the whole lifecycle:
 
 1. six tenants served across two worker processes, each running the
    paper's capture-heavy programs (``pcall`` trees, futures);
@@ -12,7 +12,8 @@ on any shard.  This demo exercises the whole lifecycle:
    migrated to the other shard mid-conversation — the future's tree
    rides along inside the snapshot and ``touch`` still answers;
 3. a worker killed with SIGKILL; the next request respawns it and
-   replays the victim session's last snapshot — state intact;
+   rebuilds the victim session from its checkpoint and log — state
+   intact;
 4. the whole cluster torn down and a brand-new one pointed at the same
    directory, resuming every session from disk.
 
@@ -80,7 +81,7 @@ def main() -> int:
             print(f"  {key:28s} {value}")
 
     # -- 4. resume everything from disk in a fresh cluster -------------
-    print(f"\nnew cluster over {store_dir} ({len(os.listdir(store_dir))} snapshots)...")
+    print(f"\nnew cluster over {store_dir} ({len(os.listdir(store_dir))} sessions)...")
     with Cluster(workers=2, store=DirectoryStore(store_dir)) as reborn:
         check(failures, "resumed tenant-0", reborn.submit("tenant-0", "me").value, "777")
         check(failures, "resumed tenant-5", reborn.submit("tenant-5", "me").value, "5")

@@ -2,11 +2,12 @@
 
 :class:`~repro.cluster.cluster.Cluster` routes session ids to shard
 worker processes (one :class:`~repro.host.host.Host` per OS process),
-persists every session's latest snapshot (:mod:`repro.snapshot`) to a
-pluggable :class:`~repro.cluster.store.SnapshotStore`, and uses those
-snapshots to make sessions mobile: evict them from shard memory,
-migrate them between shards, and replay them onto a respawned worker
-when a shard process dies.  See ``docs/CLUSTER.md``.
+keeps every session in a pluggable
+:class:`~repro.cluster.store.SnapshotStore` as a checkpoint (a
+:mod:`repro.snapshot` blob) plus a log of the requests it has run
+since, and uses them to make sessions mobile: evict them from shard
+memory, migrate them between shards, and rebuild them on a respawned
+worker when a shard process dies.  See ``docs/CLUSTER.md``.
 """
 
 from repro.cluster.cluster import Cluster, ClusterResult

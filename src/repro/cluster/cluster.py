@@ -1,14 +1,27 @@
-"""The cluster front: sharded, snapshot-backed session serving.
+"""The cluster front: sharded, checkpoint-and-log session serving.
 
 A :class:`Cluster` owns N shard worker processes (one
 :class:`~repro.host.host.Host` each, see :mod:`repro.cluster.shard`)
 and routes each session id to a shard by stable hash.  Sessions are
-*mobile*: every completed request ships a fresh snapshot back to the
-front's :class:`~repro.cluster.store.SnapshotStore`, so any session can
-be evicted from shard memory, rehydrated on a different shard
-(:meth:`Cluster.migrate`), or — when a worker is SIGKILLed mid-service
-— replayed from its last snapshot on a respawned worker without the
+*mobile*: the front's :class:`~repro.cluster.store.SnapshotStore` holds
+each session's last checkpoint (a snapshot blob) and a log of the
+requests it has completed since, so any session can be evicted from
+shard memory, rehydrated on a different shard (:meth:`Cluster.migrate`),
+or — when a worker is SIGKILLed mid-service — rebuilt on a respawned
+worker by restoring the checkpoint and re-running the log, without the
 other shards noticing.
+
+Every acknowledged request is appended to its session's log before it
+is answered.  A shard snapshots only when asked: to evict or migrate,
+on :meth:`Cluster.snapshot_now`, and for a checkpoint, which the front
+flags on a session's next submit once the log outgrows the session's
+last blob — its encoded size passes the blob's size, or the time its
+requests took to run passes the time the blob took to encode and
+restore (a never-checkpointed session compares against a fresh
+session's blob, measured once).  The log so never outgrows the
+checkpoint it extends, in bytes to store or in time to replay.  A
+random-policy session with no seed is checkpointed on its first
+request: OS entropy picked its schedule, and only a blob records it.
 
 ``workers=0`` runs the same :class:`~repro.cluster.shard.ShardRuntime`
 logic inline in the calling process (no ``multiprocessing``): handy for
@@ -28,10 +41,10 @@ blocking :meth:`Cluster.submit` is a thin wrapper that waits on the
 handle.
 
 Shard-side evaluation failures come back in-band as ``status="error"``
-results; a dead worker raises :class:`~repro.errors.ShardDied` only
-when the affected session has no snapshot to replay — otherwise the
-front respawns the worker, counts a recovery, and retries the request
-transparently.
+results.  A dead worker is respawned and the request retried
+transparently; it raises :class:`~repro.errors.ShardDied` only when the
+affected session has no replay point — its last snapshot failed, or its
+log did not replay to the logged steps and outcomes.
 """
 
 from __future__ import annotations
@@ -57,7 +70,8 @@ from repro.errors import (
     SnapshotError,
 )
 from repro.host.handle import HandleState
-from repro.host.session import prelude_image
+from repro.host.session import Session, prelude_image
+from repro.machine.scheduler import SchedulerPolicy
 from repro.obs.metrics import COUNTER, HISTOGRAM, declare
 from repro.obs.recorder import as_recorder
 
@@ -72,12 +86,14 @@ CLUSTER_METRICS = declare(
         ("failed", COUNTER, "requests that failed: evaluation error, deadline or infrastructure"),
         ("saturations", COUNTER, "submits refused by the bounded front queue"),
         ("cancellations", COUNTER, "requests cancelled while queued, or abandoned at close"),
-        ("snapshots", COUNTER, "blobs persisted to the store"),
-        ("restores", COUNTER, "sessions rehydrated onto a shard"),
+        ("snapshots", COUNTER, "blobs persisted to the store: checkpoints, evictions, snapshot_now"),
+        ("restores", COUNTER, "sessions rehydrated onto a shard from a blob"),
         ("migrations", COUNTER, "explicit session moves between shards"),
-        ("recoveries", COUNTER, "requests replayed after a shard death"),
+        ("recoveries", COUNTER, "requests answered after a shard death, by a respawned worker"),
         ("respawns", COUNTER, "worker processes restarted"),
         ("evictions", COUNTER, "sessions snapshotted out of shard memory"),
+        ("logged", COUNTER, "requests appended to their session's log"),
+        ("replayed", COUNTER, "logged requests re-run to rehydrate a session"),
         ("snapshot_bytes", HISTOGRAM, "blob size per snapshot"),
         ("snapshot_us", HISTOGRAM, "snapshot encode latency, measured on the shard, in µs"),
         ("restore_us", HISTOGRAM, "snapshot decode latency, measured on the shard, in µs"),
@@ -106,7 +122,7 @@ class ClusterResult:
     steps: int
     error: str | None = None
     error_type: str | None = None
-    recovered: bool = False  # replayed from a snapshot after a shard death
+    recovered: bool = False  # answered by a respawned worker after a shard death
 
     @property
     def ok(self) -> bool:
@@ -253,8 +269,8 @@ class Cluster:
         Shard worker processes.  ``0`` runs a single inline shard in
         this process (no ``multiprocessing``).
     store:
-        Where last-known-good snapshots live; defaults to a
-        :class:`~repro.cluster.store.MemoryStore`.  Point a
+        Where each session's checkpoint and request log live; defaults
+        to a :class:`~repro.cluster.store.MemoryStore`.  Point a
         :class:`~repro.cluster.store.DirectoryStore` at a directory to
         survive front restarts.
     session_defaults:
@@ -299,12 +315,34 @@ class Cluster:
         self.recorder = as_recorder(record)
         self._queue: deque[ClusterHandle] = deque()
         #: shard index -> the one request that shard is serving: its
-        #: handle, perf_counter when sent, and whether it is a replay.
+        #: handle, perf_counter when sent, and whether it is a resend
+        #: after a shard death.
         self._outstanding: dict[int, tuple[ClusterHandle, float, bool]] = {}
         #: session id -> shard index where the session is live in RAM.
         self._resident: dict[str, int] = {}
         #: session id -> pinned shard (set by migrate); else hashed.
         self._placement: dict[str, int] = {}
+        #: session id -> encoded size of its log, and of the checkpoint
+        #: the log extends (None: never checkpointed), then µs its
+        #: logged requests took to run, and µs its checkpoint took to
+        #: encode and to restore (None: no shard has restored it yet):
+        #: the sides of the checkpoint rule.
+        self._log_bytes: dict[str, int] = {}
+        self._blob_bytes: dict[str, int | None] = {}
+        self._log_us: dict[str, float] = {}
+        self._blob_us: dict[str, tuple[float, float | None]] = {}
+        #: A fresh session's blob size, encode µs and restore µs.
+        self._fresh_blob: tuple[int, float, float] | None = None
+        #: Sessions created under the random policy with no seed draw
+        #: their schedule from OS entropy, which no log entry records.
+        self._entropy_seeded = (
+            SchedulerPolicy(self.session_defaults.get("policy", "round-robin"))
+            is SchedulerPolicy.RANDOM
+            and self.session_defaults.get("seed") is None
+        )
+        #: Sessions whose last snapshot failed: no replay point until
+        #: one succeeds, so each of their submits asks for a checkpoint.
+        self._unreplayable: set[str] = set()
         self._closed = False
         if self.session_defaults.get("prelude", True):
             # Built before the fork, so every worker (respawns
@@ -365,12 +403,15 @@ class Cluster:
         is the shared submit contract (``docs/API.md``).
 
         Survives one shard death per call: if the worker dies
-        mid-request and the session has a stored snapshot, the worker
-        is respawned and the request replays against the last
-        snapshot (``result.recovered`` is set).  With no snapshot —
-        the session's very first request, or one whose last snapshot
-        failed — :class:`ShardDied` propagates.  Evaluation errors come
-        back in-band (``status="error"``) and never raise here.
+        mid-request, it is respawned, the session is rebuilt there from
+        its last checkpoint (or its creation kwargs, for a session never
+        checkpointed — its first request included) plus its logged
+        requests, and the request runs again (``result.recovered`` is
+        set).  A session with no replay point — its last snapshot
+        failed, or a logged request did not replay to its logged steps
+        and outcome — raises :class:`ShardDied` instead.  Evaluation
+        errors come back in-band (``status="error"``) and never raise
+        here.
         """
         handle = self.submit_async(
             session_id, source, max_steps=max_steps, deadline=deadline, tenant=tenant
@@ -487,8 +528,21 @@ class Cluster:
                 self._queue.remove(handle)
 
     def _send(self, index: int, handle: ClusterHandle, recovered: bool = False) -> None:
-        """Start ``handle`` on shard ``index`` (PENDING → RUNNING)."""
+        """Start ``handle`` on shard ``index`` (PENDING → RUNNING), or
+        fail it with :class:`ShardDied` when its session's state died
+        with a shard and had no replay point."""
         session_id = handle.session_id
+        resident = self._resident.get(session_id) == index
+        if not resident and session_id in self._unreplayable:
+            self._unreplayable.discard(session_id)  # its next request starts it afresh
+            self._settle(
+                handle,
+                ShardDied(
+                    f"cluster {self.name}: a shard died holding session "
+                    f"{session_id!r}, whose last snapshot failed: no replay point"
+                ),
+            )
+            return
         deadline_at = handle.deadline_at
         payload: dict[str, Any] = {
             "session_id": session_id,
@@ -496,37 +550,89 @@ class Cluster:
             "max_steps": handle.max_steps,
             "deadline": None if deadline_at is None else deadline_at - self._clock(),
         }
-        if self._resident.get(session_id) != index:
-            # Not live on the target shard: ship the last snapshot, or
-            # creation kwargs for a brand-new session.
-            blob = self.store.get(session_id)
-            if blob is not None:
-                payload["blob"] = blob
-            else:
-                payload["session_kwargs"] = self.session_defaults
+        if not resident:
+            self._cold(session_id, payload)
+        if self._checkpoint_due(session_id):
+            payload["checkpoint"] = True
         if not recovered:
             handle._move(HandleState.RUNNING)
         self._outstanding[index] = (handle, perf_counter(), recovered)
         self.shards[index].send("submit", payload)
 
+    def _cold(self, session_id: str, payload: dict[str, Any]) -> None:
+        """Add to ``payload`` what rebuilds ``session_id`` on a shard
+        that does not hold it: its last checkpoint, or creation kwargs
+        when it has none, and the log to replay on top."""
+        blob, records = self.store.load(session_id)
+        if blob is not None:
+            payload["blob"] = blob
+            self._blob_bytes[session_id] = len(blob)
+            self._blob_us.setdefault(session_id, (0.0, None))  # taken by an earlier front
+        else:
+            payload["session_kwargs"] = self.session_defaults
+            self._blob_bytes[session_id] = None
+        payload["replay"] = records
+        self._log_bytes[session_id] = sum(map(len, records))
+        self._log_us[session_id] = 0.0  # until the shard reports the replay's time
+
+    def _checkpoint_due(self, session_id: str) -> bool:
+        """The checkpoint rule: the session's log has outgrown the blob
+        it extends, in bytes, or in the µs its requests took to run
+        against the µs the blob took to encode and to restore — a
+        blob no shard has restored yet counts a fresh session's restore
+        time, which any restore's boot costs.  A session never
+        checkpointed compares against a fresh session's blob, measured
+        once when first needed.  Also due while the session has no
+        replay point, and on the first request of a session whose
+        schedule came from OS entropy."""
+        if session_id in self._unreplayable:
+            return True
+        size = self._blob_bytes[session_id]
+        if size is None and self._entropy_seeded:
+            return True
+        logged = self._log_bytes[session_id]
+        if not logged:
+            return False
+        fresh_size, fresh_encode, fresh_restore = self._fresh()
+        if size is None:
+            size, encode, restore = fresh_size, fresh_encode, fresh_restore
+        else:
+            encode, restore = self._blob_us[session_id]
+            if restore is None:
+                restore = fresh_restore
+        return logged > size or self._log_us[session_id] > encode + restore
+
+    def _fresh(self) -> tuple[int, float, float]:
+        """A fresh session's blob size and the µs it takes to encode
+        and to restore, measured on the first call."""
+        if self._fresh_blob is None:
+            session = Session(**self.session_defaults)
+            t0 = perf_counter()
+            blob = session.snapshot()
+            t1 = perf_counter()
+            Session.restore(blob)
+            t2 = perf_counter()
+            self._fresh_blob = len(blob), (t1 - t0) * 1e6, (t2 - t1) * 1e6
+        return self._fresh_blob
+
     def _complete(self, index: int) -> None:
-        """Persist and resolve the request shard ``index`` answered, or
+        """Log and resolve the request shard ``index`` answered, or
         recover the worker that died under it."""
         handle, started, recovered = self._outstanding.pop(index)
         try:
-            reply = self.shards[index].recv()
-            if recovered:
-                self.metrics.recoveries += 1
-            result = self._finish(reply, recovered=recovered)
-        except ShardDied as exc:
-            if recovered:  # died again under the replay
-                self._settle(handle, exc)
-            else:
+            try:
+                reply = self.shards[index].recv()
+            except ShardDied:
+                if recovered:  # died again under the resend
+                    raise
                 self._recover(index, handle)
-            return
-        except Exception as exc:  # noqa: BLE001 - a shard-side fault or a failed store write
+                return
+            result = self._finish(reply, recovered=recovered)
+        except Exception as exc:  # noqa: BLE001 - a shard death or fault, a log that does not replay, a failed store write
             self._settle(handle, exc)
             return
+        if recovered:
+            self.metrics.recoveries += 1
         dur = perf_counter() - started
         self.metrics.request_us.observe(dur * 1e6)
         rec = self.recorder
@@ -535,9 +641,9 @@ class Cluster:
         self._settle(handle, result)
 
     def _recover(self, index: int, handle: ClusterHandle) -> None:
-        """Respawn the worker, invalidate its residents, and replay the
-        request against the session's last snapshot — or fail it with
-        :class:`ShardDied` when there is none."""
+        """Respawn the worker, invalidate its residents, and send the
+        request again: the session is rebuilt from the store on the
+        fresh worker."""
         self.metrics.respawns += 1
         self.shards[index].respawn()
         # Every session that was live on that worker is gone from RAM;
@@ -545,20 +651,10 @@ class Cluster:
         for sid, at in list(self._resident.items()):
             if at == index:
                 del self._resident[sid]
-        session_id = handle.session_id
-        if self.store.get(session_id) is None:
-            self._settle(
-                handle,
-                ShardDied(
-                    f"shard {index} died and session {session_id!r} has no "
-                    "snapshot to replay"
-                ),
-            )
-            return
         rec = self.recorder
         if rec is not None and rec.enabled:
-            rec.emit("cluster.recover", session_id)
-        self._send(index, handle, recovered=True)  # no longer resident: ships the blob
+            rec.emit("cluster.recover", handle.session_id)
+        self._send(index, handle, recovered=True)
 
     def _settle(self, handle: ClusterHandle, outcome: ClusterResult | BaseException) -> None:
         """Count the request's one outcome, then resolve its handle."""
@@ -571,21 +667,22 @@ class Cluster:
         handle._resolve(outcome)
 
     def _finish(self, reply: dict[str, Any], *, recovered: bool) -> ClusterResult:
-        """Persist the piggybacked snapshot and fold shard-side timings
-        into the front's metrics."""
+        """Append the request's log entry, or persist the checkpoint the
+        reply carries instead, and fold shard-side timings into the
+        front's metrics."""
         session_id = reply["session_id"]
-        self._resident[session_id] = reply["shard"]
-        if reply.get("restored"):
-            self.metrics.restores += 1
-            self.metrics.restore_us.observe(reply.get("restore_us", 0.0))
-        try:
-            self._persist(session_id, reply)
-        except SnapshotError:
-            # The stored blob predates the state this reply acknowledges:
-            # replaying it after a shard death would silently undo that
-            # state, so the session has no replay point until a snapshot
-            # succeeds again.
-            self.store.delete(session_id)
+        self._rehydrated(reply)
+        entry = reply.get("entry")
+        if entry is not None:
+            self.store.append(session_id, entry)
+            self._log_bytes[session_id] += len(entry)
+            self._log_us[session_id] += reply["run_us"]
+            self.metrics.logged += 1
+        else:
+            try:
+                self._persist(session_id, reply)
+            except SnapshotError:
+                pass  # acknowledged all the same; the session has no replay point
         return ClusterResult(
             session_id=session_id,
             shard=reply["shard"],
@@ -598,16 +695,45 @@ class Cluster:
             recovered=recovered,
         )
 
+    def _rehydrated(self, reply: dict[str, Any]) -> None:
+        """Note where a shard reply left its session, and how it got
+        there.  Raises :class:`ShardDied` when the session's log did not
+        replay: it had no replay point, and its stored state goes."""
+        session_id = reply["session_id"]
+        error = reply.get("replay_error")
+        if error is not None:
+            self.store.delete(session_id)  # its next request starts it afresh
+            raise ShardDied(
+                f"cluster {self.name}: session {session_id!r} has no replay point: {error}"
+            )
+        self._resident[session_id] = reply["shard"]
+        if "replay_us" in reply:
+            self.metrics.replayed += reply["replayed"]
+            self._log_us[session_id] = reply["replay_us"]
+        if reply.get("restored"):
+            self.metrics.restores += 1
+            self.metrics.restore_us.observe(reply["restore_us"])
+            self._blob_us[session_id] = (self._blob_us[session_id][0], reply["restore_us"])
+
     def _persist(self, session_id: str, reply: dict[str, Any]) -> bytes | None:
-        """Store the snapshot a shard reply carries, if any, and count
-        it; returns the blob.  Raises :class:`SnapshotError` when the
-        shard could not snapshot the session."""
+        """Store the snapshot a shard reply carries, if any, as the
+        session's checkpoint, and count it; returns the blob.  When the
+        shard could not snapshot the session, drop its checkpoint and
+        log and raise :class:`SnapshotError`: a session that cannot be
+        checkpointed has no replay point until a snapshot succeeds."""
         error = reply.get("snapshot_error")
         if error is not None:
+            self.store.delete(session_id)
+            self._unreplayable.add(session_id)
             raise SnapshotError(f"cluster {self.name}: session {session_id!r}: {error}")
         blob = reply.get("snapshot")
         if blob is not None:
             self.store.put(session_id, blob)
+            self._log_bytes[session_id] = 0
+            self._blob_bytes[session_id] = len(blob)
+            self._log_us[session_id] = 0.0
+            self._blob_us[session_id] = (reply.get("snapshot_us", 0.0), None)
+            self._unreplayable.discard(session_id)
             self.metrics.snapshots += 1
             self.metrics.snapshot_bytes.observe(len(blob))
             self.metrics.snapshot_us.observe(reply.get("snapshot_us", 0.0))
@@ -615,21 +741,29 @@ class Cluster:
 
     # -- session mobility ------------------------------------------------
 
-    def _shard_op(self, op: str, session_id: str) -> dict[str, Any] | None:
-        """Run ``op`` on the shard holding ``session_id`` in memory (None
-        when not resident), ticking until neither the session nor that
-        shard has a request outstanding."""
+    def _shard_op(self, op: str, session_id: str, *, cold: bool = False) -> dict[str, Any] | None:
+        """Run ``op`` on the shard holding ``session_id`` in memory,
+        ticking until neither the session nor that shard has a request
+        outstanding.  A session held nowhere gets None — unless
+        ``cold`` and it has requests logged since its checkpoint: then
+        its own shard rebuilds it first."""
         while True:
             index = self._resident.get(session_id)
-            if index not in self._outstanding and all(
+            target = self.shard_for(session_id) if index is None and cold else index
+            if target not in self._outstanding and all(
                 handle.session_id != session_id for handle, _, _ in self._outstanding.values()
             ):
                 break
             self.tick()
+        payload: dict[str, Any] = {"session_id": session_id}
         if index is None:
-            return None
-        shard = self.shards[index]
-        shard.send(op, {"session_id": session_id})
+            if target is None:
+                return None
+            self._cold(session_id, payload)
+            if not payload["replay"]:
+                return None
+        shard = self.shards[target]
+        shard.send(op, payload)
         return shard.recv()
 
     def evict(self, session_id: str) -> bool:
@@ -637,7 +771,7 @@ class Cluster:
         memory; returns True if it was resident.  The session stays
         fully usable — the next submit rehydrates it.  Raises
         :class:`~repro.errors.SnapshotError`, and leaves the session
-        resident, when it cannot be snapshotted."""
+        resident with no replay point, when it cannot be snapshotted."""
         self._check_open()
         reply = self._shard_op("evict", session_id)
         if reply is None:
@@ -668,15 +802,17 @@ class Cluster:
         return to_shard
 
     def snapshot_now(self, session_id: str) -> bytes | None:
-        """Force a fresh snapshot of a resident session into the store
-        (idle sessions are already stored as of their last request);
-        returns the blob, or the stored one if not resident.  Raises
-        :class:`~repro.errors.SnapshotError` when the session cannot be
-        snapshotted."""
+        """Checkpoint a session now: snapshot it into the store, which
+        empties its log, and return the blob.  A session held by no
+        shard returns its stored checkpoint, after it is rebuilt on its
+        shard if requests were logged since.  Raises
+        :class:`~repro.errors.SnapshotError`, and leaves the session
+        with no replay point, when it cannot be snapshotted."""
         self._check_open()
-        reply = self._shard_op("snapshot", session_id)
+        reply = self._shard_op("snapshot", session_id, cold=True)
         if reply is None:
             return self.store.get(session_id)
+        self._rehydrated(reply)
         return self._persist(session_id, reply)
 
     # -- introspection / lifecycle ---------------------------------------

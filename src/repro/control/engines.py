@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.counters import SerialCounter
 from repro.datum import intern
-from repro.errors import SchemeError, WrongTypeError
+from repro.errors import DeadlineExceeded, SchemeError, WrongTypeError
 from repro.machine.environment import GlobalEnv
 from repro.machine.task import APPLY, VALUE, Task
 from repro.machine.values import ControlPrimitive
@@ -61,9 +61,12 @@ def _make_engine(machine: "Machine", task: Task, args: list[Any]) -> None:
     from repro.machine.scheduler import Machine
 
     thunk = args[0]
+    # Seeded from the parent's RNG, so a seeded random-policy session
+    # schedules its engines the same way on every run.
     sub = Machine(
         machine.globals,
         policy=machine.policy,
+        seed=machine.rng.getrandbits(64),
         quantum=machine.quantum,
         engine=machine.engine,
     )
@@ -87,7 +90,13 @@ def _engine_run(machine: "Machine", task: Task, args: list[Any]) -> None:
     # outlive the deadline unpreempted.
     sub.deadline = machine.deadline
     start = sub.steps_total
-    halted = sub.step_n(fuel)
+    try:
+        halted = sub.step_n(fuel)
+    except DeadlineExceeded as exc:
+        # Cut inside one outer step: how far the engine got depends on
+        # the clock, so no step count can replay this request.
+        exc.mid_step = True
+        raise
     used = sub.steps_total - start
     engine.mileage += used
     if halted:

@@ -176,11 +176,21 @@ class DeadlineExceeded(HostError):
     Step budgets (the other half of a request's cost bound) raise
     :class:`StepBudgetExceeded`, which is enforced *exactly* at the
     configured step count; host metrics count both as deadline misses.
-    Carries the number of steps the evaluation had executed.
+    Carries the number of steps the evaluation had executed, and
+    ``mid_step``: True when the deadline cut an engine's fuel run short
+    inside one step, where the step count does not say how far the run
+    got.
     """
 
-    def __init__(self, message: str = "wall-clock deadline exceeded", *, steps: int | None = None):
+    def __init__(
+        self,
+        message: str = "wall-clock deadline exceeded",
+        *,
+        steps: int | None = None,
+        mid_step: bool = False,
+    ):
         self.steps = steps
+        self.mid_step = mid_step
         super().__init__(message)
 
 
@@ -246,8 +256,9 @@ class ClusterEvalError(ClusterError):
 
 
 class ShardDied(ClusterError):
-    """A shard worker process died while holding live (non-snapshotted)
-    session state; the affected request cannot be recovered."""
+    """A shard worker process died holding session state that has no
+    replay point — its last snapshot failed, or its logged requests did
+    not replay exactly — so the affected request cannot be recovered."""
 
 
 class GatewayError(HostError):

@@ -507,6 +507,18 @@ class Session:
                         kind="cancel",
                     )
                     continue
+                # A finished evaluation completes even if its deadline
+                # has passed, and an expired deadline stops it before
+                # the next form begins, exactly where a step budget of
+                # the same count would: a request cut off after N steps
+                # is replayed by a budget of N (``repro.cluster``).
+                if handle._node_index >= len(handle.nodes):
+                    self._flush_output(handle)
+                    handle._move(HandleState.DONE)
+                    self.metrics.evals_completed += 1
+                    self._finish_request(handle)
+                    self._active = None
+                    continue
                 if handle.deadline_at is not None and _monotonic() >= handle.deadline_at:
                     self._abort_active(
                         DeadlineExceeded(
@@ -517,16 +529,6 @@ class Session:
                         kind="deadline",
                     )
                     continue
-                if handle._node_index >= len(handle.nodes):
-                    self._flush_output(handle)
-                    handle._move(HandleState.DONE)
-                    self.metrics.evals_completed += 1
-                    self._finish_request(handle)
-                    self._active = None
-                    continue
-                if not handle._node_running:
-                    machine.begin_eval(handle.nodes[handle._node_index])
-                    handle._node_running = True
                 handle_cap = None
                 if handle.max_steps is not None:
                     remaining = handle.max_steps - handle.steps
@@ -536,6 +538,9 @@ class Session:
                         )
                         continue
                     handle_cap = machine.steps_total + remaining
+                if not handle._node_running:
+                    machine.begin_eval(handle.nodes[handle._node_index])
+                    handle._node_running = True
                 before = machine.steps_total
                 try:
                     with machine.budget_scope(
@@ -569,6 +574,7 @@ class Session:
                             f"session {self.name}: evaluation {handle.uid} missed "
                             "its wall-clock deadline",
                             steps=handle.steps,
+                            mid_step=exc.mid_step,
                         ),
                         kind="deadline",
                     )

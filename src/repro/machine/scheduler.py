@@ -456,6 +456,11 @@ class Machine:
                     f"wall-clock deadline exceeded after {self.steps_total} steps",
                     steps=self.steps_total,
                 )
+            if max_steps is not None and max_steps <= self.steps_total:
+                # The budget is spent: the overflow step is refused
+                # before a pick, so the run queue and the RNG are left
+                # as an expired deadline leaves them.
+                raise StepBudgetExceeded(self.steps_total)
             task = self._pick()
             if task is None:
                 if self.waiting_tasks:
@@ -471,15 +476,8 @@ class Machine:
                     "the root)"
                 )
             limit = remaining
-            if max_steps is not None:
-                headroom = max_steps - self.steps_total
-                if headroom <= 0:
-                    # A runnable task exists but the budget is spent:
-                    # the overflow step is refused, not executed.
-                    self.queue.appendleft(task)
-                    raise StepBudgetExceeded(self.steps_total)
-                if limit > headroom:
-                    limit = headroom
+            if max_steps is not None and limit > max_steps - self.steps_total:
+                limit = max_steps - self.steps_total
             budget = limit if serial else min(self.quantum, limit)
             if not rotating:
                 limit = budget

@@ -130,7 +130,7 @@ from repro.obs.metrics import Metrics
 from repro.primitives import install_primitives
 from repro.snapshot.wire import Reader, Writer
 
-__all__ = ["FORMAT_VERSION", "MAGIC", "restore_session", "snapshot_session"]
+__all__ = ["FORMAT_VERSION", "MAGIC", "restore_session", "snapshot_session", "uid_streams"]
 
 MAGIC = b"RSNP"
 #: Bump on any wire-format change; restore refuses other versions.
@@ -826,7 +826,7 @@ class _Encoder:
         # defaults were, and ignored on read.
         w.u8(1 | (2 if machine.profile else 0) | (4 if session.output.echo else 0) | 8)
         w.varint(session.max_pending)
-        for stream in _uid_streams():
+        for stream in uid_streams():
             w.varint(stream.peek())
         prelude = session.base.prelude
         w.u8(_BASE_PRELUDE if prelude else _BASE_BARE)
@@ -897,7 +897,7 @@ _V4_SESSION_SCALARS = (
 )
 
 
-def _uid_streams() -> tuple[SerialCounter, ...]:
+def uid_streams() -> tuple[SerialCounter, ...]:
     """The six process-global uid streams, in wire order (gensym, task,
     label, future, handle, engine)."""
     from repro.control import engines as _engines
@@ -1158,7 +1158,7 @@ class _Decoder:
         # watermark — never lower, since other sessions in this process
         # may be further along.  A restore so takes no uids, and
         # snapshot → restore → snapshot stays byte-identical.
-        for stream, watermark in zip(_uid_streams(), watermarks):
+        for stream, watermark in zip(uid_streams(), watermarks):
             stream.advance(watermark)
         return session
 

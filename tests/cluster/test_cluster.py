@@ -77,12 +77,12 @@ def test_inline_store_roundtrip_through_directory(tmp_path):
 
 
 def test_blobs_carry_only_what_the_session_changed():
-    """A reply's blob leaves out the prelude every shard boots, so a
+    """A blob leaves out the prelude every shard boots, so a
     counter session's first blob is small; a walk of the whole prelude
     would be ~17 KB.  A session holding a long list still round-trips."""
     with Cluster(workers=0) as c:
         c.submit("counter", "(define c 0)")
-        assert len(c.store.get("counter")) < 2048
+        assert len(c.snapshot_now("counter")) < 2048
         c.submit(
             "big",
             "(define big (let loop ((i 0) (acc '()))"
@@ -119,20 +119,26 @@ def test_failed_snapshot_keeps_the_session_and_drops_the_stale_blob(monkeypatch)
     _refuse_snapshots_when_flagged(monkeypatch)
     with Cluster(workers=0) as c:
         c.submit("s", "(define n 1) (define refuse-snapshot #f)")
-        assert c.store.get("s") is not None
-        # Acknowledged, but not snapshotted: the stored blob (n = 1)
-        # is older than the state the reply acknowledges.
-        assert c.submit("s", "(set! refuse-snapshot #t) (set! n 2) n").value == "2"
-        assert c.store.get("s") is None
-        for move in (c.evict, c.snapshot_now, lambda sid: c.migrate(sid, 0)):
+        c.submit("s", "(set! refuse-snapshot #t) (set! n 2) n")
+        assert c.store.get("s") is None and len(c.store.log("s")) == 2
+        # The session cannot be checkpointed, so its log could only
+        # grow: the stored state goes and it has no replay point.
+        for move in (c.snapshot_now, c.evict, lambda sid: c.migrate(sid, 0)):
             with pytest.raises(SnapshotError):
                 move("s")
+            assert c.store.get("s") is None and c.store.log("s") == []
         assert c.metrics.evictions == c.metrics.migrations == 0
-        assert c.submit("s", "n").value == "2"  # still resident
+        # Still resident; every submit asks for a checkpoint, and the
+        # answer is acknowledged though the checkpoint fails.
+        assert c.submit("s", "n").value == "2"
+        assert c.store.ids() == []
         # A snapshot that succeeds again restores the replay point.
         c.submit("s", "(set! refuse-snapshot #f)")
+        assert c.store.get("s") is not None and c.store.log("s") == []
+        c.submit("s", "(set! n 3)")
+        assert len(c.store.log("s")) == 1  # logging again
         assert c.evict("s") is True
-        assert c.submit("s", "n").value == "2"
+        assert c.submit("s", "n").value == "3"
 
 
 @pytest.mark.skipif(
@@ -143,13 +149,19 @@ def test_shard_death_after_a_failed_snapshot_replays_nothing_stale(monkeypatch):
     _refuse_snapshots_when_flagged(monkeypatch)
     with Cluster(workers=1) as c:
         c.submit("s", "(define n 1) (define refuse-snapshot #f)")
+        c.snapshot_now("s")
         assert c.submit("s", "(set! refuse-snapshot #t) (set! n 2) n").value == "2"
+        with pytest.raises(SnapshotError):
+            c.snapshot_now("s")
         os.kill(c.shards[0].process.pid, signal.SIGKILL)
         time.sleep(0.1)
-        # The only blob said n = 1; answering from it would lose the
+        # The stored checkpoint said n = 1 and its log went with the
+        # failed snapshot; answering from it would lose the
         # acknowledged write.
         with pytest.raises(ShardDied):
             c.submit("s", "n")
+        # The session's state is gone, and it starts afresh.
+        assert c.submit("s", "(define n 5) n").value == "5"
 
 
 def test_session_defaults_apply():
@@ -174,10 +186,11 @@ def test_metrics_namespacing():
         stats = c.stats
         assert stats["cluster.submits"] == 1
         assert stats["cluster.completed"] == 1
-        assert stats["cluster.snapshots"] == 1
+        assert stats["cluster.logged"] == 1
+        assert stats["cluster.snapshots"] == 0
         assert stats["cluster.shards"] == 1
         hists = c.histograms()
-        assert hists["cluster.snapshot_bytes"]["count"] == 1
+        assert hists["cluster.snapshot_bytes"]["count"] == 0
         assert hists["cluster.request_us"]["count"] == 1
 
 
@@ -249,15 +262,22 @@ def test_mp_sigkill_recovery(mp_cluster):
     assert c.metrics.respawns == 1
 
 
-def test_mp_sigkill_without_snapshot_raises():
+def test_mp_sigkill_without_snapshot_recovers():
+    """A session never checkpointed is rebuilt from its creation
+    kwargs plus its log: its first request survives a shard death, and
+    so do later ones."""
     with Cluster(workers=1) as c:
         os.kill(c.shards[0].process.pid, signal.SIGKILL)
         time.sleep(0.1)
-        # First-ever request for this session: nothing to replay.
-        with pytest.raises(ShardDied):
-            c.submit("newborn", "(+ 1 1)")
-        # The worker was still respawned; the cluster keeps serving.
-        assert c.submit("newborn", "(+ 1 1)").value == "2"
+        first = c.submit("newborn", "(define n 41) (+ n 1)")
+        assert (first.value, first.recovered) == ("42", True)
+        assert c.store.get("newborn") is None
+        os.kill(c.shards[0].process.pid, signal.SIGKILL)
+        time.sleep(0.1)
+        later = c.submit("newborn", "(set! n (+ n 1)) n")
+        assert (later.value, later.recovered) == ("42", True)
+        assert c.metrics.respawns == c.metrics.recoveries == 2
+        assert c.metrics.replayed == 1
 
 
 def test_close_cancels_a_wedged_worker_request():

@@ -1,17 +1,25 @@
 """A seeded simulation of the cluster front.
 
 Each seed runs a random interleaving of submit, cancel, clock advance
-past queued deadlines, migrate, tick and shard death over four sessions
-on ``Cluster(workers=0, clock=ManualClock())``.  Every request bumps its
-session's counter, so the values the front acknowledges show whether
-any request ran twice, ran out of order or was lost.
+past queued deadlines, migrate, checkpoint, tick and shard death over
+four sessions on ``Cluster(workers=0, clock=ManualClock())``.  Every
+counted request bumps its session's counter, so the values the front
+acknowledges show whether any request ran twice, ran out of order or
+was lost.  Other requests bump a second counter and are cut off by
+their step budget partway through a loop, so a replay that does not
+stop where the original did shows too.  Sessions hold state of
+different sizes and requests vary in length, so their logs reach their
+checkpoints at different times, and a death rebuilds each session from
+its checkpoint plus several logged requests.
 
 After every step no handle has heard more than one terminal state.  At
 quiescence every handle has exactly one, the front's queue is empty,
 each accepted request is counted once
 (``submits == completed + failed + cancellations``), and each session's
 acknowledged counter values read 1..k in submit order.  A request
-fails only by the simulation's own faults: a deadline or a shard death.
+fails only by the simulation's own faults: a deadline, its step budget,
+or a second shard death under its recovery — never for want of a
+replay point.
 """
 
 from __future__ import annotations
@@ -23,11 +31,21 @@ import pytest
 from repro.clock import ManualClock
 from repro.cluster import Cluster, ShardRuntime
 from repro.cluster.cluster import _InlineShard
-from repro.errors import DeadlineExceeded, ShardDied
+from repro.errors import ClusterEvalError, DeadlineExceeded, ShardDied
 from repro.host.handle import HandleState
 
 SESSIONS = ("a", "b", "c", "d")
+#: Per session: what it defines besides its counters, so its blob, and
+#: the log that outgrows it, differ in size.
+BALLAST = {
+    "a": "",
+    "b": "(define pad '(1 2 3 4 5 6 7 8))",
+    "c": "(define (twice x) (* 2 x))",
+    "d": "(define pad '(" + " ".join(str(i) for i in range(120)) + "))",
+}
 BUMP = "(set! n (+ n 1)) n"
+#: Cut off by its step budget partway through the loop.
+CUT = "(let loop ((i 0)) (if (< i 40) (begin (set! m (+ m 1)) (loop (+ i 1))) m))"
 STEPS = 40
 
 
@@ -56,15 +74,16 @@ class _MortalShard(_InlineShard):
         self.dead = False
 
 
-def _simulate(seed: int) -> None:
+def _simulate(seed: int) -> dict[str, int]:
     rng = random.Random(seed)
     clock = ManualClock()
     c = Cluster(workers=0, clock=clock, session_defaults={"prelude": False})
     shard = c.shards[0] = _MortalShard(0)
     for sid in SESSIONS:
-        c.submit(sid, "(define n 0)")
+        c.submit(sid, f"(define n 0) (define m 0) {BALLAST[sid]}")
     submits0 = c.metrics.submits
     handles: list[tuple[str, object]] = []  # (session, handle), submit order
+    cuts: list[object] = []
     terminal: dict[int, list[HandleState]] = {}
 
     def submit() -> None:
@@ -72,12 +91,17 @@ def _simulate(seed: int) -> None:
         # Whole seconds, like the clock steps: a request either expires
         # while queued or has at least a second to run.
         deadline = rng.choice((None, None, 1.0, 2.0, 3.0))
-        handle = c.submit_async(sid, BUMP, deadline=deadline)
+        if rng.random() < 0.2:
+            handle = c.submit_async(sid, CUT, max_steps=rng.randrange(10, 200), deadline=deadline)
+            cuts.append(handle)
+        else:
+            source = f"{BUMP} ; {'x' * rng.randrange(60)}"
+            handle = c.submit_async(sid, source, deadline=deadline)
+            handles.append((sid, handle))
         heard = terminal.setdefault(handle.uid, [])
         handle.subscribe(
             lambda state, text: state is not None and state.terminal and heard.append(state)
         )
-        handles.append((sid, handle))
 
     def cancel() -> None:
         if handles:
@@ -85,9 +109,9 @@ def _simulate(seed: int) -> None:
             was = handle.state
             assert handle.cancel() is (was is HandleState.PENDING)
 
-    def migrate() -> None:
+    def move(op) -> None:
         try:
-            c.migrate(rng.choice(SESSIONS), 0)
+            op(rng.choice(SESSIONS))
         except ShardDied:
             pass  # a mobility op on a dead shard raises; the next submit recovers
 
@@ -99,9 +123,10 @@ def _simulate(seed: int) -> None:
         (submit, 5),
         (cancel, 1),
         (lambda: clock.advance(rng.choice((0.0, 1.0, 2.0))), 1),
-        (migrate, 1),
+        (lambda: move(lambda sid: c.migrate(sid, 0)), 1),
+        (lambda: move(c.snapshot_now), 1),
         (c.tick, 4),
-        (kill, 1),
+        (kill, 2),
     )
     moves = [action for action, weight in actions for _ in range(weight)]
     for _ in range(STEPS):
@@ -110,21 +135,25 @@ def _simulate(seed: int) -> None:
     while not c.idle:
         c.tick()
 
-    for _, handle in handles:
+    for handle in [h for _, h in handles] + cuts:
         assert handle.done()
         assert terminal[handle.uid] == [handle.state]
         if handle.state is HandleState.FAILED:
             # Only the simulation's faults fail a request: no session
             # ever loses its counter.
             exc = handle.exception()
-            assert isinstance(exc, (DeadlineExceeded, ShardDied)) or (
-                exc.error_type == "DeadlineExceeded"  # a replay sent after expiry
-            ), exc
+            if isinstance(exc, ShardDied):
+                assert "killed by the simulation" in str(exc), exc
+            elif isinstance(exc, ClusterEvalError):
+                # A recovery sent after expiry, or a budget cut.
+                assert exc.error_type in ("DeadlineExceeded", "StepBudgetExceeded"), exc
+            else:
+                assert isinstance(exc, DeadlineExceeded), exc
     stats = c.stats
     assert stats["cluster.queue_depth"] == 0
     outcomes = stats["cluster.completed"] + stats["cluster.failed"] + stats["cluster.cancellations"]
     assert stats["cluster.submits"] == outcomes
-    assert stats["cluster.submits"] - submits0 == len(handles)
+    assert stats["cluster.submits"] - submits0 == len(handles) + len(cuts)
     for sid in SESSIONS:
         acked = [
             handle.result()
@@ -133,12 +162,23 @@ def _simulate(seed: int) -> None:
         ]
         assert acked == [str(k) for k in range(1, len(acked) + 1)], sid
     c.close()
+    return stats
 
 
 @pytest.mark.parametrize("block", range(4))
-def test_front_simulation(block):
+def test_front_simulation(block, monkeypatch):
+    # Shard timings read zero, so checkpoints follow the size side of
+    # the rule alone and a seed runs the same way on any machine.
+    monkeypatch.setattr("repro.cluster.shard.perf_counter", lambda: 0.0)
+    totals: dict[str, int] = {}
     for seed in range(block * 50, (block + 1) * 50):
         try:
-            _simulate(seed)
+            stats = _simulate(seed)
         except AssertionError as exc:
             raise AssertionError(f"seed {seed}: {exc}") from exc
+        for key in ("cluster.recoveries", "cluster.replayed", "cluster.snapshots"):
+            totals[key] = totals.get(key, 0) + stats[key]
+    # Each block rebuilds sessions from several logged requests after
+    # deaths, and checkpoints along the way.
+    assert totals["cluster.replayed"] > 2 * totals["cluster.recoveries"] > 0, totals
+    assert totals["cluster.snapshots"] > 0, totals

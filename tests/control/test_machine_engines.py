@@ -177,3 +177,31 @@ def test_engine_shares_the_store(interp):
     )
     assert value == 101
     assert interp.eval("counter") == 101
+
+
+def test_seeded_random_engine_blobs_are_byte_identical(monkeypatch):
+    """``make-engine`` seeds its sub-machine from the parent's RNG, so a
+    seeded random-policy session builds the same engine on every run,
+    and its blob — which holds the engine's RNG state — is the same
+    bytes.  Each run starts the uid streams at the same place and ages
+    requests at a frozen clock, as a fresh process would."""
+    from repro import Session
+    from repro.snapshot.codec import uid_streams
+
+    monkeypatch.setattr("repro.host.session._monotonic", lambda: 1000.0)
+    streams = uid_streams()
+    starts = [stream.peek() for stream in streams]
+
+    def blob():
+        for stream, start in zip(streams, starts):
+            stream.reset(start)
+        s = Session(policy="random", seed=7, name="e")
+        s.run(
+            "(define (work n) (lambda () (let loop ([i 0] [acc 0])"
+            " (if (= i n) acc (loop (+ i 1) (pcall + acc i))))))"
+            "(define e (make-engine (work 50)))"
+            "(define r (engine-run e 40 (lambda (v left) v) (lambda (e2) 'expired)))"
+        )
+        return s.snapshot()
+
+    assert blob() == blob()

@@ -2,12 +2,15 @@
 
 The contract (``docs/SERVING.md``): every frame the gateway *accepts*
 gets a terminal answer — a recovered result when the killed shard's
-session had a snapshot to replay, a structured error with
-``recovered: false`` when it did not — and never a hang.  The matrix
-below SIGKILLs a shard at three points in a request's life
-(pre-dispatch, mid-execute, post-result-pre-reply), with and without a
-snapshot present, and checks the answer, the ``recovered`` field, and
-the ``gateway.recovery.*`` counters every time.
+session has a replay point, a structured error with ``recovered:
+false`` when it has none — and never a hang.  The matrix below
+SIGKILLs a shard at three points in a request's life (pre-dispatch,
+mid-execute, post-result-pre-reply), for a session with a checkpoint
+and a logged request after it, and for a session with nothing stored
+(its first request, rebuilt from its creation kwargs), and checks the
+answer, the ``recovered`` field, and the ``gateway.recovery.*``
+counters every time.  A session with no replay point — its last
+snapshot failed — gets the ``recovered: false`` answer.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.cluster.shard import ShardRuntime
-from repro.errors import GatewayRequestError
+from repro.errors import GatewayRequestError, SnapshotError
 from repro.gateway import Gateway, GatewayClient
+from repro.host.session import Session
 
 from .conftest import run
 
@@ -106,15 +110,19 @@ def test_shard_death_transparency(kill_point, snapshotted, tmp_path, monkeypatch
     async def _one_case(cluster, gw, client):
         sid = "victim"
         if snapshotted:
-            # One completed request => the store holds a snapshot.
+            # A checkpoint, then a request logged after it: recovery
+            # restores the one and replays the other.
             assert await client.eval(sid, "(define seed 33) seed", timeout=60) == "33"
+            assert cluster.snapshot_now(sid) is not None
+            assert await client.eval(sid, "(set! seed (+ seed 1)) seed", timeout=60) == "34"
+            assert len(cluster.store.log(sid)) == 1
         pid = cluster.shards[cluster.shard_for(sid)].process.pid
 
         if kill_point == "pre-dispatch":
             os.kill(pid, signal.SIGKILL)
             time.sleep(0.05)
             source = "(* seed 2)" if snapshotted else "(+ 1 1)"
-            expected = "66" if snapshotted else "2"
+            expected = "68" if snapshotted else "2"
             rid = await client.submit(sid, source)
             followers = await _followers(client, sid)
         elif kill_point == "mid-execute":
@@ -133,23 +141,14 @@ def test_shard_death_transparency(kill_point, snapshotted, tmp_path, monkeypatch
 
         # The accepted frame always reaches a terminal answer — never
         # a hang (the timeout below is the no-hang gate).
-        if snapshotted:
-            assert await client.result(rid, timeout=120) == expected
-            terminal = await client.poll(rid)
-            assert terminal.get("recovered") is True
-            stats = await client.stats()
-            assert stats["gateway.recovery.replays"] == 1
-            assert stats["gateway.recovery.failures"] == 0
-            assert stats["cluster.recoveries"] == 1
-        else:
-            with pytest.raises(GatewayRequestError) as info:
-                await client.result(rid, timeout=120)
-            assert "ShardDied" in str(info.value)
-            terminal = await client.poll(rid)
-            assert terminal.get("recovered") is False
-            stats = await client.stats()
-            assert stats["gateway.recovery.failures"] == 1
-            assert stats["gateway.recovery.replays"] == 0
+        assert await client.result(rid, timeout=120) == expected
+        terminal = await client.poll(rid)
+        assert terminal.get("recovered") is True
+        stats = await client.stats()
+        assert stats["gateway.recovery.replays"] == 1
+        assert stats["gateway.recovery.failures"] == 0
+        assert stats["cluster.recoveries"] == 1
+        assert stats["cluster.replayed"] == (1 if snapshotted else 0)
         assert stats["cluster.respawns"] == 1
         assert stats["gateway.protocol_errors"] == 0
 
@@ -157,6 +156,49 @@ def test_shard_death_transparency(kill_point, snapshotted, tmp_path, monkeypatch
         # and the cluster keeps serving the same session.
         answers = [await client.result(f, timeout=60) for f in followers]
         assert answers == ["5", "2"]
+
+    run(scenario())
+
+
+def test_shard_death_with_no_replay_point_answers_recovered_false(monkeypatch):
+    """A session whose last snapshot failed has no replay point: after
+    its shard dies, the gateway still answers the frame, with the
+    ``ShardDied`` error and ``recovered: false``, and counts it."""
+    snapshot = Session.snapshot
+
+    def refusing(session):
+        if session.name == "victim":
+            raise SnapshotError("refused")
+        return snapshot(session)
+
+    # Patched before the fork, so the workers refuse too.
+    monkeypatch.setattr(Session, "snapshot", refusing)
+
+    async def scenario():
+        cluster = Cluster(workers=1, session_defaults={"prelude": False})
+        try:
+            async with Gateway(cluster) as gw:
+                client = await GatewayClient.connect(gw.host, gw.port)
+                try:
+                    assert await client.eval("victim", "(define n 1) n", timeout=60) == "1"
+                    with pytest.raises(SnapshotError):
+                        cluster.snapshot_now("victim")
+                    os.kill(cluster.shards[0].process.pid, signal.SIGKILL)
+                    time.sleep(0.05)
+                    rid = await client.submit("victim", "n")
+                    with pytest.raises(GatewayRequestError, match="ShardDied"):
+                        await client.result(rid, timeout=120)
+                    assert (await client.poll(rid)).get("recovered") is False
+                    stats = await client.stats()
+                    assert stats["gateway.recovery.failures"] == 1
+                    assert stats["gateway.recovery.replays"] == 0
+                    assert stats["cluster.respawns"] == 1
+                    # Its state is gone; the next request starts it afresh.
+                    assert await client.eval("victim", "(define n 5) n", timeout=60) == "5"
+                finally:
+                    await client.close()
+        finally:
+            cluster.close()
 
     run(scenario())
 

@@ -144,7 +144,7 @@ def test_image_holds_only_bindable_defines(no_image, monkeypatch, form):
 @pytest.mark.parametrize("engine", ["compiled", "codegen"])
 def test_boot_compiles_nothing_and_takes_no_uids(engine):
     Session(engine=engine)  # the image is built
-    streams = codec_mod._uid_streams()
+    streams = codec_mod.uid_streams()
     before = [stream.peek() for stream in streams]
     s = Session(engine=engine)
     assert [stream.peek() for stream in streams] == before

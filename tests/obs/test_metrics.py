@@ -263,15 +263,17 @@ CLUSTER_GOLDEN = {
     "cluster.completed": 3,
     "cluster.evictions": 1,
     "cluster.failed": 1,
+    "cluster.logged": 4,
     "cluster.migrations": 0,
     "cluster.queue_depth": 0,
     "cluster.recoveries": 0,
+    "cluster.replayed": 0,
     "cluster.resident_sessions": 2,
     "cluster.respawns": 0,
     "cluster.restores": 1,
     "cluster.saturations": 0,
     "cluster.shards": 1,
-    "cluster.snapshots": 5,
+    "cluster.snapshots": 1,
     "cluster.stored_sessions": 2,
     "cluster.submits": 4,
 }
@@ -288,8 +290,8 @@ def test_cluster_stats_golden():
         assert_histograms(
             c.histograms(),
             {
-                "cluster.snapshot_bytes": 5,
-                "cluster.snapshot_us": 5,
+                "cluster.snapshot_bytes": 1,
+                "cluster.snapshot_us": 1,
                 "cluster.restore_us": 1,
                 "cluster.request_us": 4,
             },
@@ -337,9 +339,9 @@ BACKEND_GOLDEN = {
     "cluster": {
         **{key: 0 for key in CLUSTER_GOLDEN},
         "cluster.completed": 2,
+        "cluster.logged": 2,
         "cluster.resident_sessions": 1,
         "cluster.shards": 1,
-        "cluster.snapshots": 2,
         "cluster.stored_sessions": 1,
         "cluster.submits": 2,
     },
